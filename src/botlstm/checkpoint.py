@@ -8,21 +8,24 @@ Layout (all integers little-endian uint32, floats little-endian float32):
     payload:
       vocabulary block: vocab_size entries, each u32 byte length +
         UTF-8 surface, in id order
-      tensor block: raw C-order float32 tensors in the canonical order
-        of ModelParams.named_tensors():
+      tensor block: raw C-order float32 tensors, in this order:
           embedding.vectors [vocab_size, embed_dim]
-          for each layer 0..L-1, for direction fwd then bwd:
-            U_i U_f U_c U_o  [hidden, d_in]   (d_in = embed_dim on layer 0,
-            W_i W_f W_c W_o  [hidden, hidden]  2*hidden above)
-            V_i V_f V_o      [hidden]
-            b_i b_f b_c b_o  [hidden]
+          for each layer 0..L-1, for direction fwd then bwd, the cell's
+          gate-fused blocks (nn_core.LstmCellParams), with d_in = embed_dim
+          on layer 0 and 2*hidden above:
+            U [4*hidden, d_in]    gate blocks i, f, c, o
+            W [4*hidden, hidden]  gate blocks i, f, c, o
+            V [3*hidden]          peephole blocks i, f, o
+            b [4*hidden]          gate blocks i, f, c, o
           softmax.W [classes, 2*hidden]
           softmax.b [classes]
     checksum u32  CRC-32 of the payload bytes
 
 The embedding trainable-row mask is not stored: rows 1..5 (OOV and the
 meme tokens) are always the trainable ones. Parameters are saved at
-float32 precision, so save -> load -> save is byte-identical.
+float32 precision, so save -> load -> save is byte-identical. A block is
+the C-order concatenation of its gate pieces, so the bytes are unchanged
+from the earlier layout that stored each gate as its own tensor.
 """
 
 from __future__ import annotations
@@ -43,23 +46,23 @@ _HEADER = struct.Struct("<6s6I")
 
 
 def _tensor_shapes(vocab_size: int, embed_dim: int, hidden: int, layers: int):
-    """Expected (name, shape) pairs in canonical order."""
-    shapes = [("embedding.vectors", (vocab_size, embed_dim))]
+    """Expected tensor shapes in file order."""
+    shapes = [(vocab_size, embed_dim)]
     for li in range(layers):
         d_in = embed_dim if li == 0 else 2 * hidden
-        for dname in ("fwd", "bwd"):
-            prefix = f"layers.{li}.{dname}"
-            for gate in ("i", "f", "c", "o"):
-                shapes.append((f"{prefix}.U_{gate}", (hidden, d_in)))
-            for gate in ("i", "f", "c", "o"):
-                shapes.append((f"{prefix}.W_{gate}", (hidden, hidden)))
-            for gate in ("i", "f", "o"):
-                shapes.append((f"{prefix}.V_{gate}", (hidden,)))
-            for gate in ("i", "f", "c", "o"):
-                shapes.append((f"{prefix}.b_{gate}", (hidden,)))
-    shapes.append(("softmax.W", (N_CLASSES, 2 * hidden)))
-    shapes.append(("softmax.b", (N_CLASSES,)))
+        cell = [(4 * hidden, d_in), (4 * hidden, hidden), (3 * hidden,), (4 * hidden,)]
+        shapes += cell * 2  # fwd, bwd
+    shapes += [(N_CLASSES, 2 * hidden), (N_CLASSES,)]
     return shapes
+
+
+def _tensors(model: ModelParams) -> list[np.ndarray]:
+    """The model's tensors in file order."""
+    tensors = [model.embedding.vectors]
+    for layer in model.layers:
+        for cell in (layer.fwd, layer.bwd):
+            tensors += [cell.U, cell.W, cell.V, cell.b]
+    return tensors + [model.softmax_W, model.softmax_b]
 
 
 def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
@@ -70,14 +73,11 @@ def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
         raw = surface.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-    tensors = dict(model.named_tensors())
     cfg = model.config()
-    for name, shape in _tensor_shapes(
-        cfg.vocab_size, cfg.embed_dim, cfg.hidden, cfg.layers
-    ):
-        arr = tensors[name]
+    shapes = _tensor_shapes(cfg.vocab_size, cfg.embed_dim, cfg.hidden, cfg.layers)
+    for k, (arr, shape) in enumerate(zip(_tensors(model), shapes)):
         if arr.shape != shape:
-            raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+            raise ValueError(f"tensor {k} has shape {arr.shape}, expected {shape}")
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     payload = b"".join(parts)
     header = _HEADER.pack(
@@ -132,42 +132,25 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in _tensor_shapes(vocab_size, embed_dim, hidden, layers):
+    tensors = []
+    for shape in _tensor_shapes(vocab_size, embed_dim, hidden, layers):
         count = int(np.prod(shape))
         raw = take(4 * count)
-        tensors[name] = (
-            np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        )
+        tensors.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape))
     if offset != len(payload):
         raise CheckpointError("corrupt checkpoint: trailing bytes in payload")
 
     mask = np.zeros(vocab_size, dtype=bool)
     mask[list(TRAINABLE_ROW_IDS)] = True
-    embedding = EmbeddingTable(
-        vectors=tensors["embedding.vectors"], trainable_mask=mask
-    )
-    model_layers = []
-    for li in range(layers):
-        cells = {}
-        for dname in ("fwd", "bwd"):
-            prefix = f"layers.{li}.{dname}"
-            cells[dname] = LstmCellParams(
-                **{
-                    tname: tensors[f"{prefix}.{tname}"]
-                    for tname in (
-                        "U_i", "U_f", "U_c", "U_o",
-                        "W_i", "W_f", "W_c", "W_o",
-                        "V_i", "V_f", "V_o",
-                        "b_i", "b_f", "b_c", "b_o",
-                    )
-                }
-            )
-        model_layers.append(BiLstmLayer(fwd=cells["fwd"], bwd=cells["bwd"]))
+    embedding = EmbeddingTable(vectors=tensors[0], trainable_mask=mask)
+    cells = [
+        LstmCellParams.from_blocks(*tensors[k : k + 4])
+        for k in range(1, 1 + 8 * layers, 4)
+    ]
     model = ModelParams(
         embedding=embedding,
-        layers=model_layers,
-        softmax_W=tensors["softmax.W"],
-        softmax_b=tensors["softmax.b"],
+        layers=[BiLstmLayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])],
+        softmax_W=tensors[-2],
+        softmax_b=tensors[-1],
     )
     return model, vocab

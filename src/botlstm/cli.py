@@ -9,48 +9,21 @@ flags override it. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import corpus_stats, datasets, embeddings, text_pipeline, trainer
-from .errors import BotlstmError, DataError, InternalError, UsageError
+from .errors import BotlstmError, DataError, InternalError, UsageError, open_text
 from .metrics import BOT, HUMAN, LABEL_NAMES, report_json
 from .nn_core import ModelConfig, init_params
 
 log = logging.getLogger(__name__)
-
-_CONFIG_TYPES = {
-    "learning_rate": float,
-    "momentum": float,
-    "batch_size": int,
-    "epochs": int,
-    "dropout_start": float,
-    "dropout_end": float,
-    "seed": int,
-    "max_seq_len": int,
-    "hidden": int,
-    "layers": int,
-    "embed_dim": int,
-    "granularity": str,
-    "stopwords": bool,
-    "rt_token": bool,
-    "top_k": int,
-    "synthetic": int,
-    "glove": str,
-    "accounts": str,
-    "tweets": str,
-    "corpus": str,
-    "vocab": str,
-    "checkpoint": str,
-    "history": str,
-    "output": str,
-    "output_dir": str,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -259,12 +232,24 @@ class RunConfig:
         return out / default_name
 
 
+def _config_types() -> dict[str, type]:
+    """--config keys and their value types: every RunConfig field but `command`."""
+    types = {}
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        if name != "command":
+            # `X | None` fields take an X
+            types[name] = next(
+                (t for t in typing.get_args(hint) if t is not type(None)), hint
+            )
+    return types
+
+
+_CONFIG_TYPES = _config_types()
+
+
 def _read_corpus_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}", module="cli") from exc
+    with open_text(path, "cli", "corpus file") as fh:
+        return fh.read().splitlines()
 
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
@@ -395,10 +380,11 @@ def cmd_predict(cfg: RunConfig) -> int:
         scored = trainer.account_probabilities(model, examples)
         rows.append((account_id, scored[account_id][1], ""))
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("account_id,p_bot,predicted_label,flag\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["account_id", "p_bot", "predicted_label", "flag"])
         for account_id, p_bot, flag in rows:
             label = LABEL_NAMES[BOT if p_bot >= 0.5 else HUMAN]
-            fh.write(f"{account_id},{p_bot:.6f},{label},{flag}\n")
+            writer.writerow([account_id, f"{p_bot:.6f}", label, flag])
     print(f"wrote {out} ({len(rows)} accounts)")
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable, build_table
-from .errors import DataError
+from .errors import DataError, open_text
 from .metrics import BOT, HUMAN, LABEL_IDS
 from .text_pipeline import PAD_ID, Vocabulary, build_vocabulary, encode, tokenize
 
@@ -50,11 +50,7 @@ class LabeledSequence:
 
 
 def _read_rows(path, header: list[str], module: str = "datasets"):
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}", module=module) from exc
-    with fh:
+    with open_text(path, module, "CSV file", newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .text_pipeline import OOV_ID, RESERVED_TOKENS, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -60,13 +60,8 @@ def load_glove(source, expected_dim: int):
     line) and on an empty stream.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                return _parse_glove_lines(fh, expected_dim, str(source))
-        except OSError as exc:
-            raise DataError(
-                f"cannot read embedding file {source}: {exc}", module="embeddings"
-            ) from exc
+        with open_text(source, "embeddings", "embedding file") as fh:
+            return _parse_glove_lines(fh, expected_dim, str(source))
     return _parse_glove_lines(source, expected_dim, "<stream>")
 
 

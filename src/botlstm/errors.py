@@ -5,6 +5,8 @@ command-line layer can prefix messages and map failures onto documented
 exit codes (1 usage, 2 data, 3 internal).
 """
 
+from contextlib import contextmanager
+
 
 class BotlstmError(Exception):
     """Base class for all errors raised by this package."""
@@ -34,3 +36,21 @@ class UsageError(BotlstmError):
 
 class InternalError(BotlstmError):
     """An internal invariant was violated (e.g. a non-finite gradient)."""
+
+
+@contextmanager
+def open_text(path, module: str, what: str = "file", newline=None):
+    """Open `path` as UTF-8 text for reading.
+
+    An OS error on opening or reading, or bytes that are not UTF-8, become
+    a DataError from `module`, naming the `what` and the path.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}", module=module) from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{what} {path} is not valid UTF-8: {exc}", module=module
+        ) from exc

@@ -46,12 +46,11 @@ N_CLASSES = 2
 
 #: Row-block order of the fused gate matrices: input, forget, candidate, output.
 GATE_ORDER = ("i", "f", "c", "o")
-
-_CELL_TENSOR_NAMES = (
-    "U_i", "U_f", "U_c", "U_o",
-    "W_i", "W_f", "W_c", "W_o",
-    "V_i", "V_f", "V_o",
-    "b_i", "b_f", "b_c", "b_o",
+#: Block order of the peephole vector; the candidate has no peephole.
+PEEPHOLE_ORDER = ("i", "f", "o")
+#: Gate order inside each stored block of LstmCellParams.
+_BLOCK_GATES = (
+    ("U", GATE_ORDER), ("W", GATE_ORDER), ("V", PEEPHOLE_ORDER), ("b", GATE_ORDER),
 )
 
 
@@ -66,48 +65,57 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
 class LstmCellParams:
-    """Weights of one direction of one layer.
+    """Weights of one direction of one layer, stored as gate-fused blocks.
 
-    U_* are [H, D_in] input maps, W_* are [H, H] recurrent maps, V_* are
-    [H] diagonal peephole weights, b_* are [H] biases.
+    U [4H, D_in] and W [4H, H] stack the input and recurrent maps of the
+    gates in GATE_ORDER, V [3H] the diagonal peephole weights in
+    PEEPHOLE_ORDER, and b [4H] the biases. The per-gate names U_i ... b_o
+    (U_* [H, D_in], W_* [H, H], V_* and b_* [H]) are writable views into
+    these blocks; the constructor takes them in that order.
     """
 
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_c: np.ndarray
-    U_o: np.ndarray
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    V_i: np.ndarray
-    V_f: np.ndarray
-    V_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    def __init__(self, U_i, U_f, U_c, U_o, W_i, W_f, W_c, W_o,
+                 V_i, V_f, V_o, b_i, b_f, b_c, b_o):
+        self.U = np.concatenate((U_i, U_f, U_c, U_o), axis=0)
+        self.W = np.concatenate((W_i, W_f, W_c, W_o), axis=0)
+        self.V = np.concatenate((V_i, V_f, V_o))
+        self.b = np.concatenate((b_i, b_f, b_c, b_o))
+
+    @classmethod
+    def from_blocks(cls, U, W, V, b) -> "LstmCellParams":
+        """Wrap existing fused blocks without copying them."""
+        p = cls.__new__(cls)
+        p.U, p.W, p.V, p.b = U, W, V, b
+        return p
 
     @property
     def hidden_size(self) -> int:
-        return self.W_i.shape[0]
+        return self.W.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.U_i.shape[1]
+        return self.U.shape[1]
 
     def named_tensors(self):
-        for name in _CELL_TENSOR_NAMES:
-            yield name, getattr(self, name)
+        """(name, view) pairs in constructor order."""
+        for block, gates in _BLOCK_GATES:
+            for gate in gates:
+                name = f"{block}_{gate}"
+                yield name, getattr(self, name)
 
-    def fused(self):
-        """Gate-stacked (U_all [4H,D], W_all [4H,H], b_all [4H]) views."""
-        U_all = np.concatenate((self.U_i, self.U_f, self.U_c, self.U_o), axis=0)
-        W_all = np.concatenate((self.W_i, self.W_f, self.W_c, self.W_o), axis=0)
-        b_all = np.concatenate((self.b_i, self.b_f, self.b_c, self.b_o))
-        return U_all, W_all, b_all
+
+def _gate_view(block: str, k: int) -> property:
+    def get(self):
+        H = self.hidden_size
+        return getattr(self, block)[k * H : (k + 1) * H]
+    return property(get)
+
+
+for _block, _gates in _BLOCK_GATES:
+    for _k, _gate in enumerate(_gates):
+        setattr(LstmCellParams, f"{_block}_{_gate}", _gate_view(_block, _k))
+del _block, _gates, _k, _gate
 
 
 @dataclass
@@ -122,9 +130,9 @@ class GateCache:
     tc: np.ndarray
 
 
-def _step(W_all, b_all, V_i, V_f, V_o, xu_t, h_prev, c_prev, H):
+def _step(W, b, V_i, V_f, V_o, xu_t, h_prev, c_prev, H):
     """One cell update given the precomputed input contribution xu_t."""
-    pre = xu_t + W_all @ h_prev + b_all
+    pre = xu_t + W @ h_prev + b
     i = sigmoid(pre[:H] + V_i * c_prev)
     f = sigmoid(pre[H : 2 * H] + V_f * c_prev)
     g = np.tanh(pre[2 * H : 3 * H])
@@ -149,9 +157,8 @@ def lstm_cell_forward(p: LstmCellParams, x_t, h_prev, c_prev):
     for name, arr in (("x_t", x_t), ("h_prev", h_prev), ("c_prev", c_prev)):
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in {name}")
-    U_all, W_all, b_all = p.fused()
     h, c, i, f, g, o, tc = _step(
-        W_all, b_all, p.V_i, p.V_f, p.V_o, U_all @ x_t, h_prev, c_prev, H
+        p.W, p.b, p.V_i, p.V_f, p.V_o, p.U @ x_t, h_prev, c_prev, H
     )
     return h, c, GateCache(i=i, f=f, g=g, o=o, c=c, tc=tc)
 
@@ -190,8 +197,8 @@ def _direction_pass(
     X = inputs[::-1] if reverse else inputs
     ran = active[::-1].copy() if reverse else np.asarray(active, dtype=bool).copy()
 
-    U_all, W_all, b_all = p.fused()
-    XU = X @ U_all.T
+    XU = X @ p.U.T
+    V_i, V_f, V_o = p.V_i, p.V_f, p.V_o  # gate views are built per access
     i = np.zeros((T, H))
     f = np.zeros((T, H))
     g = np.zeros((T, H))
@@ -207,7 +214,7 @@ def _direction_pass(
             c[t] = c_prev
         else:
             h[t], c[t], i[t], f[t], g[t], o[t], tc[t] = _step(
-                W_all, b_all, p.V_i, p.V_f, p.V_o, XU[t], h_prev, c_prev, H
+                p.W, p.b, V_i, V_f, V_o, XU[t], h_prev, c_prev, H
             )
         h_prev = h[t]
         c_prev = c[t]
@@ -242,7 +249,7 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
     """
     T, H = cache.h.shape
     dh_out = dh_aligned[::-1] if cache.reverse else dh_aligned
-    U_all, W_all, _ = p.fused()
+    V_i, V_f, V_o = p.V_i, p.V_f, p.V_o  # gate views are built per access
 
     da = np.zeros((T, 4 * H))
     dh_rec = np.zeros(H)
@@ -260,7 +267,7 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
         )
         do = dh * tc
         da_o = do * o * (1.0 - o)
-        dc = dh * o * (1.0 - tc * tc) + dc_rec + p.V_o * da_o
+        dc = dh * o * (1.0 - tc * tc) + dc_rec + V_o * da_o
         da_i = dc * g * i * (1.0 - i)
         da_f = dc * c_prev * f * (1.0 - f)
         da_c = dc * i * (1.0 - g * g)
@@ -269,8 +276,8 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
         row[H : 2 * H] = da_f
         row[2 * H : 3 * H] = da_c
         row[3 * H :] = da_o
-        dh_rec = W_all.T @ row
-        dc_rec = dc * f + p.V_i * da_i + p.V_f * da_f
+        dh_rec = p.W.T @ row
+        dc_rec = dc * f + V_i * da_i + V_f * da_f
 
     h_prev_track = np.vstack((np.zeros((1, H)), cache.h[:-1]))
     c_prev_track = np.vstack((np.zeros((1, H)), cache.c[:-1]))
@@ -286,7 +293,7 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
     grads["V_f"] = (da[:, H : 2 * H] * c_prev_track).sum(axis=0)
     grads["V_o"] = (da[:, 3 * H :] * cache.c).sum(axis=0)
 
-    dX = da @ U_all
+    dX = da @ p.U
     if cache.reverse:
         dX = dX[::-1]
     return grads, dX

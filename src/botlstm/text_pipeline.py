@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 PAD = "<PAD>"
 OOV = "<OOV>"
@@ -141,7 +141,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         surfaces = []
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, "text_pipeline", "vocabulary file") as fh:
             for n, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:

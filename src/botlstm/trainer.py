@@ -2,10 +2,10 @@
 
 The batch gradient is the *mean* over examples, so the learning rate
 keeps its meaning regardless of batch size. The dropout rate decays
-linearly per epoch between its configured endpoints. Within a batch,
-per-example work can fan out to BOTLSTM_THREADS worker threads; every
-example gets its own seeded generator and the reduction order is fixed,
-so results are bit-identical at any worker count.
+linearly per epoch between its configured endpoints. Every example draws
+its dropout masks from its own seeded generator, and each example's
+gradient is added to the batch sum as soon as it is computed, so a batch
+holds one example's gradients at a time.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,17 +127,6 @@ def sgd_momentum_step(
     return params, velocity
 
 
-def worker_count() -> int:
-    """Worker cap from BOTLSTM_THREADS (default 1; bad values fall back to 1)."""
-    raw = os.environ.get("BOTLSTM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        log.warning("ignoring non-integer BOTLSTM_THREADS=%r", raw)
-        return 1
-    return max(1, n)
-
-
 def _example_pass(model, example, rate: float, seed: int):
     """Forward+backward for one example; returns (loss, clamped, correct, grads)."""
     rng = np.random.default_rng(seed) if rate > 0.0 else None
@@ -151,13 +138,6 @@ def _example_pass(model, example, rate: float, seed: int):
     pred = BOT if trace.probabilities[BOT] >= 0.5 else HUMAN
     grads = backward(model, trace, example.label)
     return loss, p <= 0.0, pred == example.label, grads
-
-
-def _map_examples(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(*args) for args in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), items))
 
 
 def batch_indices(order, batch_size: int):
@@ -177,7 +157,6 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
         raise DataError("training dataset is empty", module="trainer")
     rng = np.random.default_rng(cfg.seed)
     velocity: dict[str, np.ndarray] = {}
-    workers = worker_count()
     history = TrainHistory()
 
     for epoch in range(1, cfg.epochs + 1):
@@ -188,15 +167,12 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
         n_correct = 0
         n_clamped = 0
         for batch_ids in batch_indices(order, cfg.batch_size):
-            batch = [dataset[i] for i in batch_ids]
-            seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch))
-            results = _map_examples(
-                _example_pass,
-                [(model, ex, rate, int(s)) for ex, s in zip(batch, seeds)],
-                workers,
-            )
+            seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch_ids))
             grad_sum = None
-            for loss, clamped, correct, grads in results:
+            for i, seed in zip(batch_ids, seeds):
+                loss, clamped, correct, grads = _example_pass(
+                    model, dataset[i], rate, int(seed)
+                )
                 loss_sum += loss
                 n_clamped += clamped
                 n_correct += correct
@@ -205,7 +181,8 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
                 else:
                     for name, g in grads.items():
                         grad_sum[name] += g
-            scale = 1.0 / len(batch)
+                del grads  # free it before the next example's pass
+            scale = 1.0 / len(batch_ids)
             for g in grad_sum.values():
                 g *= scale
             sgd_momentum_step(model, grad_sum, velocity, cfg.learning_rate, cfg.momentum)

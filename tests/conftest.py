@@ -1,9 +1,8 @@
-"""Shared fixtures and oracle helpers for the test suite."""
+"""Shared model builders and oracle helpers for the test suite."""
 
 import math
 
 import numpy as np
-import pytest
 
 from botlstm.datasets import Account, save_dataset
 from botlstm.embeddings import EmbeddingTable
@@ -14,11 +13,6 @@ from botlstm.nn_core import (
     bilstm_forward,
 )
 from botlstm.trainer import nll_loss
-
-
-@pytest.fixture(autouse=True)
-def _single_worker(monkeypatch):
-    monkeypatch.delenv("BOTLSTM_THREADS", raising=False)
 
 
 def random_cell(rng, hidden, d_in, scale=0.5):

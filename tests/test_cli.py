@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import write_dataset_files
+from conftest import small_accounts, write_dataset_files
 
 from botlstm import cli
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
@@ -258,6 +259,23 @@ class TestPredict:
         rows = out.read_text().splitlines()
         assert rows[1] == "ghost,0.500000,bot,empty_account"
 
+    def test_account_ids_round_trip(self, tmp_path):
+        ckpt = self._zeroed_checkpoint(tmp_path)
+        ids = ["a,2", 'say "hi"', "plain"]
+        tweets = tmp_path / "tweets.csv"
+        with open(tweets, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["account_id", "tweet_text"])
+            writer.writerows([account_id, "hello"] for account_id in ids)
+        out = tmp_path / "pred.csv"
+        rc = cli.main(["predict", "--checkpoint", str(ckpt),
+                       "--tweets", str(tweets), "--output", str(out)])
+        assert rc == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["account_id"] for r in rows] == ids
+        assert all(r["p_bot"] == "0.500000" and r["flag"] == "" for r in rows)
+
 
 class TestStats:
     def test_outputs_exist_and_parse(self, tmp_path, capsys):
@@ -303,6 +321,52 @@ class TestStats:
         assert "thank" in tokens[:12]
 
 
+class TestDataErrorExitCodes:
+    """Unreadable or non-UTF-8 inputs exit 2 with a module-prefixed message."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        from botlstm.nn_core import ModelConfig, init_params
+
+        acc, twt = write_dataset_files(small_accounts(), tmp_path)
+        words = sorted({w for a in small_accounts() for t in a.tweets for w in t.split()})
+        glove = tmp_path / "glove.txt"
+        write_glove(glove, words, np.random.default_rng(0).standard_normal((len(words), 4)))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("love you\n", encoding="utf-8")
+        _, vocab, table = synthetic(seed=1, n_per_class=1, embed_dim=4)
+        model = init_params(ModelConfig(vocab_size=len(vocab), embed_dim=4, hidden=2,
+                                        layers=1), rng_seed=0, embedding=table)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, model, vocab)
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("account_id,tweet_text\nu1,caf\xe9\n".encode("latin-1"))
+        return {"acc": acc, "twt": twt, "glove": glove, "corpus": corpus, "ckpt": ckpt,
+                "bad": bad, "missing": tmp_path / "missing.tsv"}
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--embed-dim", "4", "--vocab", "{missing}"], "text_pipeline:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--embed-dim", "4", "--vocab", "{bad}"], "text_pipeline:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{bad}", "--glove", "{glove}",
+          "--embed-dim", "4"], "datasets:"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad}"], "cli:"),
+        (["build-vocab", "--corpus", "{bad}", "--glove", "{glove}", "--embed-dim", "4"],
+         "cli:"),
+        (["build-vocab", "--corpus", "{corpus}", "--glove", "{bad}", "--embed-dim", "4"],
+         "embeddings:"),
+    ], ids=["missing-vocab", "latin1-vocab", "latin1-tweets", "latin1-predict-tweets",
+            "latin1-corpus", "latin1-glove"])
+    def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):
+        paths = self._inputs(tmp_path)
+        argv = [a.format(**paths) for a in argv]
+        rc = cli.main([*argv, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(prefix), err
+
+
 class TestConfigFileAndExitCodes:
     def test_config_file_defaults_and_override(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -325,6 +389,31 @@ class TestConfigFileAndExitCodes:
         rc = cli.main(["train", "--config", str(config), "--synthetic", "2"])
         assert rc == 1
         assert "warp_speed" in capsys.readouterr().err
+
+    def test_every_run_config_field_is_a_config_key(self, tmp_path):
+        samples = {"int": ("3", 3), "float": ("0.25", 0.25),
+                   "bool": ("false", False), "str": ("x", "x")}
+        expected = {}
+        lines = []
+        for f in dataclasses.fields(cli.RunConfig):
+            if f.name == "command":
+                continue
+            raw, value = samples[f.type.split(" | ")[0]]
+            lines.append(f"{f.name}={raw}")
+            expected[f.name] = value
+        config = tmp_path / "all.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        cfg = cli.RunConfig.from_args(cli.parse_args(["train", "--config", str(config)]))
+        for name, value in expected.items():
+            got = getattr(cfg, name)
+            assert got == value and type(got) is type(value), name
+
+    @pytest.mark.parametrize("line", ["epochs=many", "stopwords=maybe", "synthetic=2.5"])
+    def test_bad_config_value(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(["train", "--config", str(config)]) == 1
+        assert "bad value" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["train", "--frobnicate"]) == 1

@@ -38,6 +38,31 @@ def zero_cell(hidden, d_in):
     )
 
 
+class TestCellParams:
+    def test_gate_names_are_views_of_the_fused_blocks(self):
+        rng = np.random.default_rng(3)
+        H, D = 3, 2
+        parts = [rng.standard_normal((H, D)) for _ in range(4)]
+        parts += [rng.standard_normal((H, H)) for _ in range(4)]
+        parts += [rng.standard_normal(H) for _ in range(7)]
+        p = LstmCellParams(*parts)
+        assert (p.U.shape, p.W.shape, p.V.shape, p.b.shape) == (
+            (4 * H, D), (4 * H, H), (3 * H,), (4 * H,)
+        )
+        for (name, view), part in zip(p.named_tensors(), parts):
+            np.testing.assert_array_equal(view, part, err_msg=name)
+        p.W_c[:] = 7.0
+        np.testing.assert_array_equal(p.W[2 * H : 3 * H], 7.0)
+        p.V_o[:] = -1.0
+        np.testing.assert_array_equal(p.V[2 * H :], -1.0)
+
+    def test_from_blocks_keeps_the_arrays(self):
+        p = random_cell(np.random.default_rng(4), 2, 3)
+        q = LstmCellParams.from_blocks(p.U, p.W, p.V, p.b)
+        assert q.U is p.U and q.W is p.W and q.V is p.V and q.b is p.b
+        assert (q.hidden_size, q.input_size) == (2, 3)
+
+
 class TestCellForward:
     def test_zero_case(self):
         p = zero_cell(3, 2)

@@ -8,7 +8,7 @@ from conftest import random_model
 from botlstm.datasets import make_examples, synthetic
 from botlstm.errors import DataError, InternalError
 from botlstm.metrics import BOT, HUMAN
-from botlstm.nn_core import ModelConfig, bilstm_forward, init_params
+from botlstm.nn_core import ModelConfig, backward, bilstm_forward, init_params
 from botlstm.trainer import (
     LOSS_CLAMP,
     TrainingConfig,
@@ -263,17 +263,35 @@ class TestTrain:
         model, _ = train(model, examples, cfg)
         assert np.array_equal(model.embedding.vectors[fixed], before)
 
-    def test_thread_fanout_matches_serial(self, monkeypatch):
-        serial_model, examples, _, _ = _toy_setup()
-        cfg = TrainingConfig(epochs=1, batch_size=6, seed=4)
-        serial_model, _ = train(serial_model, examples, cfg)
+    def test_one_step_matches_hand_reduction(self):
+        model, examples, _, _ = _toy_setup()
+        batch = examples[:6]
+        cfg = TrainingConfig(epochs=1, batch_size=len(batch), seed=4)
+        model, _ = train(model, batch, cfg)
 
-        monkeypatch.setenv("BOTLSTM_THREADS", "4")
-        threaded_model = _toy_setup()[0]
-        threaded_model, _ = train(threaded_model, examples, cfg)
-        for (name, a), (_, b) in zip(
-            serial_model.named_tensors(), threaded_model.named_tensors()
-        ):
+        # the same step by hand: per-example gradients under each example's
+        # own dropout seed, summed in batch order, meaned, one momentum step
+        by_hand = _toy_setup()[0]
+        rng = np.random.default_rng(cfg.seed)
+        order = rng.permutation(len(batch))
+        seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch))
+        rate = dropout_schedule(1, cfg)
+        grad_sum = None
+        for i, seed in zip(order, seeds):
+            trace = bilstm_forward(
+                by_hand, batch[i].ids, dropout_rate=rate,
+                rng=np.random.default_rng(int(seed)), train_mode=True,
+            )
+            grads = backward(by_hand, trace, batch[i].label)
+            if grad_sum is None:
+                grad_sum = grads
+            else:
+                for name, g in grads.items():
+                    grad_sum[name] += g
+        mean = {name: g * (1.0 / len(batch)) for name, g in grad_sum.items()}
+        sgd_momentum_step(by_hand, mean, {}, cfg.learning_rate, cfg.momentum)
+
+        for (name, a), (_, b) in zip(model.named_tensors(), by_hand.named_tensors()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
