@@ -21,21 +21,22 @@ Layout (all integers little-endian uint32, floats little-endian float32):
           softmax.b [classes]
     checksum u32  CRC-32 of the payload bytes
 
-The embedding trainable-row mask is not stored: rows 1..5 (OOV and the
-meme tokens) are always the trainable ones. Parameters are saved at
-float32 precision, so save -> load -> save is byte-identical. A block is
-the C-order concatenation of its gate pieces, so the bytes are unchanged
-from the earlier layout that stored each gate as its own tensor.
+Parameters are saved at float32 precision, so save -> load -> save is
+byte-identical. A block is the C-order concatenation of its gate pieces,
+so the bytes are unchanged from the earlier layout that stored each gate
+as its own tensor. A tensor block holding a NaN or an infinity is
+rejected on load.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, TRAINABLE_ROW_IDS
+from .embeddings import EmbeddingTable
 from .errors import CheckpointError
 from .nn_core import BiLstmLayer, LstmCellParams, ModelParams, N_CLASSES
 from .text_pipeline import Vocabulary
@@ -43,6 +44,7 @@ from .text_pipeline import Vocabulary
 MAGIC = b"BLSTM1"
 VERSION = 1
 _HEADER = struct.Struct("<6s6I")
+_LENGTH = struct.Struct("<I")
 
 
 def _tensor_shapes(vocab_size: int, embed_dim: int, hidden: int, layers: int):
@@ -113,36 +115,34 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     if zlib.crc32(payload) != stored_crc:
         raise CheckpointError("corrupt checkpoint: checksum mismatch")
 
-    offset = 0
-
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(payload):
-            raise CheckpointError("corrupt checkpoint: truncated payload")
-        piece = payload[offset : offset + n]
-        offset += n
-        return piece
-
     surfaces = []
-    for _ in range(vocab_size):
-        (length,) = struct.unpack("<I", take(4))
-        surfaces.append(take(length).decode("utf-8"))
+    offset = 0
     try:
+        for _ in range(vocab_size):
+            (length,) = _LENGTH.unpack_from(payload, offset)
+            offset += 4 + length
+            surfaces.append(payload[offset - length : offset].decode("utf-8"))
         vocab = Vocabulary(surfaces)
-    except ValueError as exc:
+    except struct.error as exc:  # a length field runs past the payload
+        raise CheckpointError("corrupt checkpoint: truncated payload") from exc
+    except ValueError as exc:  # bad UTF-8 or a malformed vocabulary
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
-    tensors = []
-    for shape in _tensor_shapes(vocab_size, embed_dim, hidden, layers):
-        count = int(np.prod(shape))
-        raw = take(4 * count)
-        tensors.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape))
-    if offset != len(payload):
-        raise CheckpointError("corrupt checkpoint: trailing bytes in payload")
+    shapes = _tensor_shapes(vocab_size, embed_dim, hidden, layers)
+    counts = [math.prod(shape) for shape in shapes]
+    end = offset + 4 * sum(counts)
+    if end != len(payload):
+        problem = "truncated payload" if end > len(payload) else "trailing bytes in payload"
+        raise CheckpointError(f"corrupt checkpoint: {problem}")
+    block = np.frombuffer(payload, dtype="<f4", offset=offset)
+    if not np.isfinite(block).all():
+        raise CheckpointError("corrupt checkpoint: non-finite parameter values")
+    tensors = [
+        part.astype(np.float64).reshape(shape)
+        for part, shape in zip(np.split(block, np.cumsum(counts)[:-1]), shapes)
+    ]
 
-    mask = np.zeros(vocab_size, dtype=bool)
-    mask[list(TRAINABLE_ROW_IDS)] = True
-    embedding = EmbeddingTable(vectors=tensors[0], trainable_mask=mask)
+    embedding = EmbeddingTable(vectors=tensors[0])
     cells = [
         LstmCellParams.from_blocks(*tensors[k : k + 4])
         for k in range(1, 1 + 8 * layers, 4)

@@ -30,34 +30,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Subcommand flags have no argparse default (argument_default=SUPPRESS): an
+# unset flag is absent from the namespace and takes its RunConfig default.
+
 def _add_model_flags(p):
-    p.add_argument("--hidden", type=int, default=200,
-                   help="recurrent units per direction (default 200)")
-    p.add_argument("--layers", type=int, default=3,
-                   help="stacked bidirectional layers (default 3)")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=200,
-                   help="word-vector width (default 200)")
+    p.add_argument("--hidden", type=int,
+                   help=f"recurrent units per direction (default {RunConfig.hidden})")
+    p.add_argument("--layers", type=int,
+                   help=f"stacked bidirectional layers (default {RunConfig.layers})")
+    p.add_argument("--embed-dim", dest="embed_dim", type=int,
+                   help=f"word-vector width (default {RunConfig.embed_dim})")
 
 
 def _add_training_flags(p):
-    p.add_argument("--lr", dest="learning_rate", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--dropout-start", dest="dropout_start", type=float, default=0.5)
-    p.add_argument("--dropout-end", dest="dropout_end", type=float, default=0.1)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--dropout-start", dest="dropout_start", type=float)
+    p.add_argument("--dropout-end", dest="dropout_end", type=float)
 
 
 def _add_common_flags(p):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-seq-len", dest="max_seq_len", type=int, default=64)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-seq-len", dest="max_seq_len", type=int)
     p.add_argument("--granularity", choices=["per_tweet", "per_account"],
-                   default="per_tweet",
                    help="sequence granularity for training/scoring")
     p.add_argument("--no-rt-token", dest="rt_token", action="store_false",
                    help="keep RT as a plain word instead of <RT>")
-    p.add_argument("--output-dir", dest="output_dir", default=".")
+    p.add_argument("--output-dir", dest="output_dir")
 
 
 def _add_data_flags(p, with_synthetic=True):
@@ -76,7 +78,7 @@ def build_parser() -> _Parser:
     parser.subcommand_parsers = {}
 
     def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
         parser.subcommand_parsers[name] = p
         return p
 
@@ -115,7 +117,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("stats", help="word-frequency tables per class")
     _add_data_flags(p, with_synthetic=False)
-    p.add_argument("--top-k", dest="top_k", type=int, default=50)
+    p.add_argument("--top-k", dest="top_k", type=int)
     p.add_argument("--stopwords", action="store_true",
                    help="drop common English stopwords")
     _add_common_flags(p)
@@ -127,7 +129,7 @@ def _load_config_file(path: str) -> dict:
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for n, line in enumerate(lines, start=1):
         line = line.strip()
@@ -175,7 +177,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 @dataclass
 class RunConfig:
-    """One command's resolved settings (defaults mirror the trainer's)."""
+    """One command's resolved settings; the field defaults are the CLI's."""
 
     command: str
     seed: int = 0
@@ -210,17 +212,9 @@ class RunConfig:
         return cls(**fields)
 
     def training(self) -> trainer.TrainingConfig:
+        names = trainer.TrainingConfig.__dataclass_fields__
         try:
-            return trainer.TrainingConfig(
-                learning_rate=self.learning_rate,
-                momentum=self.momentum,
-                batch_size=self.batch_size,
-                epochs=self.epochs,
-                dropout_start=self.dropout_start,
-                dropout_end=self.dropout_end,
-                seed=self.seed,
-                max_seq_len=self.max_seq_len,
-            )
+            return trainer.TrainingConfig(**{n: getattr(self, n) for n in names})
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 

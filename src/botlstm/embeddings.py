@@ -3,7 +3,8 @@
 Pretrained rows stay frozen for the whole life of the model. The only
 trainable rows are the shared out-of-vocabulary vector and the four meme
 tokens (<HASHTAG>/<USER>/<URL>/<RT>), which have no pretrained vector of
-their own. <PAD> embeds to zero and never moves.
+their own. <PAD> embeds to zero and never moves. TRAINABLE_ROWS names those
+rows; gradients and optimizer state cover `vectors[TRAINABLE_ROWS]` only.
 """
 
 from __future__ import annotations
@@ -21,22 +22,27 @@ log = logging.getLogger(__name__)
 
 N_RESERVED = len(RESERVED_TOKENS)
 #: Rows with learned vectors: OOV plus the four meme tokens. PAD stays fixed.
-TRAINABLE_ROW_IDS = tuple(range(OOV_ID, N_RESERVED))
+TRAINABLE_ROWS = slice(OOV_ID, N_RESERVED)
 #: Half-width of the uniform init for trainable rows.
 TRAINABLE_INIT_RANGE = 0.05
 
 
 @dataclass
 class EmbeddingTable:
-    """Dense token vectors plus a per-row trainable mask.
+    """Dense token vectors, [vocab_size, dim] float64.
 
-    `vectors` is [vocab_size, dim] float64; `trainable_mask` is a boolean
-    row mask. Row OOV_ID is the shared vector for all out-of-vocabulary
-    words.
+    Row OOV_ID is the shared vector for all out-of-vocabulary words; only
+    TRAINABLE_ROWS ever change.
     """
 
     vectors: np.ndarray
-    trainable_mask: np.ndarray
+
+    @property
+    def trainable_mask(self) -> np.ndarray:
+        """Boolean row mask of TRAINABLE_ROWS (a fresh array per access)."""
+        mask = np.zeros(self.vocab_size, dtype=bool)
+        mask[TRAINABLE_ROWS] = True
+        return mask
 
     @property
     def vocab_size(self) -> int:
@@ -135,12 +141,10 @@ def build_table(
 
     rng = np.random.default_rng(rng_seed)
     vectors = np.zeros((len(vocab), dim), dtype=np.float64)
-    mask = np.zeros(len(vocab), dtype=bool)
-    rows = list(TRAINABLE_ROW_IDS)
-    vectors[rows] = rng.uniform(
-        -TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, (len(rows), dim)
+    trainable = vectors[TRAINABLE_ROWS]
+    trainable[:] = rng.uniform(
+        -TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, trainable.shape
     )
-    mask[rows] = True
 
     for token_id in range(N_RESERVED, len(vocab)):
         word = vocab.surface_of(token_id)
@@ -152,7 +156,7 @@ def build_table(
                 module="embeddings",
             )
         vectors[token_id] = raw_matrix[i]
-    return EmbeddingTable(vectors=vectors, trainable_mask=mask)
+    return EmbeddingTable(vectors=vectors)
 
 
 def embed_sequence(table: EmbeddingTable, ids) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from .embeddings import (
     EmbeddingTable,
     TRAINABLE_INIT_RANGE,
-    TRAINABLE_ROW_IDS,
+    TRAINABLE_ROWS,
     embed_sequence,
 )
 from .text_pipeline import PAD_ID
@@ -341,6 +341,11 @@ class ModelParams:
         yield "softmax.W", self.softmax_W
         yield "softmax.b", self.softmax_b
 
+    def trainable_tensors(self):
+        """named_tensors() with the embedding cut to vectors[TRAINABLE_ROWS] (a view)."""
+        for name, tensor in self.named_tensors():
+            yield name, tensor[TRAINABLE_ROWS] if name == "embedding.vectors" else tensor
+
     def config(self) -> ModelConfig:
         return ModelConfig(
             vocab_size=self.embedding.vocab_size,
@@ -438,8 +443,8 @@ def bilstm_forward(
 def backward(model: ModelParams, trace: ForwardTrace, label: int):
     """Gradients of -log p(label) w.r.t. every trainable tensor.
 
-    Returns a dict keyed like `ModelParams.named_tensors()`. Frozen
-    embedding rows get exactly zero; PAD steps contribute nothing.
+    Returns a dict keyed and shaped like `ModelParams.trainable_tensors()`, so
+    the embedding entry is [5, D] whatever V. PAD steps contribute nothing.
     """
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
@@ -473,9 +478,11 @@ def backward(model: ModelParams, trace: ForwardTrace, label: int):
             grads[f"layers.{li}.bwd.{tname}"] = arr
         dY = dXf + dXb
 
-    emb_grad = np.zeros_like(model.embedding.vectors)
-    np.add.at(emb_grad, trace.ids, dY)
-    emb_grad[~model.embedding.trainable_mask] = 0.0
+    # frozen rows take no gradient; per-row sums keep sequence order
+    emb_grad = np.zeros_like(model.embedding.vectors[TRAINABLE_ROWS])
+    rows = trace.ids - TRAINABLE_ROWS.start
+    hit = (rows >= 0) & (rows < emb_grad.shape[0])
+    np.add.at(emb_grad, rows[hit], dY[hit])
     grads["embedding.vectors"] = emb_grad
     return grads
 
@@ -524,9 +531,7 @@ def init_params(
             (config.vocab_size, config.embed_dim),
         )
         vectors[PAD_ID] = 0.0
-        mask = np.zeros(config.vocab_size, dtype=bool)
-        mask[list(TRAINABLE_ROW_IDS)] = True
-        embedding = EmbeddingTable(vectors=vectors, trainable_mask=mask)
+        embedding = EmbeddingTable(vectors=vectors)
     else:
         if embedding.vocab_size != config.vocab_size or embedding.dim != config.embed_dim:
             raise ValueError(

@@ -106,10 +106,11 @@ def sgd_momentum_step(
 ):
     """Classical momentum update: v <- mu*v - lr*g; theta <- theta + v.
 
-    Frozen embedding rows are never touched. Mutates `params` and
+    `grads` and `velocity` are keyed and shaped like `params.trainable_tensors()`,
+    so frozen embedding rows are never touched. Mutates `params` and
     `velocity` in place and returns them.
     """
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.trainable_tensors():
         g = grads[name]
         if not np.isfinite(g).all():
             raise InternalError(f"non-finite gradient for {name}", module="trainer")
@@ -119,11 +120,7 @@ def sgd_momentum_step(
             velocity[name] = v
         v *= momentum
         v -= lr * g
-        if name == "embedding.vectors":
-            rows = params.embedding.trainable_mask
-            tensor[rows] += v[rows]
-        else:
-            tensor += v
+        tensor += v
     return params, velocity
 
 

@@ -31,8 +31,6 @@ def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):
     """Model with every tensor (peepholes and biases included) randomized."""
     vectors = rng.uniform(-0.8, 0.8, (vocab_size, dim))
     vectors[0] = 0.0
-    mask = np.zeros(vocab_size, dtype=bool)
-    mask[1:6] = True
     cells = []
     for li in range(layers):
         d_in = dim if li == 0 else 2 * hidden
@@ -43,7 +41,7 @@ def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):
             )
         )
     return ModelParams(
-        embedding=EmbeddingTable(vectors=vectors, trainable_mask=mask),
+        embedding=EmbeddingTable(vectors=vectors),
         layers=cells,
         softmax_W=rng.uniform(-scale, scale, (2, 2 * hidden)),
         softmax_b=rng.uniform(-scale, scale, 2),
@@ -58,15 +56,12 @@ def model_loss(model, ids, label, rate=0.0, masks=None):
     return nll_loss(trace.probabilities, label)
 
 
-def fd_tensor_gradient(model, tensor, ids, label, eps=1e-4, rate=0.0, masks=None,
-                       row_filter=None):
-    """Central-difference gradient of the loss w.r.t. one tensor (in place)."""
+def fd_tensor_gradient(model, tensor, ids, label, eps=1e-4, rate=0.0, masks=None):
+    """Central-difference gradient of the loss w.r.t. one tensor or view (in place)."""
     grad = np.zeros_like(tensor)
     it = np.nditer(tensor, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
-        if row_filter is not None and not row_filter[idx[0]]:
-            continue
         orig = tensor[idx]
         tensor[idx] = orig + eps
         lp = model_loss(model, ids, label, rate, masks)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,33 @@ class TestCorruption:
         blob[:6] = b"NOTCKP"
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensor, value", [
+        ("softmax.W", np.nan), ("embedding.vectors", np.inf),
+    ])
+    def test_non_finite_tensor_rejected(self, tmp_path, model_and_vocab, tensor, value):
+        model, vocab = model_and_vocab
+        dict(model.named_tensors())[tensor][1, 0] = value  # saved with a valid checksum
+        path = self._saved(tmp_path, (model, vocab))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, delta, message", [
+        (2, 1, "truncated payload"),
+        (2, -1, "trailing bytes"),
+        (1, 10**6, "corrupt checkpoint"),
+    ], ids=["embed-dim-up", "embed-dim-down", "vocab-size-up"])
+    def test_header_disagrees_with_payload(self, tmp_path, model_and_vocab,
+                                           field, delta, message):
+        # the checksum covers the payload only, so a header edit reaches the parser
+        path = self._saved(tmp_path, model_and_vocab)
+        blob = bytearray(path.read_bytes())
+        offset = 6 + 4 * field  # after the magic: version, vocab_size, embed_dim
+        (value,) = struct.unpack_from("<I", blob, offset)
+        struct.pack_into("<I", blob, offset, value + delta)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_header_only(self, tmp_path):

@@ -339,10 +339,13 @@ class TestDataErrorExitCodes:
                                         layers=1), rng_seed=0, embedding=table)
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, model, vocab)
+        model.softmax_W[0, 0] = np.nan
+        nan_ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(nan_ckpt, model, vocab)
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("account_id,tweet_text\nu1,caf\xe9\n".encode("latin-1"))
         return {"acc": acc, "twt": twt, "glove": glove, "corpus": corpus, "ckpt": ckpt,
-                "bad": bad, "missing": tmp_path / "missing.tsv"}
+                "nan_ckpt": nan_ckpt, "bad": bad, "missing": tmp_path / "missing.tsv"}
 
     @pytest.mark.parametrize("argv, prefix", [
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
@@ -356,8 +359,9 @@ class TestDataErrorExitCodes:
          "cli:"),
         (["build-vocab", "--corpus", "{corpus}", "--glove", "{bad}", "--embed-dim", "4"],
          "embeddings:"),
+        (["predict", "--checkpoint", "{nan_ckpt}", "--tweets", "{twt}"], "cli:"),
     ], ids=["missing-vocab", "latin1-vocab", "latin1-tweets", "latin1-predict-tweets",
-            "latin1-corpus", "latin1-glove"])
+            "latin1-corpus", "latin1-glove", "nan-checkpoint"])
     def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):
         paths = self._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]
@@ -414,6 +418,37 @@ class TestConfigFileAndExitCodes:
         config.write_text(line + "\n")
         assert cli.main(["train", "--config", str(config)]) == 1
         assert "bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "epochs=3 # caf\xe9\n".encode("latin-1")],
+                             ids=["missing", "latin1"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
+        config = tmp_path / "run.cfg"
+        if content is not None:
+            config.write_bytes(content)
+        assert cli.main(["train", "--config", str(config), "--synthetic", "2"]) == 1
+        assert "usage error: cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, required", [
+        ("build-vocab", {}),
+        ("train", {}),
+        ("evaluate", {"checkpoint": "m.ckpt"}),
+        ("predict", {"checkpoint": "m.ckpt", "tweets": "t.csv"}),
+        ("stats", {}),
+    ])
+    def test_unset_flags_take_run_config_defaults(self, command, required):
+        argv = [command] + [a for k, v in required.items() for a in (f"--{k}", v)]
+        cfg = cli.RunConfig.from_args(cli.parse_args(argv))
+        assert cfg == cli.RunConfig(command=command, **required)
+
+    @pytest.mark.parametrize("argv", [
+        ["build-vocab"], ["train"], ["evaluate", "--checkpoint", "m.ckpt"],
+        ["predict", "--checkpoint", "m.ckpt", "--tweets", "t.csv"], ["stats"],
+    ], ids=lambda argv: argv[0])
+    def test_config_values_reach_every_subcommand(self, tmp_path, argv):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=5\nmax_seq_len=9\nrt_token=false\n")
+        cfg = cli.RunConfig.from_args(cli.parse_args([*argv, "--config", str(config)]))
+        assert (cfg.seed, cfg.max_seq_len, cfg.rt_token) == (5, 9, False)
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["train", "--frobnicate"]) == 1

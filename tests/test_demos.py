@@ -1,0 +1,32 @@
+"""The narrative demos in demos/ run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 04_train_and_evaluate.py trains for most of a minute; acceptance
+# criterion 4 already runs the same desk-scale training.
+DEMOS = [
+    "01_tokenize_and_vocabulary.py",
+    "02_embeddings.py",
+    "03_gradient_check.py",
+    "05_cli_pipeline.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_zero(tmp_path, demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

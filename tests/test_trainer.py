@@ -99,7 +99,7 @@ class TestSgdMomentumStep:
         return random_model(np.random.default_rng(1), 9, 3, 2, 1)
 
     def _zero_grads(self, model):
-        return {name: np.zeros_like(t) for name, t in model.named_tensors()}
+        return {name: np.zeros_like(t) for name, t in model.trainable_tensors()}
 
     def test_zero_momentum_is_plain_sgd(self, model):
         grads = self._zero_grads(model)
@@ -139,22 +139,32 @@ class TestSgdMomentumStep:
         fixed = ~model.embedding.trainable_mask
         before = model.embedding.vectors[fixed].copy()
         grads = self._zero_grads(model)
-        grads["embedding.vectors"][:] = 1.0  # even a (wrongly) dense gradient
-        grads["embedding.vectors"][fixed] = 0.0
+        grads["embedding.vectors"][:] = 1.0  # every trainable row moves
         sgd_momentum_step(model, grads, {}, lr=0.5, momentum=0.0)
         np.testing.assert_array_equal(model.embedding.vectors[fixed], before)
 
     def test_gradient_step_direction(self, model):
         rng = np.random.default_rng(3)
-        before = {name: t.copy() for name, t in model.named_tensors()}
-        grads = {name: rng.standard_normal(t.shape) for name, t in model.named_tensors()}
-        grads["embedding.vectors"][~model.embedding.trainable_mask] = 0.0
+        before = {name: t.copy() for name, t in model.trainable_tensors()}
+        grads = {name: rng.standard_normal(t.shape) for name, t in model.trainable_tensors()}
         sgd_momentum_step(model, grads, {}, lr=0.05, momentum=0.0)
         inner = sum(
             float(np.sum((t - before[name]) * grads[name]))
-            for name, t in model.named_tensors()
+            for name, t in model.trainable_tensors()
         )
         assert inner <= 0.0
+
+
+class TestTrainableRowsOnly:
+    @pytest.mark.parametrize("vocab_size", [9, 400])
+    def test_embedding_gradient_and_velocity_cover_five_rows(self, vocab_size):
+        model = random_model(np.random.default_rng(2), vocab_size, 3, 2, 1)
+        trace = bilstm_forward(model, [6, 1, 2, 0, 8], train_mode=True)
+        grads = backward(model, trace, 1)
+        velocity = {}
+        sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
+        assert grads["embedding.vectors"].shape == (5, 3)
+        assert velocity["embedding.vectors"].shape == (5, 3)
 
 
 class TestBatchIndices:
