@@ -8,7 +8,8 @@ Layout (all integers little-endian uint32, floats little-endian float32):
     payload:
       vocabulary block: vocab_size entries, each u32 byte length +
         UTF-8 surface, in id order
-      tensor block: raw C-order float32 tensors, in this order:
+      tensor block: raw C-order float32 tensors, in the order of
+        ModelParams.named_tensors():
           embedding.vectors [vocab_size, embed_dim]
           for each layer 0..L-1, for direction fwd then bwd, the cell's
           gate-fused blocks (nn_core.LstmCellParams), with d_in = embed_dim
@@ -58,15 +59,6 @@ def _tensor_shapes(vocab_size: int, embed_dim: int, hidden: int, layers: int):
     return shapes
 
 
-def _tensors(model: ModelParams) -> list[np.ndarray]:
-    """The model's tensors in file order."""
-    tensors = [model.embedding.vectors]
-    for layer in model.layers:
-        for cell in (layer.fwd, layer.bwd):
-            tensors += [cell.U, cell.W, cell.V, cell.b]
-    return tensors + [model.softmax_W, model.softmax_b]
-
-
 def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
     if len(vocab) != model.embedding.vocab_size:
         raise ValueError("vocabulary size does not match the embedding table")
@@ -77,9 +69,9 @@ def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
         parts.append(raw)
     cfg = model.config()
     shapes = _tensor_shapes(cfg.vocab_size, cfg.embed_dim, cfg.hidden, cfg.layers)
-    for k, (arr, shape) in enumerate(zip(_tensors(model), shapes)):
+    for (name, arr), shape in zip(model.named_tensors(), shapes):
         if arr.shape != shape:
-            raise ValueError(f"tensor {k} has shape {arr.shape}, expected {shape}")
+            raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     payload = b"".join(parts)
     header = _HEADER.pack(
@@ -144,7 +136,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
 
     embedding = EmbeddingTable(vectors=tensors[0])
     cells = [
-        LstmCellParams.from_blocks(*tensors[k : k + 4])
+        LstmCellParams(*tensors[k : k + 4])
         for k in range(1, 1 + 8 * layers, 4)
     ]
     model = ModelParams(

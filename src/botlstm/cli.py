@@ -359,27 +359,27 @@ def _group_tweets(path: str) -> dict[str, list[str]]:
 
 def cmd_predict(cfg: RunConfig) -> int:
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
-    groups = _group_tweets(cfg.tweets)
+    accounts = [
+        datasets.Account(account_id=account_id, label=HUMAN, tweets=tweets)
+        for account_id, tweets in _group_tweets(cfg.tweets).items()
+    ]
+    examples, _ = datasets.make_examples(
+        accounts, vocab, mode=cfg.granularity,
+        max_seq_len=cfg.max_seq_len, map_rt=cfg.rt_token,
+    )
+    scored = trainer.account_probabilities(model, examples) if examples else {}
     out = cfg.out_path(cfg.output, "predictions.csv")
-    rows = []
-    for account_id, tweets in groups.items():
-        acct = datasets.Account(account_id=account_id, label=HUMAN, tweets=tweets)
-        examples, _ = datasets.make_examples(
-            [acct], vocab, mode=cfg.granularity,
-            max_seq_len=cfg.max_seq_len, map_rt=cfg.rt_token,
-        )
-        if not examples:
-            rows.append((account_id, 0.5, "empty_account"))
-            continue
-        scored = trainer.account_probabilities(model, examples)
-        rows.append((account_id, scored[account_id][1], ""))
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["account_id", "p_bot", "predicted_label", "flag"])
-        for account_id, p_bot, flag in rows:
+        for acct in accounts:
+            if acct.account_id in scored:
+                p_bot, flag = scored[acct.account_id][1], ""
+            else:
+                p_bot, flag = 0.5, "empty_account"
             label = LABEL_NAMES[BOT if p_bot >= 0.5 else HUMAN]
-            writer.writerow([account_id, f"{p_bot:.6f}", label, flag])
-    print(f"wrote {out} ({len(rows)} accounts)")
+            writer.writerow([acct.account_id, f"{p_bot:.6f}", label, flag])
+    print(f"wrote {out} ({len(accounts)} accounts)")
     return 0
 
 

@@ -23,7 +23,7 @@ class DataError(BotlstmError):
 class CheckpointError(DataError):
     """A checkpoint file is unreadable, truncated, or fails its checksum."""
 
-    def __init__(self, message: str, module: str = "cli"):
+    def __init__(self, message: str, module: str = "checkpoint"):
         super().__init__(message, module=module)
 
 

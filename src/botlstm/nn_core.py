@@ -13,6 +13,12 @@ vectors. The output gate peeps at the *current* cell state. Bias vectors
 are an addition to the classic peephole formulation; the forget bias is
 initialized to 1.0 so gradients flow early in training.
 
+Each cell stores its weights as four gate-fused blocks, and only these
+(`LstmCellParams`): U [4H, D_in], W [4H, H] and b [4H] stack the gates
+i, f, c, o; V [3H] stacks the peepholes i, f, o. Model tensors are named
+`layers.{l}.{fwd|bwd}.{U|W|V|b}` in gradients, optimizer state and
+checkpoint order alike.
+
 Each of the L stacked layers runs one cell left-to-right and one
 right-to-left over its input and concatenates the two hidden-state tracks
 per position, [->h_t ; <-h_t], as the next layer's input. Inverted
@@ -44,15 +50,6 @@ from .text_pipeline import PAD_ID
 
 N_CLASSES = 2
 
-#: Row-block order of the fused gate matrices: input, forget, candidate, output.
-GATE_ORDER = ("i", "f", "c", "o")
-#: Block order of the peephole vector; the candidate has no peephole.
-PEEPHOLE_ORDER = ("i", "f", "o")
-#: Gate order inside each stored block of LstmCellParams.
-_BLOCK_GATES = (
-    ("U", GATE_ORDER), ("W", GATE_ORDER), ("V", PEEPHOLE_ORDER), ("b", GATE_ORDER),
-)
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow warnings)."""
@@ -65,29 +62,20 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+@dataclass
 class LstmCellParams:
     """Weights of one direction of one layer, stored as gate-fused blocks.
 
-    U [4H, D_in] and W [4H, H] stack the input and recurrent maps of the
-    gates in GATE_ORDER, V [3H] the diagonal peephole weights in
-    PEEPHOLE_ORDER, and b [4H] the biases. The per-gate names U_i ... b_o
-    (U_* [H, D_in], W_* [H, H], V_* and b_* [H]) are writable views into
-    these blocks; the constructor takes them in that order.
+    U [4H, D_in] and W [4H, H] stack the input and recurrent maps, and
+    b [4H] the biases, of the gates in the order i, f, c, o (H rows each).
+    V [3H] holds the diagonal peephole weights of i, f, o; the candidate
+    has no peephole.
     """
 
-    def __init__(self, U_i, U_f, U_c, U_o, W_i, W_f, W_c, W_o,
-                 V_i, V_f, V_o, b_i, b_f, b_c, b_o):
-        self.U = np.concatenate((U_i, U_f, U_c, U_o), axis=0)
-        self.W = np.concatenate((W_i, W_f, W_c, W_o), axis=0)
-        self.V = np.concatenate((V_i, V_f, V_o))
-        self.b = np.concatenate((b_i, b_f, b_c, b_o))
-
-    @classmethod
-    def from_blocks(cls, U, W, V, b) -> "LstmCellParams":
-        """Wrap existing fused blocks without copying them."""
-        p = cls.__new__(cls)
-        p.U, p.W, p.V, p.b = U, W, V, b
-        return p
+    U: np.ndarray
+    W: np.ndarray
+    V: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
@@ -98,24 +86,8 @@ class LstmCellParams:
         return self.U.shape[1]
 
     def named_tensors(self):
-        """(name, view) pairs in constructor order."""
-        for block, gates in _BLOCK_GATES:
-            for gate in gates:
-                name = f"{block}_{gate}"
-                yield name, getattr(self, name)
-
-
-def _gate_view(block: str, k: int) -> property:
-    def get(self):
-        H = self.hidden_size
-        return getattr(self, block)[k * H : (k + 1) * H]
-    return property(get)
-
-
-for _block, _gates in _BLOCK_GATES:
-    for _k, _gate in enumerate(_gates):
-        setattr(LstmCellParams, f"{_block}_{_gate}", _gate_view(_block, _k))
-del _block, _gates, _k, _gate
+        """(name, block) pairs in storage (checkpoint) order."""
+        yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
 
 
 @dataclass
@@ -130,14 +102,14 @@ class GateCache:
     tc: np.ndarray
 
 
-def _step(W, b, V_i, V_f, V_o, xu_t, h_prev, c_prev, H):
+def _step(W, b, V, xu_t, h_prev, c_prev, H):
     """One cell update given the precomputed input contribution xu_t."""
     pre = xu_t + W @ h_prev + b
-    i = sigmoid(pre[:H] + V_i * c_prev)
-    f = sigmoid(pre[H : 2 * H] + V_f * c_prev)
+    i = sigmoid(pre[:H] + V[:H] * c_prev)
+    f = sigmoid(pre[H : 2 * H] + V[H : 2 * H] * c_prev)
     g = np.tanh(pre[2 * H : 3 * H])
     c = f * c_prev + i * g
-    o = sigmoid(pre[3 * H :] + V_o * c)
+    o = sigmoid(pre[3 * H :] + V[2 * H :] * c)
     tc = np.tanh(c)
     h = o * tc
     return h, c, i, f, g, o, tc
@@ -157,9 +129,7 @@ def lstm_cell_forward(p: LstmCellParams, x_t, h_prev, c_prev):
     for name, arr in (("x_t", x_t), ("h_prev", h_prev), ("c_prev", c_prev)):
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in {name}")
-    h, c, i, f, g, o, tc = _step(
-        p.W, p.b, p.V_i, p.V_f, p.V_o, p.U @ x_t, h_prev, c_prev, H
-    )
+    h, c, i, f, g, o, tc = _step(p.W, p.b, p.V, p.U @ x_t, h_prev, c_prev, H)
     return h, c, GateCache(i=i, f=f, g=g, o=o, c=c, tc=tc)
 
 
@@ -198,7 +168,6 @@ def _direction_pass(
     ran = active[::-1].copy() if reverse else np.asarray(active, dtype=bool).copy()
 
     XU = X @ p.U.T
-    V_i, V_f, V_o = p.V_i, p.V_f, p.V_o  # gate views are built per access
     i = np.zeros((T, H))
     f = np.zeros((T, H))
     g = np.zeros((T, H))
@@ -214,7 +183,7 @@ def _direction_pass(
             c[t] = c_prev
         else:
             h[t], c[t], i[t], f[t], g[t], o[t], tc[t] = _step(
-                p.W, p.b, V_i, V_f, V_o, XU[t], h_prev, c_prev, H
+                p.W, p.b, p.V, XU[t], h_prev, c_prev, H
             )
         h_prev = h[t]
         c_prev = c[t]
@@ -245,11 +214,11 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
     """BPTT through one direction pass.
 
     `dh_aligned` is the loss gradient w.r.t. the aligned hidden track.
-    Returns (per-tensor gradient dict, input gradient aligned [T, D_in]).
+    Returns (gradient dict keyed U, W, V, b; input gradient aligned [T, D_in]).
     """
     T, H = cache.h.shape
     dh_out = dh_aligned[::-1] if cache.reverse else dh_aligned
-    V_i, V_f, V_o = p.V_i, p.V_f, p.V_o  # gate views are built per access
+    V_i, V_f, V_o = p.V[:H], p.V[H : 2 * H], p.V[2 * H :]
 
     da = np.zeros((T, 4 * H))
     dh_rec = np.zeros(H)
@@ -281,17 +250,16 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
 
     h_prev_track = np.vstack((np.zeros((1, H)), cache.h[:-1]))
     c_prev_track = np.vstack((np.zeros((1, H)), cache.c[:-1]))
-    gU = da.T @ cache.inputs
-    gW = da.T @ h_prev_track
-    gb = da.sum(axis=0)
-    grads = {}
-    for k, gate in enumerate(GATE_ORDER):
-        grads[f"U_{gate}"] = gU[k * H : (k + 1) * H]
-        grads[f"W_{gate}"] = gW[k * H : (k + 1) * H]
-        grads[f"b_{gate}"] = gb[k * H : (k + 1) * H]
-    grads["V_i"] = (da[:, :H] * c_prev_track).sum(axis=0)
-    grads["V_f"] = (da[:, H : 2 * H] * c_prev_track).sum(axis=0)
-    grads["V_o"] = (da[:, 3 * H :] * cache.c).sum(axis=0)
+    grads = {
+        "U": da.T @ cache.inputs,
+        "W": da.T @ h_prev_track,
+        "V": np.concatenate((
+            (da[:, :H] * c_prev_track).sum(axis=0),
+            (da[:, H : 2 * H] * c_prev_track).sum(axis=0),
+            (da[:, 3 * H :] * cache.c).sum(axis=0),
+        )),
+        "b": da.sum(axis=0),
+    }
 
     dX = da @ p.U
     if cache.reverse:
@@ -368,13 +336,10 @@ class ForwardTrace:
     """Everything the backward pass needs from one forward run."""
 
     ids: np.ndarray
-    active: np.ndarray
     layers: list[LayerTrace] = field(repr=False)
     classifier_input: np.ndarray
     logits: np.ndarray
     probabilities: np.ndarray
-    train_mode: bool
-    dropout_rate: float
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
@@ -430,13 +395,10 @@ def bilstm_forward(
     probabilities = stable_softmax(logits)
     return ForwardTrace(
         ids=ids,
-        active=active,
         layers=layer_traces,
         classifier_input=classifier_input,
         logits=logits,
         probabilities=probabilities,
-        train_mode=train_mode,
-        dropout_rate=dropout_rate,
     )
 
 
@@ -487,29 +449,24 @@ def backward(model: ModelParams, trace: ForwardTrace, label: int):
     return grads
 
 
-def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape, blocks: int = 1) -> np.ndarray:
+    """`blocks` stacked [fan_out, fan_in] maps, uniform within +-sqrt(6/(fan_in+fan_out)).
+
+    One draw of the stack gives the same values as one draw per map in order.
+    """
     fan_out, fan_in = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
+    return rng.uniform(-limit, limit, (blocks * fan_out, fan_in))
 
 
 def _init_cell(rng: np.random.Generator, hidden: int, d_in: int) -> LstmCellParams:
+    b = np.zeros(4 * hidden)
+    b[hidden : 2 * hidden] = 1.0  # forget gate
     return LstmCellParams(
-        U_i=_glorot(rng, (hidden, d_in)),
-        U_f=_glorot(rng, (hidden, d_in)),
-        U_c=_glorot(rng, (hidden, d_in)),
-        U_o=_glorot(rng, (hidden, d_in)),
-        W_i=_glorot(rng, (hidden, hidden)),
-        W_f=_glorot(rng, (hidden, hidden)),
-        W_c=_glorot(rng, (hidden, hidden)),
-        W_o=_glorot(rng, (hidden, hidden)),
-        V_i=np.zeros(hidden),
-        V_f=np.zeros(hidden),
-        V_o=np.zeros(hidden),
-        b_i=np.zeros(hidden),
-        b_f=np.ones(hidden),
-        b_c=np.zeros(hidden),
-        b_o=np.zeros(hidden),
+        U=_glorot(rng, (hidden, d_in), blocks=4),
+        W=_glorot(rng, (hidden, hidden), blocks=4),
+        V=np.zeros(3 * hidden),
+        b=b,
     )
 
 

@@ -18,12 +18,8 @@ from botlstm.trainer import nll_loss
 def random_cell(rng, hidden, d_in, scale=0.5):
     u = lambda shape: rng.uniform(-scale, scale, shape)
     return LstmCellParams(
-        U_i=u((hidden, d_in)), U_f=u((hidden, d_in)),
-        U_c=u((hidden, d_in)), U_o=u((hidden, d_in)),
-        W_i=u((hidden, hidden)), W_f=u((hidden, hidden)),
-        W_c=u((hidden, hidden)), W_o=u((hidden, hidden)),
-        V_i=u(hidden), V_f=u(hidden), V_o=u(hidden),
-        b_i=u(hidden), b_f=u(hidden), b_c=u(hidden), b_o=u(hidden),
+        U=u((4 * hidden, d_in)), W=u((4 * hidden, hidden)),
+        V=u(3 * hidden), b=u(4 * hidden),
     )
 
 
@@ -101,6 +97,18 @@ def scalar_cell_oracle(params, x, h_prev, c_prev):
     o = sig(u_o * x + w_o * h_prev + v_o * c + b_o)
     h = o * math.tanh(c)
     return h, c
+
+
+def scalar_cell(params):
+    """The H=1, D_in=1 cell holding the 15 scalars of `scalar_cell_oracle`.
+
+    The oracle's order u_i..u_o, w_i..w_o, v_i, v_f, v_o, b_i..b_o is the
+    block order U, W, V, b.
+    """
+    return LstmCellParams(
+        U=params[0:4].reshape(4, 1), W=params[4:8].reshape(4, 1),
+        V=params[8:11], b=params[11:15],
+    )
 
 
 def write_dataset_files(accounts, tmp_path, prefix=""):

@@ -18,6 +18,7 @@ from conftest import (
     fd_tensor_gradient,
     max_rel_err,
     random_model,
+    scalar_cell,
     scalar_cell_oracle,
 )
 
@@ -31,7 +32,6 @@ from botlstm.datasets import (
 )
 from botlstm.metrics import BOT, HUMAN, ConfusionCounts, compute_metrics
 from botlstm.nn_core import (
-    LstmCellParams,
     ModelConfig,
     backward,
     bilstm_forward,
@@ -93,10 +93,7 @@ def test_criterion_2_cell_equation_oracle():
     for _ in range(1000):
         params = rng.standard_normal(15)
         x, h_prev, c_prev = rng.standard_normal(3)
-        p = LstmCellParams(
-            *(np.array([[v]]) for v in params[:8]),
-            *(np.array([v]) for v in params[8:]),
-        )
+        p = scalar_cell(params)
         h, c, _ = lstm_cell_forward(
             p, np.array([x]), np.array([h_prev]), np.array([c_prev])
         )

@@ -67,6 +67,30 @@ class TestRoundTrip:
             loaded.embedding.trainable_mask, model.embedding.trainable_mask
         )
 
+    def test_tensor_block_follows_documented_layout(self, tmp_path, model_and_vocab):
+        # parse the file at the offsets the module docstring gives, so an
+        # order change made alike in save and load still fails here
+        model, vocab = model_and_vocab
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, vocab)
+        blob = path.read_bytes()
+        offset = 6 + 6 * 4  # magic, version, five dims
+        for _ in range(len(vocab)):
+            (length,) = struct.unpack_from("<I", blob, offset)
+            offset += 4 + length
+        expected = [model.embedding.vectors]
+        for layer in model.layers:
+            for cell in (layer.fwd, layer.bwd):
+                expected += [cell.U, cell.W, cell.V, cell.b]
+        expected += [model.softmax_W, model.softmax_b]
+        for k, tensor in enumerate(expected):
+            stored = np.frombuffer(blob, dtype="<f4", count=tensor.size, offset=offset)
+            np.testing.assert_array_equal(
+                stored.reshape(tensor.shape), tensor.astype(np.float32), err_msg=str(k)
+            )
+            offset += 4 * tensor.size
+        assert offset == len(blob) - 4  # only the checksum follows
+
     def test_shapes_preserved(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
         path = tmp_path / "m.ckpt"

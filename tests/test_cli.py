@@ -259,6 +259,34 @@ class TestPredict:
         rows = out.read_text().splitlines()
         assert rows[1] == "ghost,0.500000,bot,empty_account"
 
+    def test_empty_account_between_scored_ones(self, trained, tmp_path):
+        ckpt, _ = trained
+        tweets = {
+            "u1": ["check awesome sale http://t.co/a"],
+            "ghost": ["   "],
+            "u2": ["love you haha", "thank friend lol"],
+        }
+
+        def predict(name, account_ids):
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["account_id", "tweet_text"])
+                writer.writerows([a, t] for a in account_ids for t in tweets[a])
+            out = tmp_path / f"{name}.pred.csv"
+            rc = cli.main(["predict", "--checkpoint", str(ckpt),
+                           "--tweets", str(path), "--output", str(out)])
+            assert rc == 0
+            return out.read_text(encoding="utf-8").splitlines()[1:]
+
+        rows = predict("all", list(tweets))
+        assert [r.split(",")[0] for r in rows] == ["u1", "ghost", "u2"]
+        assert [r.split(",")[3] for r in rows] == ["", "empty_account", ""]
+        assert rows[1] == "ghost,0.500000,bot,empty_account"
+        # scoring accounts together gives each one the row it gets alone
+        assert rows[0] == predict("u1", ["u1"])[0]
+        assert rows[2] == predict("u2", ["u2"])[0]
+
     def test_account_ids_round_trip(self, tmp_path):
         ckpt = self._zeroed_checkpoint(tmp_path)
         ids = ["a,2", 'say "hi"', "plain"]
@@ -342,10 +370,13 @@ class TestDataErrorExitCodes:
         model.softmax_W[0, 0] = np.nan
         nan_ckpt = tmp_path / "nan.ckpt"
         save_checkpoint(nan_ckpt, model, vocab)
+        short_ckpt = tmp_path / "short.ckpt"
+        short_ckpt.write_bytes(ckpt.read_bytes()[:100])
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("account_id,tweet_text\nu1,caf\xe9\n".encode("latin-1"))
         return {"acc": acc, "twt": twt, "glove": glove, "corpus": corpus, "ckpt": ckpt,
-                "nan_ckpt": nan_ckpt, "bad": bad, "missing": tmp_path / "missing.tsv"}
+                "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
+                "missing": tmp_path / "missing.tsv"}
 
     @pytest.mark.parametrize("argv, prefix", [
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
@@ -359,9 +390,11 @@ class TestDataErrorExitCodes:
          "cli:"),
         (["build-vocab", "--corpus", "{corpus}", "--glove", "{bad}", "--embed-dim", "4"],
          "embeddings:"),
-        (["predict", "--checkpoint", "{nan_ckpt}", "--tweets", "{twt}"], "cli:"),
+        (["predict", "--checkpoint", "{nan_ckpt}", "--tweets", "{twt}"], "checkpoint:"),
+        (["evaluate", "--checkpoint", "{short_ckpt}", "--accounts", "{acc}",
+          "--tweets", "{twt}"], "checkpoint:"),
     ], ids=["missing-vocab", "latin1-vocab", "latin1-tweets", "latin1-predict-tweets",
-            "latin1-corpus", "latin1-glove", "nan-checkpoint"])
+            "latin1-corpus", "latin1-glove", "nan-checkpoint", "truncated-checkpoint"])
     def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):
         paths = self._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from conftest import (
     model_loss,
     random_cell,
     random_model,
+    scalar_cell,
     scalar_cell_oracle,
 )
 
+from botlstm.embeddings import TRAINABLE_INIT_RANGE
 from botlstm.nn_core import (
     BiLstmLayer,
     LstmCellParams,
@@ -29,38 +33,20 @@ from botlstm.nn_core import (
 def zero_cell(hidden, d_in):
     z = np.zeros
     return LstmCellParams(
-        U_i=z((hidden, d_in)), U_f=z((hidden, d_in)),
-        U_c=z((hidden, d_in)), U_o=z((hidden, d_in)),
-        W_i=z((hidden, hidden)), W_f=z((hidden, hidden)),
-        W_c=z((hidden, hidden)), W_o=z((hidden, hidden)),
-        V_i=z(hidden), V_f=z(hidden), V_o=z(hidden),
-        b_i=z(hidden), b_f=z(hidden), b_c=z(hidden), b_o=z(hidden),
+        U=z((4 * hidden, d_in)), W=z((4 * hidden, hidden)),
+        V=z(3 * hidden), b=z(4 * hidden),
     )
 
 
 class TestCellParams:
-    def test_gate_names_are_views_of_the_fused_blocks(self):
-        rng = np.random.default_rng(3)
-        H, D = 3, 2
-        parts = [rng.standard_normal((H, D)) for _ in range(4)]
-        parts += [rng.standard_normal((H, H)) for _ in range(4)]
-        parts += [rng.standard_normal(H) for _ in range(7)]
-        p = LstmCellParams(*parts)
+    def test_fields_are_the_four_blocks(self):
+        p = random_cell(np.random.default_rng(3), 3, 2)
+        assert [f.name for f in dataclasses.fields(p)] == ["U", "W", "V", "b"]
+        assert [name for name, _ in p.named_tensors()] == ["U", "W", "V", "b"]
         assert (p.U.shape, p.W.shape, p.V.shape, p.b.shape) == (
-            (4 * H, D), (4 * H, H), (3 * H,), (4 * H,)
+            (12, 2), (12, 3), (9,), (12,)
         )
-        for (name, view), part in zip(p.named_tensors(), parts):
-            np.testing.assert_array_equal(view, part, err_msg=name)
-        p.W_c[:] = 7.0
-        np.testing.assert_array_equal(p.W[2 * H : 3 * H], 7.0)
-        p.V_o[:] = -1.0
-        np.testing.assert_array_equal(p.V[2 * H :], -1.0)
-
-    def test_from_blocks_keeps_the_arrays(self):
-        p = random_cell(np.random.default_rng(4), 2, 3)
-        q = LstmCellParams.from_blocks(p.U, p.W, p.V, p.b)
-        assert q.U is p.U and q.W is p.W and q.V is p.V and q.b is p.b
-        assert (q.hidden_size, q.input_size) == (2, 3)
+        assert (p.hidden_size, p.input_size) == (3, 2)
 
 
 class TestCellForward:
@@ -76,9 +62,7 @@ class TestCellForward:
     def test_saturated_gates_preserve_cell(self):
         # bias 100 is a saturation surrogate: gates pin to ~1
         p = zero_cell(1, 1)
-        p.b_i[:] = 100.0
-        p.b_f[:] = 100.0
-        p.b_o[:] = 100.0
+        p.b[[0, 1, 3]] = 100.0  # gates i, f, o
         h, c, _ = lstm_cell_forward(p, np.zeros(1), np.zeros(1), np.array([3.0]))
         np.testing.assert_allclose(c, [3.0], atol=1e-12)
         np.testing.assert_allclose(h, [np.tanh(3.0)], atol=1e-12)
@@ -89,8 +73,7 @@ class TestCellForward:
         for _ in range(100):
             params = rng.standard_normal(15)
             x, h_prev, c_prev = rng.standard_normal(3)
-            p = LstmCellParams(*(np.array([[v]]) for v in params[:8]),
-                               *(np.array([v]) for v in params[8:]))
+            p = scalar_cell(params)
             h, c, _ = lstm_cell_forward(
                 p, np.array([x]), np.array([h_prev]), np.array([c_prev])
             )
@@ -104,17 +87,19 @@ class TestCellForward:
         rng = np.random.default_rng(3)
         H, D = 4, 3
         p = zero_cell(H, D)
-        p.U_c[:] = rng.uniform(-1, 1, (H, D))
-        p.W_c[:] = rng.uniform(-1, 1, (H, H))
-        p.b_i[:] = 100.0
-        p.b_f[:] = -100.0
-        p.b_o[:] = 100.0
+        U_c = p.U[2 * H : 3 * H]
+        W_c = p.W[2 * H : 3 * H]
+        U_c[:] = rng.uniform(-1, 1, (H, D))
+        W_c[:] = rng.uniform(-1, 1, (H, H))
+        p.b[:H] = 100.0  # i
+        p.b[H : 2 * H] = -100.0  # f
+        p.b[3 * H :] = 100.0  # o
         for _ in range(50):
             x = rng.standard_normal(D)
             h_prev = rng.standard_normal(H)
             c_prev = rng.standard_normal(H)
             h, c, _ = lstm_cell_forward(p, x, h_prev, c_prev)
-            rnn = np.tanh(p.U_c @ x + p.W_c @ h_prev)
+            rnn = np.tanh(U_c @ x + W_c @ h_prev)
             np.testing.assert_allclose(c, rnn, atol=1e-3)
             np.testing.assert_allclose(h, np.tanh(c), atol=1e-12)
 
@@ -232,13 +217,13 @@ class TestBilstmForward:
             if li > 0:
                 fwd = LstmCellParams(
                     **{
-                        name: swap_cols(arr) if name.startswith("U_") else arr.copy()
+                        name: swap_cols(arr) if name == "U" else arr.copy()
                         for name, arr in fwd.named_tensors()
                     }
                 )
                 bwd = LstmCellParams(
                     **{
-                        name: swap_cols(arr) if name.startswith("U_") else arr.copy()
+                        name: swap_cols(arr) if name == "U" else arr.copy()
                         for name, arr in bwd.named_tensors()
                     }
                 )
@@ -365,14 +350,43 @@ class TestInitParams:
         for (name_a, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
             np.testing.assert_array_equal(ta, tb, err_msg=name_a)
 
+    def test_matches_per_gate_draw_sequence(self):
+        # the draws of the per-gate layout, in its order: embedding, then per
+        # layer and direction U_i, U_f, U_c, U_o, W_i .. W_o, then softmax.W
+        model = init_params(ModelConfig(10, 4, 5, 2), rng_seed=7)
+        rng = np.random.default_rng(7)
+
+        def glorot(fan_out, fan_in):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, (fan_out, fan_in))
+
+        vectors = rng.uniform(-TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, (10, 4))
+        vectors[0] = 0.0
+        expected = {"embedding.vectors": vectors}
+        for li, d_in in enumerate((4, 10)):
+            for direction in ("fwd", "bwd"):
+                prefix = f"layers.{li}.{direction}"
+                expected[f"{prefix}.U"] = np.concatenate([glorot(5, d_in) for _ in "ifco"])
+                expected[f"{prefix}.W"] = np.concatenate([glorot(5, 5) for _ in "ifco"])
+                expected[f"{prefix}.V"] = np.zeros(15)
+                expected[f"{prefix}.b"] = np.concatenate(
+                    (np.zeros(5), np.ones(5), np.zeros(10))
+                )
+        expected["softmax.W"] = glorot(2, 10)
+        expected["softmax.b"] = np.zeros(2)
+        got = dict(model.named_tensors())
+        assert list(got) == list(expected)
+        for name, tensor in expected.items():
+            np.testing.assert_array_equal(got[name], tensor, err_msg=name)
+
     def test_forget_bias_one(self):
         model = init_params(ModelConfig(10, 4, 5, 2), rng_seed=0)
         for layer in model.layers:
             for cell in (layer.fwd, layer.bwd):
-                np.testing.assert_array_equal(cell.b_f, np.ones(5))
-                np.testing.assert_array_equal(cell.b_i, np.zeros(5))
-                np.testing.assert_array_equal(cell.V_i, np.zeros(5))
-                np.testing.assert_array_equal(cell.V_o, np.zeros(5))
+                np.testing.assert_array_equal(cell.b[5:10], np.ones(5))  # forget
+                np.testing.assert_array_equal(cell.b[:5], np.zeros(5))
+                np.testing.assert_array_equal(cell.b[10:], np.zeros(10))
+                np.testing.assert_array_equal(cell.V, np.zeros(15))
 
     def test_glorot_bounds(self):
         model = init_params(ModelConfig(10, 4, 5, 3), rng_seed=1)
@@ -381,11 +395,9 @@ class TestInitParams:
             u_limit = np.sqrt(6.0 / (d_in + 5))
             w_limit = np.sqrt(6.0 / 10)
             for cell in (layer.fwd, layer.bwd):
-                for name, arr in cell.named_tensors():
-                    if name.startswith("U_"):
-                        assert np.max(np.abs(arr)) <= u_limit
-                    elif name.startswith("W_"):
-                        assert np.max(np.abs(arr)) <= w_limit
+                assert cell.U.shape == (20, d_in) and cell.W.shape == (20, 5)
+                assert np.max(np.abs(cell.U)) <= u_limit
+                assert np.max(np.abs(cell.W)) <= w_limit
         s_limit = np.sqrt(6.0 / (10 + 2))
         assert np.max(np.abs(model.softmax_W)) <= s_limit
         np.testing.assert_array_equal(model.softmax_b, np.zeros(2))

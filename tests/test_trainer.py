@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_model
 
+from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import make_examples, synthetic
 from botlstm.errors import DataError, InternalError
 from botlstm.metrics import BOT, HUMAN
@@ -12,6 +13,7 @@ from botlstm.nn_core import ModelConfig, backward, bilstm_forward, init_params
 from botlstm.trainer import (
     LOSS_CLAMP,
     TrainingConfig,
+    account_probabilities,
     batch_indices,
     dropout_schedule,
     evaluate,
@@ -165,6 +167,24 @@ class TestTrainableRowsOnly:
         sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
         assert grads["embedding.vectors"].shape == (5, 3)
         assert velocity["embedding.vectors"].shape == (5, 3)
+
+
+class TestParameterNames:
+    def test_one_entry_per_cell_block(self):
+        model = random_model(np.random.default_rng(3), 9, 3, 2, 3)
+        trace = bilstm_forward(model, [6, 1, 7], train_mode=True)
+        grads = backward(model, trace, 0)
+        velocity = {}
+        sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
+        blocks = [
+            f"layers.{li}.{direction}.{block}"
+            for li in range(3) for direction in ("fwd", "bwd") for block in "UWVb"
+        ]
+        names = ["embedding.vectors", *blocks, "softmax.W", "softmax.b"]
+        assert len(names) == 3 + 8 * 3
+        assert [name for name, _ in model.trainable_tensors()] == names
+        assert sorted(grads) == sorted(names)
+        assert sorted(velocity) == sorted(names)
 
 
 class TestBatchIndices:
@@ -346,6 +366,28 @@ class TestEvaluate:
         model, _, _, _ = _toy_setup()
         with pytest.raises(DataError):
             evaluate(model, [])
+
+    def test_extreme_checkpoint_scores_to_finite_probabilities(self, tmp_path):
+        # a loaded checkpoint is finite float32, so every float64 value on the
+        # way to the softmax stays bounded even with all weights at +-max
+        accounts, vocab, table = synthetic(seed=4, n_per_class=5)
+        model = init_params(
+            ModelConfig(vocab_size=len(vocab), embed_dim=table.dim, hidden=8, layers=3),
+            rng_seed=0, embedding=table,
+        )
+        rng = np.random.default_rng(0)
+        for _, tensor in model.named_tensors():
+            tensor[...] = np.finfo(np.float32).max * rng.choice([-1.0, 1.0], tensor.shape)
+        path = tmp_path / "extreme.ckpt"
+        save_checkpoint(path, model, vocab)
+        loaded, _ = load_checkpoint(path)
+        examples, _ = make_examples(accounts, vocab)
+        assert len(examples) == 200
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scored = account_probabilities(loaded, examples)
+        p_bot = np.array([p for _, p in scored.values()])
+        assert len(p_bot) == 10
+        assert np.isfinite(p_bot).all() and ((p_bot >= 0.0) & (p_bot <= 1.0)).all()
 
     def test_perfect_model_on_trained_data(self):
         model, examples, _, _ = _toy_setup(n_per_class=4, hidden=8, seed=2)
