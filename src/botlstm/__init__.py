@@ -51,8 +51,6 @@ from .nn_core import (
     backward,
     bilstm_forward,
     init_params,
-    lstm_cell_forward,
-    run_direction,
 )
 from .text_pipeline import (
     OOV_ID,
@@ -119,12 +117,10 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "load_glove",
-    "lstm_cell_forward",
     "make_examples",
     "nll_loss",
     "normalize_token",
     "report_json",
-    "run_direction",
     "save_checkpoint",
     "save_dataset",
     "sgd_momentum_step",

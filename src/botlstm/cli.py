@@ -55,7 +55,7 @@ def _add_common_flags(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-seq-len", dest="max_seq_len", type=int)
-    p.add_argument("--granularity", choices=["per_tweet", "per_account"],
+    p.add_argument("--granularity", choices=datasets.GRANULARITIES,
                    help="sequence granularity for training/scoring")
     p.add_argument("--no-rt-token", dest="rt_token", action="store_false",
                    help="keep RT as a plain word instead of <RT>")
@@ -206,6 +206,22 @@ class RunConfig:
     top_k: int = 50
     stopwords: bool = False
 
+    def __post_init__(self):
+        """Reject an out-of-range value of any field, whichever command runs."""
+        for name in ("hidden", "layers", "embed_dim", "max_seq_len", "top_k", "synthetic"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise UsageError(f"{name} must be >= 1, got {value}")
+        if self.granularity not in datasets.GRANULARITIES:
+            raise UsageError(
+                f"granularity must be one of {', '.join(datasets.GRANULARITIES)}, "
+                f"got {self.granularity!r}"
+            )
+        try:
+            self.training()  # checks the fields RunConfig shares with TrainingConfig
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         fields = {k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__}
@@ -213,10 +229,7 @@ class RunConfig:
 
     def training(self) -> trainer.TrainingConfig:
         names = trainer.TrainingConfig.__dataclass_fields__
-        try:
-            return trainer.TrainingConfig(**{n: getattr(self, n) for n in names})
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return trainer.TrainingConfig(**{n: getattr(self, n) for n in names})
 
     def out_path(self, explicit: str | None, default_name: str) -> Path:
         if explicit:
@@ -286,22 +299,27 @@ def _load_labeled_accounts(cfg: RunConfig):
     return datasets.load_dataset(cfg.accounts, cfg.tweets), None, None
 
 
+def _glove_vocab_and_table(cfg: RunConfig, accounts):
+    """(vocab, table) for CSV inputs; the parsed embedding file is freed on return."""
+    if not cfg.glove:
+        raise UsageError("train requires --glove when using CSV inputs")
+    words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim)
+    if cfg.vocab:
+        vocab = text_pipeline.Vocabulary.load(cfg.vocab)
+    else:
+        corpus = (
+            text_pipeline.tokenize(tw, map_rt=cfg.rt_token)
+            for acct in accounts
+            for tw in acct.tweets
+        )
+        vocab = text_pipeline.build_vocabulary(corpus, set(words))
+    return vocab, embeddings.build_table(vocab, words, matrix, rng_seed=cfg.seed)
+
+
 def cmd_train(cfg: RunConfig) -> int:
     accounts, vocab, table = _load_labeled_accounts(cfg)
     if table is None:
-        if not cfg.glove:
-            raise UsageError("train requires --glove when using CSV inputs")
-        words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim)
-        if cfg.vocab:
-            vocab = text_pipeline.Vocabulary.load(cfg.vocab)
-        else:
-            corpus = (
-                text_pipeline.tokenize(tw, map_rt=cfg.rt_token)
-                for acct in accounts
-                for tw in acct.tweets
-            )
-            vocab = text_pipeline.build_vocabulary(corpus, set(words))
-        table = embeddings.build_table(vocab, words, matrix, rng_seed=cfg.seed)
+        vocab, table = _glove_vocab_and_table(cfg, accounts)
 
     examples, dropped = datasets.make_examples(
         accounts, vocab, mode=cfg.granularity,
@@ -309,13 +327,10 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     if dropped:
         log.info("dropped %d empty sequence(s)", dropped)
-    try:
-        model_config = ModelConfig(
-            vocab_size=len(vocab), embed_dim=table.dim,
-            hidden=cfg.hidden, layers=cfg.layers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    model_config = ModelConfig(
+        vocab_size=len(vocab), embed_dim=table.dim,
+        hidden=cfg.hidden, layers=cfg.layers,
+    )
     model = init_params(model_config, rng_seed=cfg.seed, embedding=table)
     model, history = trainer.train(model, examples, cfg.training())
 

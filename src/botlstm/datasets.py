@@ -159,6 +159,10 @@ def compose_test_set(
     )
 
 
+#: Sequence granularities: one sequence per tweet, or per account.
+GRANULARITIES = ("per_tweet", "per_account")
+
+
 def make_examples(
     accounts: list[Account],
     vocab: Vocabulary,
@@ -172,8 +176,10 @@ def make_examples(
     were skipped - empty-tokenizing tweets in per_tweet mode, tweetless or
     empty-tokenizing accounts in either mode.
     """
-    if mode not in ("per_tweet", "per_account"):
+    if mode not in GRANULARITIES:
         raise ValueError(f"mode must be per_tweet or per_account, got {mode!r}")
+    if max_seq_len < 1:
+        raise ValueError(f"max_seq_len must be >= 1, got {max_seq_len}")
     examples: list[LabeledSequence] = []
     dropped = 0
     for acct in accounts:

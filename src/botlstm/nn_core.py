@@ -19,19 +19,22 @@ i, f, c, o; V [3H] stacks the peepholes i, f, o. Model tensors are named
 `layers.{l}.{fwd|bwd}.{U|W|V|b}` in gradients, optimizer state and
 checkpoint order alike.
 
-Each of the L stacked layers runs one cell left-to-right and one
-right-to-left over its input and concatenates the two hidden-state tracks
-per position, [->h_t ; <-h_t], as the next layer's input. Inverted
-dropout is applied to layer outputs (never to recurrent connections). The
-classifier reads [->h_T ; <-h_1] - the two states that have each seen the
-whole sequence - through an affine map and a max-subtracted softmax.
+Each of the L stacked layers runs two cells over its input. Both run the
+same left-to-right scan (`_direction_pass`): the forward cell over the
+sequence, the backward cell over the reversed sequence, whose hidden track
+is flipped back. The two tracks are concatenated per position,
+[->h_t ; <-h_t], as the next layer's input. Inverted dropout is applied
+to layer outputs (never to recurrent connections). The classifier reads
+[->h_T ; <-h_1] - the two states that have each seen the whole sequence -
+through an affine map and a max-subtracted softmax.
 
 <PAD> positions are state-carrying no-ops in both directions: the cell is
 skipped and states pass through unchanged, so padding injects no signal
 and receives no gradient.
 
-All math is float64. Gate caches are kept per step so the backward pass
-can run backpropagation through time without recomputation.
+All math is float64. Gate activations are kept per step so the backward
+pass can run backpropagation through time without recomputation.
+`bilstm_forward` and `backward` are the only entry points to the recurrence.
 """
 
 from __future__ import annotations
@@ -90,18 +93,6 @@ class LstmCellParams:
         yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
 
 
-@dataclass
-class GateCache:
-    """Per-step activations kept for backpropagation."""
-
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tc: np.ndarray
-
-
 def _step(W, b, V, xu_t, h_prev, c_prev, H):
     """One cell update given the precomputed input contribution xu_t."""
     pre = xu_t + W @ h_prev + b
@@ -115,31 +106,13 @@ def _step(W, b, V, xu_t, h_prev, c_prev, H):
     return h, c, i, f, g, o, tc
 
 
-def lstm_cell_forward(p: LstmCellParams, x_t, h_prev, c_prev):
-    """Single cell step; returns (h_t, c_t, GateCache)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    H = p.hidden_size
-    if x_t.shape != (p.input_size,) or h_prev.shape != (H,) or c_prev.shape != (H,):
-        raise ValueError(
-            f"shape mismatch: x_t {x_t.shape}, h_prev {h_prev.shape}, "
-            f"c_prev {c_prev.shape} for cell with H={H}, D_in={p.input_size}"
-        )
-    for name, arr in (("x_t", x_t), ("h_prev", h_prev), ("c_prev", c_prev)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite values in {name}")
-    h, c, i, f, g, o, tc = _step(p.W, p.b, p.V, p.U @ x_t, h_prev, c_prev, H)
-    return h, c, GateCache(i=i, f=f, g=g, o=o, c=c, tc=tc)
-
-
 @dataclass
 class DirectionCache:
-    """All per-step values of one direction pass, in processing order.
+    """All per-step values of one left-to-right scan, in scan order.
 
-    For a reverse pass the arrays are stored flipped; `aligned_h` flips
-    the hidden track back to original sequence positions. `ran` marks
-    steps where the cell actually executed (False at PAD positions).
+    The backward cell runs the same scan over the reversed sequence, so
+    its cache holds position T-1 in row 0. `ran` marks steps where the
+    cell actually executed (False at PAD positions).
     """
 
     inputs: np.ndarray
@@ -151,22 +124,15 @@ class DirectionCache:
     c: np.ndarray
     tc: np.ndarray
     h: np.ndarray
-    reverse: bool
-
-    def aligned_h(self) -> np.ndarray:
-        return self.h[::-1] if self.reverse else self.h
 
 
-def _direction_pass(
-    p: LstmCellParams, inputs: np.ndarray, reverse: bool, active=None
-) -> DirectionCache:
-    T = inputs.shape[0]
+def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray) -> DirectionCache:
+    """Scan one cell left to right over X [T, D_in] from zero state.
+
+    Steps where `ran` is False carry the state through unchanged.
+    """
+    T = X.shape[0]
     H = p.hidden_size
-    if active is None:
-        active = np.ones(T, dtype=bool)
-    X = inputs[::-1] if reverse else inputs
-    ran = active[::-1].copy() if reverse else np.asarray(active, dtype=bool).copy()
-
     XU = X @ p.U.T
     i = np.zeros((T, H))
     f = np.zeros((T, H))
@@ -188,36 +154,18 @@ def _direction_pass(
         h_prev = h[t]
         c_prev = c[t]
     return DirectionCache(
-        inputs=np.ascontiguousarray(X), ran=ran, i=i, f=f, g=g, o=o, c=c, tc=tc,
-        h=h, reverse=reverse,
+        inputs=np.ascontiguousarray(X), ran=ran, i=i, f=f, g=g, o=o, c=c, tc=tc, h=h,
     )
 
 
-def run_direction(
-    p: LstmCellParams, inputs, reverse: bool = False, active=None
-) -> np.ndarray:
-    """Run one direction over [T, D_in] inputs from zero initial state.
+def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_out):
+    """BPTT through one scan.
 
-    Returns hidden states aligned to original positions: for a reverse
-    pass, row t holds the state produced after reading positions T..t.
-    `active=False` positions are skipped with state passing through.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != p.input_size:
-        raise ValueError(f"inputs must be [T, {p.input_size}], got {inputs.shape}")
-    if inputs.shape[0] == 0:
-        raise ValueError("empty sequence")
-    return _direction_pass(p, inputs, reverse, active).aligned_h()
-
-
-def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
-    """BPTT through one direction pass.
-
-    `dh_aligned` is the loss gradient w.r.t. the aligned hidden track.
-    Returns (gradient dict keyed U, W, V, b; input gradient aligned [T, D_in]).
+    `dh_out` is the loss gradient w.r.t. the scan's hidden track, in scan
+    order. Returns (gradient dict keyed U, W, V, b; input gradient [T, D_in]
+    in scan order).
     """
     T, H = cache.h.shape
-    dh_out = dh_aligned[::-1] if cache.reverse else dh_aligned
     V_i, V_f, V_o = p.V[:H], p.V[H : 2 * H], p.V[2 * H :]
 
     da = np.zeros((T, 4 * H))
@@ -260,11 +208,7 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_aligned):
         )),
         "b": da.sum(axis=0),
     }
-
-    dX = da @ p.U
-    if cache.reverse:
-        dX = dX[::-1]
-    return grads, dX
+    return grads, da @ p.U
 
 
 @dataclass
@@ -376,9 +320,9 @@ def bilstm_forward(
     H = model.hidden
     layer_traces: list[LayerTrace] = []
     for li, layer in enumerate(model.layers):
-        fwd = _direction_pass(layer.fwd, x, reverse=False, active=active)
-        bwd = _direction_pass(layer.bwd, x, reverse=True, active=active)
-        out = np.concatenate((fwd.aligned_h(), bwd.aligned_h()), axis=1)
+        fwd = _direction_pass(layer.fwd, x, active)
+        bwd = _direction_pass(layer.bwd, x[::-1], active[::-1])
+        out = np.concatenate((fwd.h, bwd.h[::-1]), axis=1)
         mask = None
         if use_dropout:
             mask = (
@@ -433,12 +377,12 @@ def backward(model: ModelParams, trace: ForwardTrace, label: int):
         dO = dY * ltrace.dropout_mask if ltrace.dropout_mask is not None else dY
         layer = model.layers[li]
         fwd_grads, dXf = _direction_backward(layer.fwd, ltrace.fwd, dO[:, :H])
-        bwd_grads, dXb = _direction_backward(layer.bwd, ltrace.bwd, dO[:, H:])
+        bwd_grads, dXb = _direction_backward(layer.bwd, ltrace.bwd, dO[::-1, H:])
         for tname, arr in fwd_grads.items():
             grads[f"layers.{li}.fwd.{tname}"] = arr
         for tname, arr in bwd_grads.items():
             grads[f"layers.{li}.bwd.{tname}"] = arr
-        dY = dXf + dXb
+        dY = dXf + dXb[::-1]
 
     # frozen rows take no gradient; per-row sums keep sequence order
     emb_grad = np.zeros_like(model.embedding.vectors[TRAINABLE_ROWS])

@@ -37,11 +37,10 @@ class TrainingConfig:
     dropout_start: float = 0.5
     dropout_end: float = 0.1
     seed: int = 0
-    max_seq_len: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
@@ -50,8 +49,8 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.dropout_end <= self.dropout_start < 1.0:
             raise ValueError("need 0 <= dropout_end <= dropout_start < 1")
-        if self.max_seq_len < 1:
-            raise ValueError("max_seq_len must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

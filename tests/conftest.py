@@ -10,6 +10,7 @@ from botlstm.nn_core import (
     BiLstmLayer,
     LstmCellParams,
     ModelParams,
+    _step,
     bilstm_forward,
 )
 from botlstm.trainer import nll_loss
@@ -21,6 +22,11 @@ def random_cell(rng, hidden, d_in, scale=0.5):
         U=u((4 * hidden, d_in)), W=u((4 * hidden, hidden)),
         V=u(3 * hidden), b=u(4 * hidden),
     )
+
+
+def cell_step(p, x, h_prev, c_prev):
+    """One step of cell `p`: the (h, c, i, f, g, o, tc) of `nn_core._step`."""
+    return _step(p.W, p.b, p.V, p.U @ x, h_prev, c_prev, p.hidden_size)
 
 
 def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):

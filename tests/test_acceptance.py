@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cell_step,
     fd_tensor_gradient,
     max_rel_err,
     random_model,
@@ -36,7 +37,6 @@ from botlstm.nn_core import (
     backward,
     bilstm_forward,
     init_params,
-    lstm_cell_forward,
 )
 from botlstm.text_pipeline import URL, build_vocabulary, tokenize
 from botlstm.trainer import TrainingConfig, dropout_schedule, evaluate, train
@@ -94,7 +94,7 @@ def test_criterion_2_cell_equation_oracle():
         params = rng.standard_normal(15)
         x, h_prev, c_prev = rng.standard_normal(3)
         p = scalar_cell(params)
-        h, c, _ = lstm_cell_forward(
+        h, c, *_ = cell_step(
             p, np.array([x]), np.array([h_prev]), np.array([c_prev])
         )
         oh, oc = scalar_cell_oracle(params, x, h_prev, c_prev)

