@@ -31,7 +31,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("== toy embedding file ==")
     print(glove_path.read_text()[:200], "...")
 
-    loaded_words, matrix = load_glove(glove_path, expected_dim=5)
+    loaded_words, matrix = load_glove(glove_path, expected_dim=5, wanted=set(words))
     print(f"loaded {len(loaded_words)} words of width {matrix.shape[1]}")
 
 corpus = [tokenize("love this deal lol"), tokenize("check it #wow")]

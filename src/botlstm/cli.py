@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Subcommand flags have no argparse default (argument_default=SUPPRESS): an
-# unset flag is absent from the namespace and takes its RunConfig default.
+# unset flag is absent from the namespace; RunConfig.from_args fills it in.
 
 def _add_model_flags(p):
     p.add_argument("--hidden", type=int,
@@ -75,12 +75,9 @@ def build_parser() -> _Parser:
                      description="Bidirectional-LSTM bot/human tweet classifier")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
-    parser.subcommand_parsers = {}
 
     def add_parser(name, **kwargs):
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
-        parser.subcommand_parsers[name] = p
-        return p
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
 
     p = add_parser("build-vocab", help="build a vocabulary file")
     p.add_argument("--corpus", help="plain-text corpus, one tweet per line")
@@ -128,7 +125,7 @@ def build_parser() -> _Parser:
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for n, line in enumerate(lines, start=1):
@@ -158,18 +155,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    parser = build_parser()
-    scan = _Parser(add_help=False)
-    scan.add_argument("--config")
-    pre, _ = scan.parse_known_args(argv)
-    if pre.config:
-        # subcommands parse into a fresh namespace, so defaults loaded from
-        # the config file must be installed on every subparser as well
-        defaults = _load_config_file(pre.config)
-        parser.set_defaults(**defaults)
-        for sub in parser.subcommand_parsers.values():
-            sub.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command is None:
         raise UsageError("a subcommand is required (see --help)")
     return args
@@ -224,12 +210,26 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__}
+        """Flag values over --config file values over the field defaults."""
+        values = vars(args)
+        if "config" in values:
+            values = {**_load_config_file(values["config"]), **values}
+        fields = {k: v for k, v in values.items() if k in cls.__dataclass_fields__}
         return cls(**fields)
 
     def training(self) -> trainer.TrainingConfig:
         names = trainer.TrainingConfig.__dataclass_fields__
         return trainer.TrainingConfig(**{n: getattr(self, n) for n in names})
+
+    def examples(self, accounts, vocab) -> list[datasets.LabeledSequence]:
+        """Labeled sequences at this run's granularity; empty ones are dropped."""
+        examples, dropped = datasets.make_examples(
+            accounts, vocab, mode=self.granularity,
+            max_seq_len=self.max_seq_len, map_rt=self.rt_token,
+        )
+        if dropped:
+            log.info("dropped %d empty sequence(s)", dropped)
+        return examples
 
     def out_path(self, explicit: str | None, default_name: str) -> Path:
         if explicit:
@@ -259,13 +259,19 @@ def _read_corpus_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
+def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
+    """(vocab, words, matrix): the corpus tokens the embedding file holds, and their rows."""
+    wanted = {t for tokens in corpus for t in tokens} - text_pipeline.SPECIAL_TOKENS
+    words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim, wanted)
+    return text_pipeline.build_vocabulary(corpus, set(words)), words, matrix
+
+
 def cmd_build_vocab(cfg: RunConfig) -> int:
     if not cfg.corpus or not cfg.glove:
         raise UsageError("build-vocab requires --corpus and --glove")
     tweets = _read_corpus_lines(cfg.corpus)
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
-    words, _ = embeddings.load_glove(cfg.glove, cfg.embed_dim)
-    vocab = text_pipeline.build_vocabulary(tokenized, set(words))
+    vocab, _, _ = _corpus_vocabulary(cfg, tokenized)
     if len(vocab) == len(text_pipeline.RESERVED_TOKENS):
         print("warning: corpus/embedding intersection is empty; "
               "vocabulary holds only the reserved tokens", file=sys.stderr)
@@ -288,10 +294,9 @@ def cmd_build_vocab(cfg: RunConfig) -> int:
 def _load_labeled_accounts(cfg: RunConfig):
     """Accounts plus (vocab, table) when the synthetic generator is used."""
     if cfg.synthetic is not None:
-        accounts, vocab, table = datasets.synthetic(
+        return datasets.synthetic(
             seed=cfg.seed, n_per_class=cfg.synthetic, embed_dim=cfg.embed_dim
         )
-        return accounts, vocab, table
     if not cfg.accounts or not cfg.tweets:
         raise UsageError(
             "need either --synthetic N or both --accounts and --tweets"
@@ -300,19 +305,20 @@ def _load_labeled_accounts(cfg: RunConfig):
 
 
 def _glove_vocab_and_table(cfg: RunConfig, accounts):
-    """(vocab, table) for CSV inputs; the parsed embedding file is freed on return."""
+    """(vocab, table) for CSV inputs, reading only the vocabulary's embedding rows."""
     if not cfg.glove:
         raise UsageError("train requires --glove when using CSV inputs")
-    words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim)
     if cfg.vocab:
         vocab = text_pipeline.Vocabulary.load(cfg.vocab)
+        wanted = set(vocab.surfaces) - text_pipeline.SPECIAL_TOKENS
+        words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim, wanted)
     else:
-        corpus = (
+        corpus = [
             text_pipeline.tokenize(tw, map_rt=cfg.rt_token)
             for acct in accounts
             for tw in acct.tweets
-        )
-        vocab = text_pipeline.build_vocabulary(corpus, set(words))
+        ]
+        vocab, words, matrix = _corpus_vocabulary(cfg, corpus)
     return vocab, embeddings.build_table(vocab, words, matrix, rng_seed=cfg.seed)
 
 
@@ -321,12 +327,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if table is None:
         vocab, table = _glove_vocab_and_table(cfg, accounts)
 
-    examples, dropped = datasets.make_examples(
-        accounts, vocab, mode=cfg.granularity,
-        max_seq_len=cfg.max_seq_len, map_rt=cfg.rt_token,
-    )
-    if dropped:
-        log.info("dropped %d empty sequence(s)", dropped)
+    examples = cfg.examples(accounts, vocab)
     model_config = ModelConfig(
         vocab_size=len(vocab), embed_dim=table.dim,
         hidden=cfg.hidden, layers=cfg.layers,
@@ -348,12 +349,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts, _, _ = _load_labeled_accounts(cfg)
-    examples, dropped = datasets.make_examples(
-        accounts, vocab, mode=cfg.granularity,
-        max_seq_len=cfg.max_seq_len, map_rt=cfg.rt_token,
-    )
-    if dropped:
-        log.info("dropped %d empty sequence(s)", dropped)
+    examples = cfg.examples(accounts, vocab)
     counts, report = trainer.evaluate(model, examples)
     payload = report_json(counts, report)
     out = cfg.out_path(cfg.output, "metrics.json")
@@ -378,10 +374,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         datasets.Account(account_id=account_id, label=HUMAN, tweets=tweets)
         for account_id, tweets in _group_tweets(cfg.tweets).items()
     ]
-    examples, _ = datasets.make_examples(
-        accounts, vocab, mode=cfg.granularity,
-        max_seq_len=cfg.max_seq_len, map_rt=cfg.rt_token,
-    )
+    examples = cfg.examples(accounts, vocab)
     scored = trainer.account_probabilities(model, examples) if examples else {}
     out = cfg.out_path(cfg.output, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -415,6 +408,8 @@ def cmd_stats(cfg: RunConfig) -> int:
             group, top_k=cfg.top_k,
             drop_stopwords=cfg.stopwords, map_rt=cfg.rt_token,
         )
+        if not table.entries:
+            raise DataError(f"no {name} tokens to count", module="cli")
         path = out_dir / f"{name}_frequencies.csv"
         table.to_csv(path)
         tables[name] = table

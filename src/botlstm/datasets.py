@@ -54,6 +54,8 @@ def _read_rows(path, header: list[str], module: str = "datasets"):
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: file is empty", module=module)
             if first != header:
                 raise DataError(
                     f"{path}: expected header {','.join(header)!r} on line 1",

@@ -57,56 +57,58 @@ class EmbeddingTable:
         return self.vectors[OOV_ID]
 
 
-def load_glove(source, expected_dim: int):
-    """Parse a "word v1 ... vD" text stream into (words, matrix).
+def load_glove(source, expected_dim: int, wanted):
+    """Read the rows of a "word v1 ... vD" text stream whose word is in `wanted`.
 
-    `source` may be a path or an iterable of lines. Duplicate words keep
-    their first vector; later occurrences are counted and logged. Raises
-    DataError on a dimension mismatch or non-numeric field (naming the
-    line) and on an empty stream.
+    `source` may be a path or an iterable of lines. Returns (words, matrix):
+    the wanted words found, in stream order, and their [n, D] float64 rows.
+    A line's vector is its last D whitespace-separated fields; its word is
+    what precedes them and may not hold an ASCII space or tab. Every line's
+    field count is checked, but only wanted rows are parsed. A repeated word
+    keeps its first vector; repeats are counted and logged. Raises DataError
+    naming the line on a bad field count or a non-numeric wanted field, and
+    on an empty stream.
     """
     if isinstance(source, (str, Path)):
         with open_text(source, "embeddings", "embedding file") as fh:
-            return _parse_glove_lines(fh, expected_dim, str(source))
-    return _parse_glove_lines(source, expected_dim, "<stream>")
+            return _parse_glove_lines(fh, expected_dim, wanted, str(source))
+    return _parse_glove_lines(source, expected_dim, wanted, "<stream>")
 
 
-def _parse_glove_lines(lines, expected_dim: int, name: str):
-    words: list[str] = []
-    rows: list[list[float]] = []
-    index: dict[str, int] = {}
+def _parse_glove_lines(lines, expected_dim: int, wanted, name: str):
+    rows: dict[str, np.ndarray] = {}
     duplicates = 0
     n = 0
     for n, line in enumerate(lines, start=1):
-        parts = line.split()
-        if not parts:
+        fields = line.lstrip().rsplit(None, expected_dim)
+        if not fields:
             raise DataError(f"{name}: empty line {n}", module="embeddings")
-        if len(parts) - 1 != expected_dim:
+        word = fields[0]
+        if len(fields) != expected_dim + 1 or " " in word or "\t" in word:
             raise DataError(
-                f"{name}: line {n} has {len(parts) - 1} values, expected "
+                f"{name}: line {n} has {len(line.split()) - 1} values, expected "
                 f"{expected_dim}",
                 module="embeddings",
             )
+        if word not in wanted:
+            continue
+        if word in rows:
+            duplicates += 1
+            continue
         try:
-            vec = [float(v) for v in parts[1:]]
+            rows[word] = np.array(fields[1:], dtype=np.float64)
         except ValueError as exc:
             raise DataError(
                 f"{name}: non-numeric field on line {n}", module="embeddings"
             ) from exc
-        word = parts[0]
-        if word in index:
-            duplicates += 1
-            continue
-        index[word] = len(words)
-        words.append(word)
-        rows.append(vec)
     if n == 0:
         raise DataError(f"{name}: empty embedding stream", module="embeddings")
     if duplicates:
         log.warning(
             "%s: %d duplicate word(s); first occurrence kept", name, duplicates
         )
-    return words, np.asarray(rows, dtype=np.float64)
+    matrix = np.array(list(rows.values()), dtype=np.float64)
+    return list(rows), matrix.reshape(len(rows), expected_dim)
 
 
 def write_glove(path, words, vectors) -> None:

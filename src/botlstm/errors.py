@@ -40,13 +40,13 @@ class InternalError(BotlstmError):
 
 @contextmanager
 def open_text(path, module: str, what: str = "file", newline=None):
-    """Open `path` as UTF-8 text for reading.
+    """Open `path` as UTF-8 text for reading; a leading byte-order mark is dropped.
 
     An OS error on opening or reading, or bytes that are not UTF-8, become
     a DataError from `module`, naming the `what` and the path.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}", module=module) from exc

@@ -78,6 +78,20 @@ class TestBuildVocab:
         assert "warning" in captured.err.lower()
         assert len(out.read_text().splitlines()) == 6
 
+    def test_word_holding_nbsp_does_not_fail_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("love you\n")
+        glove = tmp_path / "glove.txt"
+        glove.write_text("love 0.1 0.2 0.3\na\xa0b 0.4 0.5 0.6\nyou 0.7 0.8 0.9\n",
+                         encoding="utf-8")
+        out = tmp_path / "vocab.tsv"
+        rc = cli.main([
+            "build-vocab", "--corpus", str(corpus), "--glove", str(glove),
+            "--embed-dim", "3", "--output", str(out),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert out.read_text().splitlines()[6:] == ["love\t6", "you\t7"]
+
     def test_missing_glove_path(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("hello\n")
@@ -162,6 +176,34 @@ class TestTrain:
         ])
         assert rc == 0
         assert alive_at_train == [False]
+
+    @pytest.mark.parametrize("nan_row, vocab_flag, expected_rc", [
+        ("unused", False, 0), ("vocabulary", False, 2), ("vocabulary", True, 2),
+    ], ids=["unused-row", "vocabulary-row", "vocabulary-row-with-vocab"])
+    def test_non_finite_value_checked_only_in_rows_the_model_uses(
+        self, tmp_path, capsys, nan_row, vocab_flag, expected_rc
+    ):
+        acc, twt, glove, vocab = self._csv_inputs(tmp_path)
+        lines = glove.read_text().splitlines()
+        nans = " ".join(["nan"] * 8)
+        if nan_row == "unused":
+            lines.append(f"zzunused {nans}")
+        else:
+            lines[0] = f"{vocab.surface_of(6)} {nans}"
+        glove.write_text("\n".join(lines) + "\n")
+        argv = [
+            "train", "--accounts", str(acc), "--tweets", str(twt),
+            "--glove", str(glove), "--embed-dim", "8", "--hidden", "2",
+            "--layers", "1", "--epochs", "1", "--output-dir", str(tmp_path / "out"),
+        ]
+        if vocab_flag:
+            vocab.save(tmp_path / "vocab.tsv")
+            argv += ["--vocab", str(tmp_path / "vocab.tsv")]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == expected_rc, err
+        if expected_rc:
+            assert err.startswith("embeddings:") and "non-finite" in err, err
 
     def test_missing_inputs_is_usage_error(self, capsys):
         rc = cli.main(["train"])
@@ -409,9 +451,19 @@ class TestDataErrorExitCodes:
         short_ckpt.write_bytes(ckpt.read_bytes()[:100])
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("account_id,tweet_text\nu1,caf\xe9\n".encode("latin-1"))
+        vocab_file = tmp_path / "vocab.tsv"
+        build_vocabulary([w.split() for w in words], set(words)).save(vocab_file)
+        bad_header = tmp_path / "bad_header.csv"
+        bad_header.write_text("id,text\nu1,hi\n")
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("account_id,tweet_text\n")
+        zero_bytes = tmp_path / "zero_bytes.csv"
+        zero_bytes.write_bytes(b"")
         return {"acc": acc, "twt": twt, "glove": glove, "corpus": corpus, "ckpt": ckpt,
                 "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
-                "missing": tmp_path / "missing.tsv"}
+                "missing": tmp_path / "missing.tsv", "vocab": vocab_file,
+                "bad_header": bad_header, "header_only": header_only,
+                "zero_bytes": zero_bytes}
 
     @pytest.mark.parametrize("argv, prefix", [
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
@@ -428,8 +480,29 @@ class TestDataErrorExitCodes:
         (["predict", "--checkpoint", "{nan_ckpt}", "--tweets", "{twt}"], "checkpoint:"),
         (["evaluate", "--checkpoint", "{short_ckpt}", "--accounts", "{acc}",
           "--tweets", "{twt}"], "checkpoint:"),
+        (["train", "--accounts", "{bad_header}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--embed-dim", "4"], "datasets:"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{bad_header}",
+          "--tweets", "{twt}"], "datasets:"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad_header}"], "cli:"),
+        (["stats", "--accounts", "{bad_header}", "--tweets", "{twt}"], "datasets:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{header_only}", "--glove", "{glove}",
+          "--embed-dim", "4", "--hidden", "2", "--layers", "1"], "trainer:"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}",
+          "--tweets", "{header_only}"], "trainer:"),
+        (["stats", "--accounts", "{acc}", "--tweets", "{header_only}"], "cli:"),
+        (["stats", "--accounts", "{zero_bytes}", "--tweets", "{twt}"], "datasets:"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{zero_bytes}"], "cli:"),
+        (["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "3"],
+         "embeddings:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--vocab", "{vocab}", "--embed-dim", "5"], "embeddings:"),
     ], ids=["missing-vocab", "latin1-vocab", "latin1-tweets", "latin1-predict-tweets",
-            "latin1-corpus", "latin1-glove", "nan-checkpoint", "truncated-checkpoint"])
+            "latin1-corpus", "latin1-glove", "nan-checkpoint", "truncated-checkpoint",
+            "train-bad-header", "evaluate-bad-header", "predict-bad-header",
+            "stats-bad-header", "train-header-only", "evaluate-header-only",
+            "stats-header-only", "stats-zero-bytes", "predict-zero-bytes",
+            "build-vocab-glove-dim", "train-glove-dim"])
     def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):
         paths = self._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]
@@ -437,6 +510,39 @@ class TestDataErrorExitCodes:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith(prefix), err
+
+    @pytest.mark.parametrize("argv, output", [
+        (["stats", "--accounts", "{acc}", "--tweets", "{twt}"], "divergence.json"),
+        (["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "4"],
+         "vocab.tsv"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--vocab", "{vocab}", "--embed-dim", "4", "--hidden", "2", "--layers", "1",
+          "--epochs", "1"], "model.ckpt"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{twt}"], "predictions.csv"),
+    ], ids=["stats", "build-vocab", "train", "predict"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, argv, output):
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            run = tmp_path / f"bom{len(bom)}"
+            run.mkdir()
+            paths = self._inputs(run)
+            for key in ("acc", "twt", "glove", "corpus", "vocab"):
+                paths[key].write_bytes(bom + paths[key].read_bytes())
+            rc = cli.main([*(a.format(**paths) for a in argv),
+                           "--output-dir", str(run / "out")])
+            assert rc == 0, capsys.readouterr().err
+            outputs.append((run / "out" / output).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_predict_header_only_tweets_writes_header_only(self, tmp_path):
+        paths = self._inputs(tmp_path)
+        rc = cli.main(["predict", "--checkpoint", str(paths["ckpt"]),
+                       "--tweets", str(paths["header_only"]),
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert (tmp_path / "out" / "predictions.csv").read_text() == (
+            "account_id,p_bot,predicted_label,flag\n"
+        )
 
 
 class TestConfigFileAndExitCodes:
@@ -454,6 +560,12 @@ class TestConfigFileAndExitCodes:
         assert len(history.read_text().splitlines()) == 3
         model, _ = load_checkpoint(ckpt)
         assert model.hidden == 4
+
+    def test_config_file_byte_order_mark_is_dropped(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xef\xbb\xbfseed=5\n")
+        cfg = cli.RunConfig.from_args(cli.parse_args(["stats", "--config", str(config)]))
+        assert cfg.seed == 5
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -83,6 +83,20 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="header"):
             load_dataset(acc, twt)
 
+    def test_empty_file(self, tmp_path):
+        acc = tmp_path / "accounts.csv"
+        twt = tmp_path / "tweets.csv"
+        acc.write_bytes(b"")
+        twt.write_text("account_id,tweet_text\n")
+        with pytest.raises(DataError, match="accounts.csv: file is empty"):
+            load_dataset(acc, twt)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        acc, twt = write_dataset_files(small_accounts(), tmp_path)
+        for path in (acc, twt):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_dataset(acc, twt) == small_accounts()
+
     def test_quoted_fields_round_trip(self, tmp_path):
         accounts = [
             Account("a1", HUMAN, ['she said "hi, there"\nand left', "plain"]),
