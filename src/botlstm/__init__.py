@@ -43,13 +43,16 @@ from .metrics import (
     tally,
 )
 from .nn_core import (
+    BatchTrace,
     BiLstmLayer,
     ForwardTrace,
     LstmCellParams,
     ModelConfig,
     ModelParams,
     backward,
+    backward_batch,
     bilstm_forward,
+    forward_batch,
     init_params,
 )
 from .text_pipeline import (
@@ -77,6 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Account",
     "BOT",
+    "BatchTrace",
     "BiLstmLayer",
     "BotlstmError",
     "CheckpointError",
@@ -103,6 +107,7 @@ __all__ = [
     "UsageError",
     "Vocabulary",
     "backward",
+    "backward_batch",
     "bilstm_forward",
     "build_table",
     "build_vocabulary",
@@ -113,6 +118,7 @@ __all__ = [
     "embed_sequence",
     "encode",
     "evaluate",
+    "forward_batch",
     "init_params",
     "load_checkpoint",
     "load_dataset",

@@ -228,7 +228,7 @@ class RunConfig:
             max_seq_len=self.max_seq_len, map_rt=self.rt_token,
         )
         if dropped:
-            log.info("dropped %d empty sequence(s)", dropped)
+            log.warning("dropped %d empty sequence(s)", dropped)
         return examples
 
     def out_path(self, explicit: str | None, default_name: str) -> Path:

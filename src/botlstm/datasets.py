@@ -175,8 +175,9 @@ def make_examples(
     """Turn accounts into labeled token-id sequences.
 
     Returns (sequences, dropped): `dropped` counts empty sequences that
-    were skipped - empty-tokenizing tweets in per_tweet mode, tweetless or
-    empty-tokenizing accounts in either mode.
+    were skipped - tweets that tokenize to nothing or to <PAD> only in
+    per_tweet mode, tweetless accounts or accounts whose sequence holds no
+    token but <PAD> in either mode.
     """
     if mode not in GRANULARITIES:
         raise ValueError(f"mode must be per_tweet or per_account, got {mode!r}")
@@ -190,11 +191,10 @@ def make_examples(
                 dropped += 1
                 continue
             for tweet in acct.tweets:
-                tokens = tokenize(tweet, map_rt=map_rt)
-                if not tokens:
+                ids = encode(tokenize(tweet, map_rt=map_rt), vocab)[:max_seq_len]
+                if not any(i != PAD_ID for i in ids):
                     dropped += 1
                     continue
-                ids = encode(tokens, vocab)[:max_seq_len]
                 examples.append(
                     LabeledSequence(account_id=acct.account_id, label=acct.label, ids=ids)
                 )

@@ -19,22 +19,27 @@ i, f, c, o; V [3H] stacks the peepholes i, f, o. Model tensors are named
 `layers.{l}.{fwd|bwd}.{U|W|V|b}` in gradients, optimizer state and
 checkpoint order alike.
 
-Each of the L stacked layers runs two cells over its input. Both run the
-same left-to-right scan (`_direction_pass`): the forward cell over the
-sequence, the backward cell over the reversed sequence, whose hidden track
-is flipped back. The two tracks are concatenated per position,
-[->h_t ; <-h_t], as the next layer's input. Inverted dropout is applied
-to layer outputs (never to recurrent connections). The classifier reads
-[->h_T ; <-h_1] - the two states that have each seen the whole sequence -
-through an affine map and a max-subtracted softmax.
+Sequences run in batches: B token-id sequences, right-padded with <PAD>
+to the longest length T, form a [T, B] grid. Each of the L stacked
+layers runs two cells over its [T, B, D_in] input. Both run the same
+left-to-right scan (`_direction_pass`): the forward cell over the grid,
+the backward cell over the grid reversed in time, so a shorter column's
+padding comes first and leaves its zero state as it is. The backward
+hidden track is reversed back, and the two tracks are concatenated per
+position, [->h_t ; <-h_t], as the next layer's input. Inverted dropout is
+applied to layer outputs (never to recurrent connections). The classifier
+reads [->h_{len_b} ; <-h_1] - the two states that have each seen the
+whole sequence - through an affine map and a max-subtracted softmax.
 
-<PAD> positions are state-carrying no-ops in both directions: the cell is
-skipped and states pass through unchanged, so padding injects no signal
-and receives no gradient.
+<PAD> positions, inside a sequence or after it, are state-carrying
+no-ops in both directions: states pass through unchanged, so padding
+injects no signal and receives no gradient.
 
-All math is float64. Gate activations are kept per step so the backward
-pass can run backpropagation through time without recomputation.
-`bilstm_forward` and `backward` are the only entry points to the recurrence.
+All math is float64. A scan keeps only its h and c tracks; BPTT rebuilds
+the gates of all T*B steps from them with one GEMM, and each layer's
+input from the layer below. `forward_batch` and `backward_batch` are the
+entry points to the recurrence; `bilstm_forward` and `backward` are their
+one-sequence case.
 """
 
 from __future__ import annotations
@@ -57,12 +62,14 @@ N_CLASSES = 2
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow warnings)."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    """Max-subtracted softmax over the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -93,122 +100,122 @@ class LstmCellParams:
         yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
 
 
+def _gates(pre, V, c_prev, H):
+    """(h, c, i, f, g, o, tanh c) from the gate pre-activations pre [..., 4H].
+
+    One call serves one step, [4H] or [B, 4H], in the scan and in BPTT's
+    recomputation.
+    """
+    # i and f both peep at c_prev: one sigmoid over their 2H columns
+    i_f = sigmoid(pre[..., : 2 * H] + V[: 2 * H] * np.concatenate((c_prev, c_prev), axis=-1))
+    i, f = i_f[..., :H], i_f[..., H:]
+    g = np.tanh(pre[..., 2 * H : 3 * H])
+    c = f * c_prev + i * g
+    o = sigmoid(pre[..., 3 * H :] + V[2 * H :] * c)
+    tc = np.tanh(c)
+    return o * tc, c, i, f, g, o, tc
+
+
 def _step(W, b, V, xu_t, h_prev, c_prev, H):
     """One cell update given the precomputed input contribution xu_t."""
-    pre = xu_t + W @ h_prev + b
-    i = sigmoid(pre[:H] + V[:H] * c_prev)
-    f = sigmoid(pre[H : 2 * H] + V[H : 2 * H] * c_prev)
-    g = np.tanh(pre[2 * H : 3 * H])
-    c = f * c_prev + i * g
-    o = sigmoid(pre[3 * H :] + V[2 * H :] * c)
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, i, f, g, o, tc
+    return _gates(xu_t + h_prev @ W.T + b, V, c_prev, H)
 
 
 @dataclass
 class DirectionCache:
-    """All per-step values of one left-to-right scan, in scan order.
+    """The state tracks [T, B, H] of one left-to-right scan, in scan order.
 
-    The backward cell runs the same scan over the reversed sequence, so
-    its cache holds position T-1 in row 0. `ran` marks steps where the
-    cell actually executed (False at PAD positions).
+    `ran` [T, B] marks the steps where the cell executed (False at PAD
+    positions and past a column's length). The gates are not kept: BPTT
+    rebuilds them from these tracks.
     """
 
-    inputs: np.ndarray
     ran: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tc: np.ndarray
     h: np.ndarray
+    c: np.ndarray
 
 
 def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray) -> DirectionCache:
-    """Scan one cell left to right over X [T, D_in] from zero state.
+    """Scan one cell left to right over X [T, B, D_in] from zero state.
 
-    Steps where `ran` is False carry the state through unchanged.
+    Steps where `ran` [T, B] is False carry the state through unchanged.
     """
-    T = X.shape[0]
+    T, B, D = X.shape
     H = p.hidden_size
-    XU = X @ p.U.T
-    i = np.zeros((T, H))
-    f = np.zeros((T, H))
-    g = np.zeros((T, H))
-    o = np.zeros((T, H))
-    c = np.zeros((T, H))
-    tc = np.zeros((T, H))
-    h = np.zeros((T, H))
-    h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
+    XU = (X.reshape(T * B, D) @ p.U.T).reshape(T, B, 4 * H)
+    h = np.empty((T, B, H))
+    c = np.empty((T, B, H))
+    h_prev = np.zeros((B, H))
+    c_prev = np.zeros((B, H))
+    all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        if not ran[t]:
-            h[t] = h_prev
-            c[t] = c_prev
+        h_t, c_t, *_ = _step(p.W, p.b, p.V, XU[t], h_prev, c_prev, H)
+        if all_ran[t]:
+            h[t], c[t] = h_t, c_t
         else:
-            h[t], c[t], i[t], f[t], g[t], o[t], tc[t] = _step(
-                p.W, p.b, p.V, XU[t], h_prev, c_prev, H
-            )
-        h_prev = h[t]
-        c_prev = c[t]
-    return DirectionCache(
-        inputs=np.ascontiguousarray(X), ran=ran, i=i, f=f, g=g, o=o, c=c, tc=tc, h=h,
-    )
+            r = ran[t, :, None]
+            h[t] = np.where(r, h_t, h_prev)
+            c[t] = np.where(r, c_t, c_prev)
+        h_prev, c_prev = h[t], c[t]
+    return DirectionCache(ran=ran, h=h, c=c)
 
 
-def _direction_backward(p: LstmCellParams, cache: DirectionCache, dh_out):
+def _direction_backward(p: LstmCellParams, cache: DirectionCache, X, dh_out, grads):
     """BPTT through one scan.
 
-    `dh_out` is the loss gradient w.r.t. the scan's hidden track, in scan
-    order. Returns (gradient dict keyed U, W, V, b; input gradient [T, D_in]
-    in scan order).
+    X [T, B, D_in] is the scan's input and `dh_out` the loss gradient
+    w.r.t. its hidden track, both in scan order. Adds the cell's gradients
+    into `grads` (keyed U, W, V, b) in place and returns the input
+    gradient [T, B, D_in] in scan order.
+
+    One GEMM over the T*B rows rebuilds every step's gate pre-activations
+    from X and the h track. The reverse loop recomputes a step's gates from
+    them and overwrites them with their gradient, so BPTT holds one
+    [T, B, 4H] buffer besides its input.
     """
-    T, H = cache.h.shape
+    T, B, H = cache.h.shape
+    D = X.shape[2]
+    X = X.reshape(T * B, D)  # one copy when X is a reversed view
+    h, c = cache.h, cache.c
+    da = (X @ p.U.T).reshape(T, B, 4 * H)
+    da[1:] += (h[:-1].reshape(-1, H) @ p.W.T).reshape(T - 1, B, 4 * H)  # h_{-1} = 0
+    da += p.b
     V_i, V_f, V_o = p.V[:H], p.V[H : 2 * H], p.V[2 * H :]
 
-    da = np.zeros((T, 4 * H))
-    dh_rec = np.zeros(H)
-    dc_rec = np.zeros(H)
-    zeros = np.zeros(H)
+    all_ran = cache.ran.all(axis=1).tolist()
+    zero = np.zeros((B, H))
+    dh_rec = dc_rec = zero
     for t in range(T - 1, -1, -1):
-        dh = dh_out[t] + dh_rec
-        if not cache.ran[t]:
-            # carried state: gradients pass straight through to step t-1
-            dh_rec = dh
-            continue
-        c_prev = cache.c[t - 1] if t > 0 else zeros
-        i, f, g, o, c, tc = (
-            cache.i[t], cache.f[t], cache.g[t], cache.o[t], cache.c[t], cache.tc[t],
-        )
-        do = dh * tc
-        da_o = do * o * (1.0 - o)
-        dc = dh * o * (1.0 - tc * tc) + dc_rec + V_o * da_o
-        da_i = dc * g * i * (1.0 - i)
-        da_f = dc * c_prev * f * (1.0 - f)
-        da_c = dc * i * (1.0 - g * g)
+        c_prev = c[t - 1] if t > 0 else zero
         row = da[t]
-        row[:H] = da_i
-        row[H : 2 * H] = da_f
-        row[2 * H : 3 * H] = da_c
-        row[3 * H :] = da_o
-        dh_rec = p.W.T @ row
-        dc_rec = dc * f + V_i * da_i + V_f * da_f
+        _, _, i, f, g, o, tc = _gates(row, p.V, c_prev, H)
+        dh = dh_out[t] + dh_rec
+        do = dh * tc
+        da_o = np.multiply(do * o, 1.0 - o, out=row[:, 3 * H :])
+        dc = dh * o * (1.0 - tc * tc) + dc_rec + V_o * da_o
+        da_i = np.multiply(dc * g * i, 1.0 - i, out=row[:, :H])
+        da_f = np.multiply(dc * c_prev * f, 1.0 - f, out=row[:, H : 2 * H])
+        np.multiply(dc * i, 1.0 - g * g, out=row[:, 2 * H : 3 * H])
+        if all_ran[t]:
+            dh_rec = row @ p.W
+            dc_rec = dc * f + V_i * da_i + V_f * da_f
+        else:
+            # carried state: gradients pass straight through to step t-1
+            ran = cache.ran[t]
+            row[~ran] = 0.0
+            r = ran[:, None]
+            dh_rec = np.where(r, row @ p.W, dh)
+            dc_rec = np.where(r, dc * f + V_i * da_i + V_f * da_f, dc_rec)
 
-    h_prev_track = np.vstack((np.zeros((1, H)), cache.h[:-1]))
-    c_prev_track = np.vstack((np.zeros((1, H)), cache.c[:-1]))
-    grads = {
-        "U": da.T @ cache.inputs,
-        "W": da.T @ h_prev_track,
-        "V": np.concatenate((
-            (da[:, :H] * c_prev_track).sum(axis=0),
-            (da[:, H : 2 * H] * c_prev_track).sum(axis=0),
-            (da[:, 3 * H :] * cache.c).sum(axis=0),
-        )),
-        "b": da.sum(axis=0),
-    }
-    return grads, da @ p.U
+    da2 = da.reshape(T * B, 4 * H)
+    grads["U"] += da2.T @ X
+    grads["W"] += da[1:].reshape(-1, 4 * H).T @ h[:-1].reshape(-1, H)
+    gV = grads["V"]
+    gV[:H] += (da[1:, :, :H] * c[:-1]).sum(axis=(0, 1))
+    gV[H : 2 * H] += (da[1:, :, H : 2 * H] * c[:-1]).sum(axis=(0, 1))
+    gV[2 * H :] += (da[..., 3 * H :] * c).sum(axis=(0, 1))
+    grads["b"] += da2.sum(axis=0)
+    return (da2 @ p.U).reshape(T, B, D)
 
 
 @dataclass
@@ -258,6 +265,10 @@ class ModelParams:
         for name, tensor in self.named_tensors():
             yield name, tensor[TRAINABLE_ROWS] if name == "embedding.vectors" else tensor
 
+    def zero_grads(self) -> dict[str, np.ndarray]:
+        """A zero gradient dict, keyed and shaped like trainable_tensors()."""
+        return {name: np.zeros_like(t) for name, t in self.trainable_tensors()}
+
     def config(self) -> ModelConfig:
         return ModelConfig(
             vocab_size=self.embedding.vocab_size,
@@ -270,25 +281,125 @@ class ModelParams:
 @dataclass
 class LayerTrace:
     fwd: DirectionCache
+    #: The backward cell's scan, over the grid reversed in time.
     bwd: DirectionCache
-    #: Inverted-dropout mask (values 0 or 1/(1-rate)), None when not applied.
-    dropout_mask: np.ndarray | None
+    #: Inverted-dropout keep-mask [T, B, 2H]; kept values are scaled by
+    #: the batch's `dropout_scale`. None when dropout is not applied.
+    keep: np.ndarray | None
 
 
 @dataclass
-class ForwardTrace:
-    """Everything the backward pass needs from one forward run."""
+class BatchTrace:
+    """Everything `backward_batch` needs from one `forward_batch` run."""
 
+    #: [T, B] token ids, each column right-padded with PAD.
     ids: np.ndarray
+    lengths: np.ndarray
     layers: list[LayerTrace] = field(repr=False)
+    dropout_scale: float
     classifier_input: np.ndarray
     logits: np.ndarray
     probabilities: np.ndarray
 
 
+@dataclass
+class ForwardTrace:
+    """One sequence's forward run: the B=1 case of `BatchTrace`."""
+
+    ids: np.ndarray
+    batch: BatchTrace = field(repr=False)
+
+    @property
+    def classifier_input(self) -> np.ndarray:
+        return self.batch.classifier_input[0]
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self.batch.logits[0]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.batch.probabilities[0]
+
+
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _layer_output(lt: LayerTrace, scale: float) -> np.ndarray:
+    """[->h ; <-h] per position, times the layer's dropout mask: the next layer's input."""
+    out = np.concatenate((lt.fwd.h, lt.bwd.h[::-1]), axis=2)
+    if lt.keep is not None:
+        out *= lt.keep
+        out *= scale
+    return out
+
+
+def _forward(model: ModelParams, ids, lengths, keep, scale: float) -> BatchTrace:
+    """The batched forward over padded ids [T, B]; keep[l] is layer l's keep-mask or None."""
+    T, B = ids.shape
+    H = model.hidden
+    active = ids != PAD_ID
+    x = embed_sequence(model.embedding, ids)
+    layer_traces: list[LayerTrace] = []
+    for li, layer in enumerate(model.layers):
+        lt = LayerTrace(
+            fwd=_direction_pass(layer.fwd, x, active),
+            bwd=_direction_pass(layer.bwd, x[::-1], active[::-1]),
+            keep=None if keep is None else keep[li],
+        )
+        layer_traces.append(lt)
+        x = _layer_output(lt, scale)
+
+    classifier_input = np.concatenate((x[lengths - 1, np.arange(B), :H], x[0, :, H:]), axis=1)
+    logits = classifier_input @ model.softmax_W.T + model.softmax_b
+    return BatchTrace(
+        ids=ids,
+        lengths=lengths,
+        layers=layer_traces,
+        dropout_scale=scale,
+        classifier_input=classifier_input,
+        logits=logits,
+        probabilities=stable_softmax(logits),
+    )
+
+
+def _check_rate(dropout_rate: float) -> None:
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError("dropout_rate must be in [0, 1)")
+
+
+def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=None) -> BatchTrace:
+    """Classify B token-id sequences in one right-padded [T, B] scan.
+
+    With `seeds` (one per sequence) and a positive `dropout_rate`, inverted
+    dropout is applied to every layer's output: sequence b's L masks
+    [len_b, 2H] are drawn in layer order from
+    `np.random.default_rng(seeds[b])`, the draws `dropout_mask` makes for
+    that sequence alone. A positive `dropout_rate` without `seeds` is an
+    error, as `bilstm_forward` makes train-mode dropout without an rng.
+    """
+    _check_rate(dropout_rate)
+    seqs = [np.asarray(s, dtype=np.intp) for s in seqs]
+    if not seqs or any(s.ndim != 1 or s.size == 0 for s in seqs):
+        raise ValueError("need one or more non-empty 1-D id sequences")
+    lengths = np.array([s.size for s in seqs])
+    T, B = int(lengths.max()), len(seqs)
+    ids = np.full((T, B), PAD_ID, dtype=np.intp)
+    for b, s in enumerate(seqs):
+        ids[: s.size, b] = s
+
+    keep = None
+    if dropout_rate > 0.0:
+        if seeds is None or len(seeds) != B:
+            raise ValueError("dropout needs one seed per sequence")
+        keep = np.zeros((len(model.layers), T, B, 2 * model.hidden), dtype=bool)
+        for b, (seed, n) in enumerate(zip(seeds, lengths)):
+            rng = np.random.default_rng(int(seed))
+            for mask in keep[:, :n, b]:
+                mask[...] = rng.random(mask.shape) >= dropout_rate
+    return _forward(model, ids, lengths, keep, 1.0 / (1.0 - dropout_rate))
 
 
 def bilstm_forward(
@@ -299,97 +410,103 @@ def bilstm_forward(
     train_mode: bool = False,
     dropout_masks=None,
 ) -> ForwardTrace:
-    """Classify one token-id sequence, caching all intermediates.
+    """Classify one token-id sequence: `forward_batch` at B=1.
 
     In train mode, inverted dropout at `dropout_rate` is applied to every
     layer's concatenated output (masks drawn from `rng`, or taken from
-    `dropout_masks` - one entry per layer - when supplied, e.g. for
-    gradient checking).
+    `dropout_masks` - one `dropout_mask` at `dropout_rate` per layer -
+    when supplied, e.g. for gradient checking).
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("ids must be a non-empty 1-D sequence")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must be in [0, 1)")
+    _check_rate(dropout_rate)
     use_dropout = train_mode and (dropout_rate > 0.0 or dropout_masks is not None)
     if use_dropout and dropout_masks is None and rng is None:
         raise ValueError("train-mode dropout needs an rng or explicit masks")
 
-    active = ids != PAD_ID
-    x = embed_sequence(model.embedding, ids)
-    H = model.hidden
-    layer_traces: list[LayerTrace] = []
-    for li, layer in enumerate(model.layers):
-        fwd = _direction_pass(layer.fwd, x, active)
-        bwd = _direction_pass(layer.bwd, x[::-1], active[::-1])
-        out = np.concatenate((fwd.h, bwd.h[::-1]), axis=1)
-        mask = None
-        if use_dropout:
-            mask = (
-                dropout_masks[li]
-                if dropout_masks is not None
-                else dropout_mask(rng, out.shape, dropout_rate)
-            )
-            out = out * mask
-        layer_traces.append(LayerTrace(fwd=fwd, bwd=bwd, dropout_mask=mask))
-        x = out
-
-    classifier_input = np.concatenate((x[-1, :H], x[0, H:]))
-    logits = model.softmax_W @ classifier_input + model.softmax_b
-    probabilities = stable_softmax(logits)
-    return ForwardTrace(
-        ids=ids,
-        layers=layer_traces,
-        classifier_input=classifier_input,
-        logits=logits,
-        probabilities=probabilities,
-    )
+    scale = 1.0 / (1.0 - dropout_rate)
+    keep = None
+    if use_dropout:
+        shape = (ids.size, 2 * model.hidden)
+        if dropout_masks is None:
+            dropout_masks = [dropout_mask(rng, shape, dropout_rate) for _ in model.layers]
+        keep = []
+        for mask in dropout_masks:
+            mask = np.asarray(mask)
+            if mask.shape != shape or not np.all((mask == 0.0) | (mask == scale)):
+                raise ValueError(
+                    f"a dropout mask must be {shape} of 0 or 1/(1-dropout_rate)"
+                )
+            keep.append((mask != 0.0)[:, None, :])
+    batch = _forward(model, ids[:, None], np.array([ids.size]), keep, scale)
+    return ForwardTrace(ids=ids, batch=batch)
 
 
-def backward(model: ModelParams, trace: ForwardTrace, label: int):
-    """Gradients of -log p(label) w.r.t. every trainable tensor.
+def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None:
+    """Add the gradients of sum_b -log p_b(labels[b]) into `grads`, in place.
 
-    Returns a dict keyed and shaped like `ModelParams.trainable_tensors()`, so
-    the embedding entry is [5, D] whatever V. PAD steps contribute nothing.
+    `grads` is keyed and shaped like `ModelParams.trainable_tensors()` (see
+    `ModelParams.zero_grads`), so the embedding entry is [5, D] whatever V.
+    PAD steps contribute nothing.
     """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    labels = np.asarray(labels)
+    if labels.shape != trace.lengths.shape or not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"label must be 0 or 1, one per sequence, got {labels!r}")
     if len(trace.layers) != len(model.layers):
         raise ValueError("trace does not match model depth")
     H = model.hidden
-    T = trace.ids.shape[0]
-    if trace.classifier_input.shape != (2 * H,):
+    T, B = trace.ids.shape
+    if trace.classifier_input.shape[1] != 2 * H:
         raise ValueError("trace does not match model hidden size")
 
-    grads: dict[str, np.ndarray] = {}
+    cols = np.arange(B)
     dlogits = trace.probabilities.copy()
-    dlogits[label] -= 1.0
-    grads["softmax.W"] = np.outer(dlogits, trace.classifier_input)
-    grads["softmax.b"] = dlogits
-    dclf = model.softmax_W.T @ dlogits
+    dlogits[cols, labels] -= 1.0
+    grads["softmax.W"] += dlogits.T @ trace.classifier_input
+    grads["softmax.b"] += dlogits.sum(axis=0)
+    dclf = dlogits @ model.softmax_W
 
-    dY = np.zeros((T, 2 * H))
-    dY[-1, :H] += dclf[:H]
-    dY[0, H:] += dclf[H:]
+    dY = np.zeros((T, B, 2 * H))
+    dY[trace.lengths - 1, cols, :H] = dclf[:, :H]
+    dY[0, :, H:] = dclf[:, H:]
 
+    scale = trace.dropout_scale
     for li in range(len(model.layers) - 1, -1, -1):
-        ltrace = trace.layers[li]
-        dO = dY * ltrace.dropout_mask if ltrace.dropout_mask is not None else dY
+        lt = trace.layers[li]
+        if lt.keep is not None:  # dY becomes the gradient before dropout
+            dY *= lt.keep
+            dY *= scale
+        X = (
+            embed_sequence(model.embedding, trace.ids) if li == 0
+            else _layer_output(trace.layers[li - 1], scale)
+        )
         layer = model.layers[li]
-        fwd_grads, dXf = _direction_backward(layer.fwd, ltrace.fwd, dO[:, :H])
-        bwd_grads, dXb = _direction_backward(layer.bwd, ltrace.bwd, dO[::-1, H:])
-        for tname, arr in fwd_grads.items():
-            grads[f"layers.{li}.fwd.{tname}"] = arr
-        for tname, arr in bwd_grads.items():
-            grads[f"layers.{li}.bwd.{tname}"] = arr
+        dXf = _direction_backward(
+            layer.fwd, lt.fwd, X, dY[..., :H], _cell_grads(grads, li, "fwd")
+        )
+        dXb = _direction_backward(
+            layer.bwd, lt.bwd, X[::-1], dY[::-1, :, H:], _cell_grads(grads, li, "bwd")
+        )
         dY = dXf + dXb[::-1]
 
-    # frozen rows take no gradient; per-row sums keep sequence order
-    emb_grad = np.zeros_like(model.embedding.vectors[TRAINABLE_ROWS])
+    # frozen rows take no gradient
     rows = trace.ids - TRAINABLE_ROWS.start
-    hit = (rows >= 0) & (rows < emb_grad.shape[0])
-    np.add.at(emb_grad, rows[hit], dY[hit])
-    grads["embedding.vectors"] = emb_grad
+    hit = (rows >= 0) & (rows < grads["embedding.vectors"].shape[0])
+    np.add.at(grads["embedding.vectors"], rows[hit], dY[hit])
+
+
+def _cell_grads(grads, li: int, direction: str) -> dict[str, np.ndarray]:
+    return {t: grads[f"layers.{li}.{direction}.{t}"] for t in "UWVb"}
+
+
+def backward(model: ModelParams, trace: ForwardTrace, label: int):
+    """Gradients of -log p(label) for one sequence: `backward_batch` at B=1.
+
+    Returns a dict keyed and shaped like `ModelParams.trainable_tensors()`.
+    """
+    grads = model.zero_grads()
+    backward_batch(model, trace.batch, [label], grads)
     return grads
 
 

@@ -3,9 +3,12 @@
 The batch gradient is the *mean* over examples, so the learning rate
 keeps its meaning regardless of batch size. The dropout rate decays
 linearly per epoch between its configured endpoints. Every example draws
-its dropout masks from its own seeded generator, and each example's
-gradient is added to the batch sum as soon as it is computed, so a batch
-holds one example's gradients at a time.
+its dropout masks from its own seeded generator.
+
+Training and scoring run the batched recurrence in chunks of CHUNK
+sequences. Each chunk's gradients are added into the batch sum in place,
+so a step holds one chunk's trace and one gradient dict, whatever the
+batch size.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ import numpy as np
 
 from .errors import DataError, InternalError
 from .metrics import BOT, HUMAN, ConfusionCounts, MetricsReport, compute_metrics, tally
-from .nn_core import ModelParams, backward, bilstm_forward
+from .nn_core import ModelParams, backward_batch, forward_batch
+# The one-sequence entry points stay importable from here for callers that
+# look them up on this module; the trainer itself runs the batched ones.
+from .nn_core import backward, bilstm_forward  # noqa: F401
 
 log = logging.getLogger(__name__)
+
+#: Sequences per batched forward/backward call. It bounds what a training
+#: step or a scoring pass holds live: one chunk's state tracks.
+CHUNK = 16
 
 #: Loss value substituted when the true class gets probability exactly 0.
 LOSS_CLAMP = -math.log(1e-300)
@@ -123,21 +133,22 @@ def sgd_momentum_step(
     return params, velocity
 
 
-def _example_pass(model, example, rate: float, seed: int):
-    """Forward+backward for one example; returns (loss, clamped, correct, grads)."""
-    rng = np.random.default_rng(seed) if rate > 0.0 else None
-    trace = bilstm_forward(
-        model, example.ids, dropout_rate=rate, rng=rng, train_mode=True
-    )
-    p = float(trace.probabilities[example.label])
-    loss = nll_loss(trace.probabilities, example.label)
-    pred = BOT if trace.probabilities[BOT] >= 0.5 else HUMAN
-    grads = backward(model, trace, example.label)
-    return loss, p <= 0.0, pred == example.label, grads
+def _chunk_pass(model, chunk, rate: float, seeds, grad_sum):
+    """Forward+backward for a few examples, adding their gradients into grad_sum.
+
+    Returns each example's (loss, clamped, correct), in chunk order.
+    """
+    labels = [ex.label for ex in chunk]
+    trace = forward_batch(model, [ex.ids for ex in chunk], rate, seeds)
+    backward_batch(model, trace, labels, grad_sum)
+    return [
+        (nll_loss(p, label), bool(p[label] <= 0.0), (BOT if p[BOT] >= 0.5 else HUMAN) == label)
+        for p, label in zip(trace.probabilities, labels)
+    ]
 
 
 def batch_indices(order, batch_size: int):
-    """Split an index order into consecutive batches (last may be short)."""
+    """Split a sequence into consecutive batches (last may be short)."""
     for start in range(0, len(order), batch_size):
         yield order[start : start + batch_size]
 
@@ -164,20 +175,17 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
         n_clamped = 0
         for batch_ids in batch_indices(order, cfg.batch_size):
             seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch_ids))
-            grad_sum = None
-            for i, seed in zip(batch_ids, seeds):
-                loss, clamped, correct, grads = _example_pass(
-                    model, dataset[i], rate, int(seed)
-                )
-                loss_sum += loss
-                n_clamped += clamped
-                n_correct += correct
-                if grad_sum is None:
-                    grad_sum = grads
-                else:
-                    for name, g in grads.items():
-                        grad_sum[name] += g
-                del grads  # free it before the next example's pass
+            grad_sum = model.zero_grads()
+            for ids, chunk_seeds in zip(
+                batch_indices(batch_ids, CHUNK), batch_indices(seeds, CHUNK)
+            ):
+                chunk = [dataset[i] for i in ids]
+                for loss, clamped, correct in _chunk_pass(
+                    model, chunk, rate, chunk_seeds, grad_sum
+                ):
+                    loss_sum += loss
+                    n_clamped += clamped
+                    n_correct += correct
             scale = 1.0 / len(batch_ids)
             for g in grad_sum.values():
                 g *= scale
@@ -201,19 +209,19 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, f
     """Mean bot probability per account, keyed by account id.
 
     Accounts keep their first-appearance order; the returned values are
-    (label, mean p_bot) pairs.
+    (label, mean p_bot) pairs. Sequences are scored CHUNK at a time.
     """
     if not dataset:
         raise DataError("evaluation dataset is empty", module="trainer")
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     labels: dict[str, int] = {}
-    for ex in dataset:
-        trace = bilstm_forward(model, ex.ids)
-        p_bot = float(trace.probabilities[BOT])
-        sums[ex.account_id] = sums.get(ex.account_id, 0.0) + p_bot
-        counts[ex.account_id] = counts.get(ex.account_id, 0) + 1
-        labels[ex.account_id] = ex.label
+    for chunk in batch_indices(dataset, CHUNK):
+        p_bot = forward_batch(model, [ex.ids for ex in chunk]).probabilities[:, BOT]
+        for ex, p in zip(chunk, p_bot):
+            sums[ex.account_id] = sums.get(ex.account_id, 0.0) + float(p)
+            counts[ex.account_id] = counts.get(ex.account_id, 0) + 1
+            labels[ex.account_id] = ex.label
     return {
         acct: (labels[acct], sums[acct] / counts[acct]) for acct in sums
     }
@@ -226,7 +234,7 @@ def evaluate(model: ModelParams, dataset) -> tuple[ConfusionCounts, MetricsRepor
     labels = []
     for acct, (label, p_bot) in per_account.items():
         if p_bot == 0.5:
-            log.info("account %s scored exactly 0.5; predicting bot", acct)
+            log.warning("account %s scored exactly 0.5; predicting bot", acct)
         predictions.append(BOT if p_bot >= 0.5 else HUMAN)
         labels.append(label)
     counts = tally(predictions, labels)

@@ -381,6 +381,15 @@ class TestPredict:
         assert [r["account_id"] for r in rows] == ids
         assert all(r["p_bot"] == "0.500000" and r["flag"] == "" for r in rows)
 
+    def test_dropped_sequences_are_reported(self, trained, tmp_path, caplog):
+        # a tweet reading only <PAD> is dropped, and the count is a warning
+        tweets = tmp_path / "tweets.csv"
+        tweets.write_text("account_id,tweet_text\na,love haha\na,<PAD>\n")
+        argv = ["predict", "--checkpoint", str(trained[0]), "--tweets", str(tweets),
+                "--output", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 0
+        assert "dropped 1 empty sequence(s)" in caplog.text
+
 
 class TestStats:
     def test_outputs_exist_and_parse(self, tmp_path, capsys):

@@ -175,6 +175,21 @@ class TestMakeExamples:
         assert len(examples) == 2
         assert dropped == 1
 
+    def test_pad_only_tweet_dropped(self, vocab):
+        # "<PAD>" encodes to PAD_ID: such a sequence has no token to score
+        acct = Account("a", HUMAN, ["<PAD>", "hello", "<PAD> <PAD>"])
+        examples, dropped = make_examples([acct], vocab)
+        assert [e.ids for e in examples] == [[vocab.id_of("hello")]]
+        assert dropped == 2
+
+    def test_pad_only_account_dropped_in_both_modes(self, vocab):
+        for mode in ("per_tweet", "per_account"):
+            examples, dropped = make_examples(
+                [Account("a", BOT, ["<PAD>", "<PAD>"])], vocab, mode=mode
+            )
+            assert examples == []
+            assert dropped == (2 if mode == "per_tweet" else 1)
+
     def test_per_account_concatenation_truncates(self, vocab):
         tweets = [" ".join(["love"] * 40), " ".join(["haha"] * 40)]
         acct = Account("a", HUMAN, tweets)

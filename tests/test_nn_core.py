@@ -22,12 +22,16 @@ from botlstm.nn_core import (
     ModelParams,
     _direction_pass,
     backward,
+    backward_batch,
     bilstm_forward,
     dropout_mask,
+    forward_batch,
     init_params,
     sigmoid,
     stable_softmax,
 )
+from botlstm.text_pipeline import PAD_ID
+from botlstm.trainer import CHUNK
 
 
 def zero_cell(hidden, d_in):
@@ -105,29 +109,31 @@ class TestCellForward:
 
 
 class TestRunDirection:
+    # _direction_pass scans a [T, B, D] batch; these run one column (B=1)
+
     def test_single_step_has_no_direction(self):
         rng = np.random.default_rng(5)
         p = random_cell(rng, 3, 4)
-        x = rng.standard_normal((1, 4))
-        ran = np.ones(1, dtype=bool)
+        x = rng.standard_normal((1, 1, 4))
+        ran = np.ones((1, 1), dtype=bool)
         np.testing.assert_array_equal(
             _direction_pass(p, x, ran).h, _direction_pass(p, x[::-1], ran).h[::-1]
         )
 
     def test_zero_params_zero_states(self):
         p = zero_cell(3, 2)
-        x = np.random.default_rng(0).standard_normal((5, 2))
-        out = _direction_pass(p, x, np.ones(5, dtype=bool)).h
+        x = np.random.default_rng(0).standard_normal((5, 1, 2))
+        out = _direction_pass(p, x, np.ones((5, 1), dtype=bool)).h[:, 0]
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_inactive_steps_carry_state(self):
         rng = np.random.default_rng(11)
         p = random_cell(rng, 3, 2)
-        x = rng.standard_normal((4, 2))
-        active = np.array([True, False, True, True])
-        out = _direction_pass(p, x, active).h
+        x = rng.standard_normal((4, 1, 2))
+        active = np.array([True, False, True, True])[:, None]
+        out = _direction_pass(p, x, active).h[:, 0]
         np.testing.assert_array_equal(out[1], out[0])
-        compact = _direction_pass(p, x[[0, 2, 3]], np.ones(3, dtype=bool)).h
+        compact = _direction_pass(p, x[[0, 2, 3]], np.ones((3, 1), dtype=bool)).h[:, 0]
         np.testing.assert_allclose(out[[0, 2, 3]], compact, atol=1e-15)
 
 
@@ -319,6 +325,89 @@ class TestBackwardBasics:
         for _ in range(20):
             ids = rng.integers(1, 9, size=rng.integers(1, 10))
             assert np.isfinite(model_loss(model, ids, int(rng.integers(0, 2))))
+
+
+class TestBatchedPath:
+    """forward_batch/backward_batch against the one-sequence calls, column by column."""
+
+    RATE = 0.3
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(91)
+        model = random_model(rng, 12, 5, 4, 3)
+        n = 2 * CHUNK + 5  # not a multiple of the chunk
+        lengths = rng.integers(1, 13, size=n)
+        lengths[:3] = (12, 6, 1)  # column 1 ends 6 steps before column 0
+        seqs = [rng.integers(1, 12, size=k) for k in lengths]
+        for s in seqs[3::3]:
+            s[len(s) // 2] = PAD_ID  # internal (or, at length 1 or 2, boundary) PAD
+        seqs[4][0] = PAD_ID
+        labels = rng.integers(0, 2, size=n)
+        seeds = rng.integers(0, np.iinfo(np.int64).max, size=n)
+        return model, seqs, labels, seeds
+
+    def test_forward_matches_one_sequence_calls(self, case):
+        model, seqs, _, _ = case
+        batch = forward_batch(model, seqs)
+        for b, s in enumerate(seqs):
+            one = bilstm_forward(model, s)
+            np.testing.assert_allclose(
+                batch.probabilities[b], one.probabilities, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                batch.classifier_input[b], one.classifier_input, rtol=0, atol=1e-12
+            )
+
+    def test_chunked_gradient_sum_matches_per_sequence_sum(self, case):
+        model, seqs, labels, seeds = case
+        grads = model.zero_grads()
+        for lo in range(0, len(seqs), CHUNK):
+            trace = forward_batch(model, seqs[lo : lo + CHUNK], self.RATE, seeds[lo : lo + CHUNK])
+            backward_batch(model, trace, labels[lo : lo + CHUNK], grads)
+        ref = model.zero_grads()
+        for s, label, seed in zip(seqs, labels, seeds):
+            trace = bilstm_forward(
+                model, s, self.RATE, np.random.default_rng(int(seed)), train_mode=True
+            )
+            for name, g in backward(model, trace, int(label)).items():
+                ref[name] += g
+        for name, g in ref.items():
+            assert np.abs(grads[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+
+    def test_keep_masks_are_the_per_sequence_draws(self, case):
+        model, seqs, _, seeds = case
+        trace = forward_batch(model, seqs, self.RATE, seeds)
+        width = 2 * model.hidden
+        for b, (s, seed) in enumerate(zip(seqs, seeds)):
+            rng = np.random.default_rng(int(seed))
+            for lt in trace.layers:
+                drawn = dropout_mask(rng, (len(s), width), self.RATE)
+                batched = np.where(lt.keep[:, b], trace.dropout_scale, 0.0)
+                assert np.array_equal(batched[: len(s)], drawn)
+                assert not batched[len(s) :].any()
+
+    def test_labels_checked(self, case):
+        model, seqs, _, _ = case
+        trace = forward_batch(model, seqs[:3])
+        with pytest.raises(ValueError, match="label"):
+            backward_batch(model, trace, [0, 1], model.zero_grads())
+        with pytest.raises(ValueError, match="label"):
+            backward_batch(model, trace, [0, 1, 2], model.zero_grads())
+
+    def test_empty_input_rejected(self, case):
+        model = case[0]
+        with pytest.raises(ValueError, match="non-empty"):
+            forward_batch(model, [])
+        with pytest.raises(ValueError, match="non-empty"):
+            forward_batch(model, [[6], []])
+
+    def test_dropout_needs_a_seed_per_sequence(self, case):
+        model, seqs, _, seeds = case
+        with pytest.raises(ValueError, match="seed"):
+            forward_batch(model, seqs[:3], self.RATE)
+        with pytest.raises(ValueError, match="seed"):
+            forward_batch(model, seqs[:3], self.RATE, seeds[:2])
 
 
 class TestInitParams:
