@@ -26,11 +26,11 @@ label = 1
 
 
 def loss():
-    trace = bilstm_forward(model, ids, train_mode=True)
+    trace = bilstm_forward(model, ids)
     return nll_loss(trace.probabilities, label)
 
 
-trace = bilstm_forward(model, ids, train_mode=True)
+trace = bilstm_forward(model, ids)
 grads = backward(model, trace, label)
 
 eps = 1e-4

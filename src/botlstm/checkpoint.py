@@ -39,7 +39,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import CheckpointError
-from .nn_core import BiLstmLayer, LstmCellParams, ModelParams, N_CLASSES
+from .nn_core import BiLstmLayer, LstmCellParams, ModelConfig, ModelParams, N_CLASSES
 from .text_pipeline import Vocabulary
 
 MAGIC = b"BLSTM1"
@@ -101,6 +101,10 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if classes != N_CLASSES:
         raise CheckpointError(f"unsupported class count {classes}")
+    try:
+        ModelConfig(vocab_size, embed_dim, hidden, layers)
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
     payload = blob[_HEADER.size : -4]
     (stored_crc,) = struct.unpack("<I", blob[-4:])

@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,11 +233,29 @@ class RunConfig:
         return examples
 
     def out_path(self, explicit: str | None, default_name: str) -> Path:
+        """`explicit`, or `default_name` in --output-dir (made if missing).
+
+        A path whose directory is missing or cannot be made is a DataError,
+        raised here, before the command does its work.
+        """
         if explicit:
-            return Path(explicit)
-        out = Path(self.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return out / default_name
+            path = Path(explicit)
+        else:
+            with _writing(self.output_dir):
+                Path(self.output_dir).mkdir(parents=True, exist_ok=True)
+            path = Path(self.output_dir) / default_name
+        if not path.parent.is_dir():
+            raise DataError(f"cannot write {path}: no directory {path.parent}", module="cli")
+        return path
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OS error while writing `path` into a DataError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}", module="cli") from exc
 
 
 def _config_types() -> dict[str, type]:
@@ -269,14 +288,15 @@ def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
 def cmd_build_vocab(cfg: RunConfig) -> int:
     if not cfg.corpus or not cfg.glove:
         raise UsageError("build-vocab requires --corpus and --glove")
+    out = cfg.out_path(cfg.output, "vocab.tsv")
     tweets = _read_corpus_lines(cfg.corpus)
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
     vocab, _, _ = _corpus_vocabulary(cfg, tokenized)
     if len(vocab) == len(text_pipeline.RESERVED_TOKENS):
         print("warning: corpus/embedding intersection is empty; "
               "vocabulary holds only the reserved tokens", file=sys.stderr)
-    out = cfg.out_path(cfg.output, "vocab.tsv")
-    vocab.save(out)
+    with _writing(out):
+        vocab.save(out)
     total = 0
     oov = 0
     for tokens in tokenized:
@@ -323,6 +343,8 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    ckpt_path = cfg.out_path(cfg.checkpoint, "model.ckpt")
+    history_path = cfg.out_path(cfg.history, "history.csv")
     accounts, vocab, table = _load_labeled_accounts(cfg)
     if table is None:
         vocab, table = _glove_vocab_and_table(cfg, accounts)
@@ -335,10 +357,10 @@ def cmd_train(cfg: RunConfig) -> int:
     model = init_params(model_config, rng_seed=cfg.seed, embedding=table)
     model, history = trainer.train(model, examples, cfg.training())
 
-    ckpt_path = cfg.out_path(cfg.checkpoint, "model.ckpt")
-    ckpt.save_checkpoint(ckpt_path, model, vocab)
-    history_path = cfg.out_path(cfg.history, "history.csv")
-    history.to_csv(history_path)
+    with _writing(ckpt_path):
+        ckpt.save_checkpoint(ckpt_path, model, vocab)
+    with _writing(history_path):
+        history.to_csv(history_path)
     last = history.epochs[-1]
     print(f"trained {len(examples)} sequences for {len(history.epochs)} epochs")
     print(f"final train loss {last.loss:.6f}, accuracy {last.accuracy:.4f}")
@@ -347,13 +369,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    out = cfg.out_path(cfg.output, "metrics.json")
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts, _, _ = _load_labeled_accounts(cfg)
     examples = cfg.examples(accounts, vocab)
     counts, report = trainer.evaluate(model, examples)
     payload = report_json(counts, report)
-    out = cfg.out_path(cfg.output, "metrics.json")
-    out.write_text(payload, encoding="utf-8")
+    with _writing(out):
+        out.write_text(payload, encoding="utf-8")
     print(payload, end="")
     print(f"wrote {out}")
     return 0
@@ -369,6 +392,7 @@ def _group_tweets(path: str) -> dict[str, list[str]]:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    out = cfg.out_path(cfg.output, "predictions.csv")
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts = [
         datasets.Account(account_id=account_id, label=HUMAN, tweets=tweets)
@@ -376,8 +400,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     ]
     examples = cfg.examples(accounts, vocab)
     scored = trainer.account_probabilities(model, examples) if examples else {}
-    out = cfg.out_path(cfg.output, "predictions.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with _writing(out), open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["account_id", "p_bot", "predicted_label", "flag"])
         for acct in accounts:
@@ -394,14 +417,13 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_stats(cfg: RunConfig) -> int:
     if not cfg.accounts or not cfg.tweets:
         raise UsageError("stats requires --accounts and --tweets")
+    report_path = cfg.out_path(None, "divergence.json")
     accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
     humans = [a for a in accounts if a.label == HUMAN]
     bots = [a for a in accounts if a.label == BOT]
     if not humans or not bots:
         raise DataError("stats needs at least one account of each class",
                         module="cli")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = {}
     for name, group in (("human", humans), ("bot", bots)):
         table = corpus_stats.token_frequencies(
@@ -410,14 +432,15 @@ def cmd_stats(cfg: RunConfig) -> int:
         )
         if not table.entries:
             raise DataError(f"no {name} tokens to count", module="cli")
-        path = out_dir / f"{name}_frequencies.csv"
-        table.to_csv(path)
+        path = report_path.with_name(f"{name}_frequencies.csv")
+        with _writing(path):
+            table.to_csv(path)
         tables[name] = table
         print(f"wrote {path} ({table.total_retained} retained tokens)")
     report = corpus_stats.compare_tables(tables["human"], tables["bot"], cfg.top_k)
     payload = {"a": "human", "b": "bot", **report.as_dict()}
-    report_path = out_dir / "divergence.json"
-    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with _writing(report_path):
+        report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {report_path}")
     return 0
 

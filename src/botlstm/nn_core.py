@@ -27,9 +27,10 @@ the backward cell over the grid reversed in time, so a shorter column's
 padding comes first and leaves its zero state as it is. The backward
 hidden track is reversed back, and the two tracks are concatenated per
 position, [->h_t ; <-h_t], as the next layer's input. Inverted dropout is
-applied to layer outputs (never to recurrent connections). The classifier
-reads [->h_{len_b} ; <-h_1] - the two states that have each seen the
-whole sequence - through an affine map and a max-subtracted softmax.
+applied to layer outputs (never to recurrent connections), with keep-masks
+drawn from one seed per sequence. The classifier reads [->h_{len_b} ;
+<-h_1] - the two states that have each seen the whole sequence - through
+an affine map and a max-subtracted softmax.
 
 <PAD> positions, inside a sequence or after it, are state-carrying
 no-ops in both directions: states pass through unchanged, so padding
@@ -38,8 +39,9 @@ injects no signal and receives no gradient.
 All math is float64. A scan keeps only its h and c tracks; BPTT rebuilds
 the gates of all T*B steps from them with one GEMM, and each layer's
 input from the layer below. `forward_batch` and `backward_batch` are the
-entry points to the recurrence; `bilstm_forward` and `backward` are their
-one-sequence case.
+entry points to the recurrence, and `forward_batch` is the only place
+dropout is drawn. `bilstm_forward(model, ids)` and `backward(model, trace,
+label)` are their one-sequence, dropout-free case and take no options.
 """
 
 from __future__ import annotations
@@ -306,7 +308,6 @@ class BatchTrace:
 class ForwardTrace:
     """One sequence's forward run: the B=1 case of `BatchTrace`."""
 
-    ids: np.ndarray
     batch: BatchTrace = field(repr=False)
 
     @property
@@ -320,11 +321,6 @@ class ForwardTrace:
     @property
     def probabilities(self) -> np.ndarray:
         return self.batch.probabilities[0]
-
-
-def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate)."""
-    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def _layer_output(lt: LayerTrace, scale: float) -> np.ndarray:
@@ -365,22 +361,18 @@ def _forward(model: ModelParams, ids, lengths, keep, scale: float) -> BatchTrace
     )
 
 
-def _check_rate(dropout_rate: float) -> None:
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must be in [0, 1)")
-
-
 def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=None) -> BatchTrace:
     """Classify B token-id sequences in one right-padded [T, B] scan.
 
-    With `seeds` (one per sequence) and a positive `dropout_rate`, inverted
-    dropout is applied to every layer's output: sequence b's L masks
-    [len_b, 2H] are drawn in layer order from
-    `np.random.default_rng(seeds[b])`, the draws `dropout_mask` makes for
-    that sequence alone. A positive `dropout_rate` without `seeds` is an
-    error, as `bilstm_forward` makes train-mode dropout without an rng.
+    With a positive `dropout_rate`, inverted dropout is applied to every
+    layer's output, and `seeds` must hold one seed per sequence: sequence
+    b's L keep-masks [len_b, 2H] are drawn in layer order as
+    `rng.random((len_b, 2H)) >= dropout_rate` from
+    `np.random.default_rng(seeds[b])`, so they do not depend on the rest
+    of the batch.
     """
-    _check_rate(dropout_rate)
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError("dropout_rate must be in [0, 1)")
     seqs = [np.asarray(s, dtype=np.intp) for s in seqs]
     if not seqs or any(s.ndim != 1 or s.size == 0 for s in seqs):
         raise ValueError("need one or more non-empty 1-D id sequences")
@@ -402,45 +394,9 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
     return _forward(model, ids, lengths, keep, 1.0 / (1.0 - dropout_rate))
 
 
-def bilstm_forward(
-    model: ModelParams,
-    ids,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    train_mode: bool = False,
-    dropout_masks=None,
-) -> ForwardTrace:
-    """Classify one token-id sequence: `forward_batch` at B=1.
-
-    In train mode, inverted dropout at `dropout_rate` is applied to every
-    layer's concatenated output (masks drawn from `rng`, or taken from
-    `dropout_masks` - one `dropout_mask` at `dropout_rate` per layer -
-    when supplied, e.g. for gradient checking).
-    """
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("ids must be a non-empty 1-D sequence")
-    _check_rate(dropout_rate)
-    use_dropout = train_mode and (dropout_rate > 0.0 or dropout_masks is not None)
-    if use_dropout and dropout_masks is None and rng is None:
-        raise ValueError("train-mode dropout needs an rng or explicit masks")
-
-    scale = 1.0 / (1.0 - dropout_rate)
-    keep = None
-    if use_dropout:
-        shape = (ids.size, 2 * model.hidden)
-        if dropout_masks is None:
-            dropout_masks = [dropout_mask(rng, shape, dropout_rate) for _ in model.layers]
-        keep = []
-        for mask in dropout_masks:
-            mask = np.asarray(mask)
-            if mask.shape != shape or not np.all((mask == 0.0) | (mask == scale)):
-                raise ValueError(
-                    f"a dropout mask must be {shape} of 0 or 1/(1-dropout_rate)"
-                )
-            keep.append((mask != 0.0)[:, None, :])
-    batch = _forward(model, ids[:, None], np.array([ids.size]), keep, scale)
-    return ForwardTrace(ids=ids, batch=batch)
+def bilstm_forward(model: ModelParams, ids) -> ForwardTrace:
+    """Classify one token-id sequence, without dropout: `forward_batch` at B=1."""
+    return ForwardTrace(forward_batch(model, [ids]))
 
 
 def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None:

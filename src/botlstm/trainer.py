@@ -24,8 +24,9 @@ import numpy as np
 from .errors import DataError, InternalError
 from .metrics import BOT, HUMAN, ConfusionCounts, MetricsReport, compute_metrics, tally
 from .nn_core import ModelParams, backward_batch, forward_batch
-# The one-sequence entry points stay importable from here for callers that
-# look them up on this module; the trainer itself runs the batched ones.
+# Not used here: re-imported only so that bench/spans.install finds these
+# names on this module to wrap, until the tracer wraps the batched entry
+# points instead (ROADMAP item 1).
 from .nn_core import backward, bilstm_forward  # noqa: F401
 
 log = logging.getLogger(__name__)

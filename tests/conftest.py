@@ -11,7 +11,7 @@ from botlstm.nn_core import (
     LstmCellParams,
     ModelParams,
     _step,
-    bilstm_forward,
+    forward_batch,
 )
 from botlstm.trainer import nll_loss
 
@@ -50,15 +50,13 @@ def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):
     )
 
 
-def model_loss(model, ids, label, rate=0.0, masks=None):
-    trace = bilstm_forward(
-        model, ids, dropout_rate=rate,
-        train_mode=(masks is not None or rate == 0.0), dropout_masks=masks,
-    )
-    return nll_loss(trace.probabilities, label)
+def model_loss(model, ids, label, rate=0.0, seed=None):
+    """-log p(label) for one sequence, under the dropout `seed` draws at `rate`."""
+    trace = forward_batch(model, [ids], rate, [seed])
+    return nll_loss(trace.probabilities[0], label)
 
 
-def fd_tensor_gradient(model, tensor, ids, label, eps=1e-4, rate=0.0, masks=None):
+def fd_tensor_gradient(model, tensor, ids, label, eps=1e-4, rate=0.0, seed=None):
     """Central-difference gradient of the loss w.r.t. one tensor or view (in place)."""
     grad = np.zeros_like(tensor)
     it = np.nditer(tensor, flags=["multi_index"])
@@ -66,9 +64,9 @@ def fd_tensor_gradient(model, tensor, ids, label, eps=1e-4, rate=0.0, masks=None
         idx = it.multi_index
         orig = tensor[idx]
         tensor[idx] = orig + eps
-        lp = model_loss(model, ids, label, rate, masks)
+        lp = model_loss(model, ids, label, rate, seed)
         tensor[idx] = orig - eps
-        lm = model_loss(model, ids, label, rate, masks)
+        lm = model_loss(model, ids, label, rate, seed)
         tensor[idx] = orig
         grad[idx] = (lp - lm) / (2.0 * eps)
     return grad

@@ -65,7 +65,7 @@ def test_criterion_1_gradient_oracle():
         ids = [6, 1, 2] + rng.integers(0, 9, size=max(0, T - 3)).tolist()
         ids = ids[:T]
         label = int(rng.integers(0, 2))
-        trace = bilstm_forward(model, ids, train_mode=True)
+        trace = bilstm_forward(model, ids)
         grads = backward(model, trace, label)
         # the embedding entry is the trainable-row view, perturbed in place
         for name, tensor in model.trainable_tensors():

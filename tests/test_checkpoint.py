@@ -1,9 +1,13 @@
+import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from botlstm.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from botlstm.checkpoint import (
+    MAGIC, VERSION, _tensor_shapes, load_checkpoint, save_checkpoint,
+)
 from botlstm.datasets import synthetic
 from botlstm.errors import CheckpointError
 from botlstm.nn_core import ModelConfig, init_params
@@ -154,6 +158,25 @@ class TestCorruption:
         struct.pack_into("<I", blob, offset, value + delta)
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["embed_dim", "hidden", "layers"])
+    def test_zero_dimension_rejected(self, tmp_path, model_and_vocab, field):
+        # a well-formed file: the payload has the size its header implies
+        # and a valid checksum, but the model it describes has a zero size
+        _, vocab = model_and_vocab
+        dims = {"vocab_size": len(vocab), "embed_dim": 4, "hidden": 3, "layers": 2}
+        dims[field] = 0
+        words = [w.encode("utf-8") for w in vocab.surfaces]
+        n_floats = sum(math.prod(shape) for shape in _tensor_shapes(**dims))
+        payload = b"".join(struct.pack("<I", len(w)) + w for w in words)
+        payload += np.zeros(n_floats, dtype="<f4").tobytes()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(
+            struct.pack("<6s6I", MAGIC, VERSION, *dims.values(), 2)
+            + payload + struct.pack("<I", zlib.crc32(payload))
+        )
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint: {field} must be positive"):
             load_checkpoint(path)
 
     def test_header_only(self, tmp_path):

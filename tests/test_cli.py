@@ -543,6 +543,32 @@ class TestDataErrorExitCodes:
             outputs.append((run / "out" / output).read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("argv, target", [
+        (["train", "--synthetic", "2", "--hidden", "2", "--layers", "1", "--embed-dim", "4",
+          "--checkpoint", "{nodir}/m.ckpt"], "{nodir}/m.ckpt"),
+        (["train", "--synthetic", "2", "--hidden", "2", "--layers", "1", "--embed-dim", "4",
+          "--output-dir", "{file}"], "{file}"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}", "--tweets", "{twt}",
+          "--output", "{nodir}/metrics.json"], "{nodir}/metrics.json"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{twt}",
+          "--output", "{nodir}/p.csv"], "{nodir}/p.csv"),
+        (["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "4",
+          "--output", "{nodir}/vocab.tsv"], "{nodir}/vocab.tsv"),
+        (["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--output-dir", "{file}"],
+         "{file}"),
+    ], ids=["train", "train-output-dir-is-file", "evaluate", "predict", "build-vocab",
+            "stats"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, argv, target):
+        entered = []
+        monkeypatch.setattr(cli.trainer, "train", lambda *args: entered.append(args))
+        paths = {**self._inputs(tmp_path), "nodir": tmp_path / "missing_dir",
+                 "file": tmp_path / "corpus.txt"}
+        rc = cli.main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"cli: cannot write {target.format(**paths)}"), err
+        assert not entered
+
     def test_predict_header_only_tweets_writes_header_only(self, tmp_path):
         paths = self._inputs(tmp_path)
         rc = cli.main(["predict", "--checkpoint", str(paths["ckpt"]),

@@ -24,7 +24,6 @@ from botlstm.nn_core import (
     backward,
     backward_batch,
     bilstm_forward,
-    dropout_mask,
     forward_batch,
     init_params,
     sigmoid,
@@ -169,13 +168,9 @@ class TestBilstmForward:
 
     def test_bad_dropout_rate_rejected(self, model):
         with pytest.raises(ValueError, match="dropout_rate"):
-            bilstm_forward(model, [6], dropout_rate=1.0)
+            forward_batch(model, [[6]], dropout_rate=1.0, seeds=[0])
         with pytest.raises(ValueError, match="dropout_rate"):
-            bilstm_forward(model, [6], dropout_rate=-0.1)
-
-    def test_dropout_needs_rng(self, model):
-        with pytest.raises(ValueError, match="rng"):
-            bilstm_forward(model, [6], dropout_rate=0.5, train_mode=True)
+            forward_batch(model, [[6]], dropout_rate=-0.1, seeds=[0])
 
     def test_boundary_padding_ignored(self, model):
         # state-carrying PAD steps: padding cannot change the classifier input
@@ -231,15 +226,13 @@ class TestBilstmForward:
             mirror.probabilities, orig.probabilities, atol=1e-12
         )
 
-    def test_dropout_expectation(self):
-        rng = np.random.default_rng(44)
-        rate = 0.5
-        activation = rng.uniform(0.5, 1.5, (3, 4))
-        total = np.zeros_like(activation)
-        n = 10_000
-        for _ in range(n):
-            total += activation * dropout_mask(rng, activation.shape, rate)
-        np.testing.assert_allclose(total / n, activation, rtol=0.02)
+    def test_dropout_expectation(self, model):
+        # inverted dropout keeps each unit's expected output: E[keep * scale] = 1
+        n = 2_000
+        trace = forward_batch(model, [[6, 7, 8, 6]] * n, 0.5, seeds=range(n))
+        assert trace.dropout_scale == 2.0
+        for lt in trace.layers:
+            assert abs((lt.keep * trace.dropout_scale).mean() - 1.0) < 0.02
 
 
 class TestBackwardBasics:
@@ -248,14 +241,14 @@ class TestBackwardBasics:
         return random_model(np.random.default_rng(55), 9, 4, 3, 2)
 
     def test_softmax_gradient_identity(self, model):
-        trace = bilstm_forward(model, [6, 1, 7], train_mode=True)
+        trace = bilstm_forward(model, [6, 1, 7])
         grads = backward(model, trace, label=0)
         expected = trace.probabilities.copy()
         expected[0] -= 1.0
         np.testing.assert_array_equal(grads["softmax.b"], expected)
 
     def test_accumulation_linearity(self, model):
-        trace = bilstm_forward(model, [6, 1, 7], train_mode=True)
+        trace = bilstm_forward(model, [6, 1, 7])
         g1 = backward(model, trace, label=1)
         g2 = backward(model, trace, label=1)
         for name in g1:
@@ -264,20 +257,20 @@ class TestBackwardBasics:
     def test_fixed_embedding_rows_get_zero_gradient(self, model):
         # frozen rows have no gradient entry at all: the dict is keyed and
         # shaped like trainable_tensors(), the embedding cut to rows 1..5
-        trace = bilstm_forward(model, [6, 1, 7, 8], train_mode=True)
+        trace = bilstm_forward(model, [6, 1, 7, 8])
         grads = backward(model, trace, label=1)
         shapes = {name: t.shape for name, t in model.trainable_tensors()}
         assert {name: g.shape for name, g in grads.items()} == shapes
         assert shapes["embedding.vectors"] == (5, model.embedding.dim)
 
     def test_pad_positions_send_no_embedding_gradient(self, model):
-        trace = bilstm_forward(model, [0, 6, 0, 7, 0], train_mode=True)
+        trace = bilstm_forward(model, [0, 6, 0, 7, 0])
         grads = backward(model, trace, label=1)
         np.testing.assert_array_equal(grads["embedding.vectors"], 0.0)
 
     def test_oov_gradient_matches_finite_differences(self, model):
         ids = [1, 6, 1, 7]
-        trace = bilstm_forward(model, ids, train_mode=True)
+        trace = bilstm_forward(model, ids)
         grads = backward(model, trace, label=0)
         rows = dict(model.trainable_tensors())["embedding.vectors"]
         fd = fd_tensor_gradient(model, rows, ids, 0)
@@ -287,35 +280,33 @@ class TestBackwardBasics:
         rng = np.random.default_rng(77)
         small = random_model(rng, 9, 3, 2, 2)
         ids = [6, 1, 0, 7]  # word, OOV, PAD, word
-        trace = bilstm_forward(small, ids, train_mode=True)
+        trace = bilstm_forward(small, ids)
         grads = backward(small, trace, 1)
         for name, tensor in small.trainable_tensors():
             fd = fd_tensor_gradient(small, tensor, ids, 1)
             assert max_rel_err(fd, grads[name]) < 1e-4, name
 
-    def test_gradient_check_through_dropout_masks(self):
+    def test_gradient_check_through_seeded_dropout(self):
+        # a fixed seed draws the same masks in every finite-difference call
         rng = np.random.default_rng(78)
         small = random_model(rng, 9, 3, 2, 2)
-        ids = [6, 7, 8]
-        rate = 0.4
-        masks = [dropout_mask(rng, (3, 4), rate) for _ in range(2)]
-        trace = bilstm_forward(
-            small, ids, dropout_rate=rate, train_mode=True, dropout_masks=masks
-        )
-        grads = backward(small, trace, 0)
-        for name, tensor in small.named_tensors():
-            if name == "embedding.vectors":
-                continue
-            fd = fd_tensor_gradient(small, tensor, ids, 0, rate=rate, masks=masks)
+        ids = [1, 6, 7, 8]
+        rate, seed = 0.4, 5
+        trace = forward_batch(small, [ids], rate, [seed])
+        assert not all(lt.keep.all() for lt in trace.layers)
+        grads = small.zero_grads()
+        backward_batch(small, trace, [0], grads)
+        for name, tensor in small.trainable_tensors():
+            fd = fd_tensor_gradient(small, tensor, ids, 0, rate=rate, seed=seed)
             assert max_rel_err(fd, grads[name]) < 1e-4, name
 
     def test_label_validation(self, model):
-        trace = bilstm_forward(model, [6], train_mode=True)
+        trace = bilstm_forward(model, [6])
         with pytest.raises(ValueError, match="label"):
             backward(model, trace, label=2)
 
     def test_trace_model_mismatch(self, model):
-        trace = bilstm_forward(model, [6], train_mode=True)
+        trace = bilstm_forward(model, [6])
         other = random_model(np.random.default_rng(1), 9, 4, 3, 1)
         with pytest.raises(ValueError, match="depth"):
             backward(other, trace, label=0)
@@ -367,25 +358,21 @@ class TestBatchedPath:
             backward_batch(model, trace, labels[lo : lo + CHUNK], grads)
         ref = model.zero_grads()
         for s, label, seed in zip(seqs, labels, seeds):
-            trace = bilstm_forward(
-                model, s, self.RATE, np.random.default_rng(int(seed)), train_mode=True
-            )
-            for name, g in backward(model, trace, int(label)).items():
-                ref[name] += g
+            backward_batch(model, forward_batch(model, [s], self.RATE, [seed]), [label], ref)
         for name, g in ref.items():
             assert np.abs(grads[name] - g).max() <= 1e-10 * np.abs(g).max(), name
 
     def test_keep_masks_are_the_per_sequence_draws(self, case):
         model, seqs, _, seeds = case
         trace = forward_batch(model, seqs, self.RATE, seeds)
+        assert trace.dropout_scale == 1.0 / (1.0 - self.RATE)
         width = 2 * model.hidden
         for b, (s, seed) in enumerate(zip(seqs, seeds)):
             rng = np.random.default_rng(int(seed))
             for lt in trace.layers:
-                drawn = dropout_mask(rng, (len(s), width), self.RATE)
-                batched = np.where(lt.keep[:, b], trace.dropout_scale, 0.0)
-                assert np.array_equal(batched[: len(s)], drawn)
-                assert not batched[len(s) :].any()
+                drawn = rng.random((len(s), width)) >= self.RATE
+                assert np.array_equal(lt.keep[: len(s), b], drawn)
+                assert not lt.keep[len(s) :, b].any()
 
     def test_labels_checked(self, case):
         model, seqs, _, _ = case

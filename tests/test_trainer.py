@@ -10,7 +10,9 @@ from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import LabeledSequence, make_examples, synthetic
 from botlstm.errors import DataError, InternalError
 from botlstm.metrics import BOT, HUMAN
-from botlstm.nn_core import ModelConfig, backward, bilstm_forward, init_params
+from botlstm.nn_core import (
+    ModelConfig, backward, backward_batch, bilstm_forward, forward_batch, init_params,
+)
 from botlstm.trainer import (
     CHUNK,
     LOSS_CLAMP,
@@ -165,7 +167,7 @@ class TestTrainableRowsOnly:
     @pytest.mark.parametrize("vocab_size", [9, 400])
     def test_embedding_gradient_and_velocity_cover_five_rows(self, vocab_size):
         model = random_model(np.random.default_rng(2), vocab_size, 3, 2, 1)
-        trace = bilstm_forward(model, [6, 1, 2, 0, 8], train_mode=True)
+        trace = bilstm_forward(model, [6, 1, 2, 0, 8])
         grads = backward(model, trace, 1)
         velocity = {}
         sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
@@ -176,7 +178,7 @@ class TestTrainableRowsOnly:
 class TestParameterNames:
     def test_one_entry_per_cell_block(self):
         model = random_model(np.random.default_rng(3), 9, 3, 2, 3)
-        trace = bilstm_forward(model, [6, 1, 7], train_mode=True)
+        trace = bilstm_forward(model, [6, 1, 7])
         grads = backward(model, trace, 0)
         velocity = {}
         sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
@@ -312,18 +314,10 @@ class TestTrain:
         order = rng.permutation(len(batch))
         seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch))
         rate = dropout_schedule(1, cfg)
-        grad_sum = None
+        grad_sum = by_hand.zero_grads()
         for i, seed in zip(order, seeds):
-            trace = bilstm_forward(
-                by_hand, batch[i].ids, dropout_rate=rate,
-                rng=np.random.default_rng(int(seed)), train_mode=True,
-            )
-            grads = backward(by_hand, trace, batch[i].label)
-            if grad_sum is None:
-                grad_sum = grads
-            else:
-                for name, g in grads.items():
-                    grad_sum[name] += g
+            trace = forward_batch(by_hand, [batch[i].ids], rate, [seed])
+            backward_batch(by_hand, trace, [batch[i].label], grad_sum)
         mean = {name: g * (1.0 / len(batch)) for name, g in grad_sum.items()}
         sgd_momentum_step(by_hand, mean, {}, cfg.learning_rate, cfg.momentum)
         return model, by_hand
