@@ -424,21 +424,22 @@ def cmd_stats(cfg: RunConfig) -> int:
     if not humans or not bots:
         raise DataError("stats needs at least one account of each class",
                         module="cli")
+    # every check runs before the first write, so a failed run leaves no file
     tables = {}
     for name, group in (("human", humans), ("bot", bots)):
-        table = corpus_stats.token_frequencies(
+        tables[name] = corpus_stats.token_frequencies(
             group, top_k=cfg.top_k,
             drop_stopwords=cfg.stopwords, map_rt=cfg.rt_token,
         )
-        if not table.entries:
+        if not tables[name].entries:
             raise DataError(f"no {name} tokens to count", module="cli")
+    report = corpus_stats.compare_tables(tables["human"], tables["bot"], cfg.top_k)
+    payload = {"a": "human", "b": "bot", **report.as_dict()}
+    for name, table in tables.items():
         path = report_path.with_name(f"{name}_frequencies.csv")
         with _writing(path):
             table.to_csv(path)
-        tables[name] = table
         print(f"wrote {path} ({table.total_retained} retained tokens)")
-    report = corpus_stats.compare_tables(tables["human"], tables["bot"], cfg.top_k)
-    payload = {"a": "human", "b": "bot", **report.as_dict()}
     with _writing(report_path):
         report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {report_path}")

@@ -38,10 +38,13 @@ injects no signal and receives no gradient.
 
 All math is float64. A scan keeps only its h and c tracks; BPTT rebuilds
 the gates of all T*B steps from them with one GEMM, and each layer's
-input from the layer below. `forward_batch` and `backward_batch` are the
-entry points to the recurrence, and `forward_batch` is the only place
-dropout is drawn. `bilstm_forward(model, ids)` and `backward(model, trace,
-label)` are their one-sequence, dropout-free case and take no options.
+input from the layer below. The scan and BPTT's recomputation share one
+step (`_step`, `_gates`), which writes the recurrent product and the
+peephole terms into buffers made once per scan and reused at every step.
+`forward_batch` and `backward_batch` are the entry points to the
+recurrence, and `forward_batch` is the only place dropout is drawn.
+`bilstm_forward(model, ids)` and `backward(model, trace, label)` are
+their one-sequence, dropout-free case and take no options.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ N_CLASSES = 2
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow warnings)."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0.0, 1.0 / d, e / d)
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -102,25 +104,40 @@ class LstmCellParams:
         yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
 
 
-def _gates(pre, V, c_prev, H):
+def _gates(pre, V, c_prev, H, peep):
     """(h, c, i, f, g, o, tanh c) from the gate pre-activations pre [..., 4H].
 
     One call serves one step, [4H] or [B, 4H], in the scan and in BPTT's
-    recomputation.
+    recomputation. `peep` [..., 2H] is scratch that the caller reuses
+    across steps; no returned array is a view of `pre` or of `peep`.
     """
     # i and f both peep at c_prev: one sigmoid over their 2H columns
-    i_f = sigmoid(pre[..., : 2 * H] + V[: 2 * H] * np.concatenate((c_prev, c_prev), axis=-1))
+    np.multiply(V[:H], c_prev, out=peep[..., :H])
+    np.multiply(V[H : 2 * H], c_prev, out=peep[..., H:])
+    peep += pre[..., : 2 * H]
+    i_f = sigmoid(peep)
     i, f = i_f[..., :H], i_f[..., H:]
     g = np.tanh(pre[..., 2 * H : 3 * H])
-    c = f * c_prev + i * g
-    o = sigmoid(pre[..., 3 * H :] + V[2 * H :] * c)
+    c = f * c_prev
+    c += i * g
+    o_pre = np.multiply(V[2 * H :], c, out=peep[..., :H])
+    o_pre += pre[..., 3 * H :]
+    o = sigmoid(o_pre)
     tc = np.tanh(c)
     return o * tc, c, i, f, g, o, tc
 
 
-def _step(W, b, V, xu_t, h_prev, c_prev, H):
-    """One cell update given the precomputed input contribution xu_t."""
-    return _gates(xu_t + h_prev @ W.T + b, V, c_prev, H)
+def _step(W, b, V, xu_t, h_prev, c_prev, H, pre, peep):
+    """One cell update given the precomputed input contribution xu_t.
+
+    `pre` [..., 4H] and `peep` [..., 2H] are scratch buffers that the caller
+    reuses across steps; `pre` must be C-contiguous, so that h_prev W^T is
+    the same BLAS product written in place.
+    """
+    np.matmul(h_prev, W.T, out=pre)
+    pre += xu_t  # xu_t + h_prev W^T + b, summed in that order
+    pre += b
+    return _gates(pre, V, c_prev, H, peep)
 
 
 @dataclass
@@ -149,9 +166,10 @@ def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray) -> Direct
     c = np.empty((T, B, H))
     h_prev = np.zeros((B, H))
     c_prev = np.zeros((B, H))
+    pre, peep = np.empty((B, 4 * H)), np.empty((B, 2 * H))
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        h_t, c_t, *_ = _step(p.W, p.b, p.V, XU[t], h_prev, c_prev, H)
+        h_t, c_t, *_ = _step(p.W, p.b, p.V, XU[t], h_prev, c_prev, H, pre, peep)
         if all_ran[t]:
             h[t], c[t] = h_t, c_t
         else:
@@ -186,11 +204,12 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, X, dh_out, gra
 
     all_ran = cache.ran.all(axis=1).tolist()
     zero = np.zeros((B, H))
+    peep = np.empty((B, 2 * H))
     dh_rec = dc_rec = zero
     for t in range(T - 1, -1, -1):
         c_prev = c[t - 1] if t > 0 else zero
         row = da[t]
-        _, _, i, f, g, o, tc = _gates(row, p.V, c_prev, H)
+        _, _, i, f, g, o, tc = _gates(row, p.V, c_prev, H, peep)
         dh = dh_out[t] + dh_rec
         do = dh * tc
         da_o = np.multiply(do * o, 1.0 - o, out=row[:, 3 * H :])

@@ -8,7 +8,8 @@ its dropout masks from its own seeded generator.
 Training and scoring run the batched recurrence in chunks of CHUNK
 sequences. Each chunk's gradients are added into the batch sum in place,
 so a step holds one chunk's trace and one gradient dict, whatever the
-batch size.
+batch size. Training fills its chunks in dataset order, scoring in
+length order (see `account_probabilities`).
 """
 
 from __future__ import annotations
@@ -210,19 +211,30 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, f
     """Mean bot probability per account, keyed by account id.
 
     Accounts keep their first-appearance order; the returned values are
-    (label, mean p_bot) pairs. Sequences are scored CHUNK at a time.
+    (label, mean p_bot) pairs.
+
+    Sequences are scored CHUNK at a time in stable length order, so a
+    chunk's scan runs to a length its sequences share and little of it is
+    padding. Each account's sum then adds its probabilities in dataset
+    order. A probability depends on the rest of its chunk only through
+    BLAS rounding, which can differ in the last bits between chunk
+    widths; with full chunks it came out bit-identical to dataset order.
+    Training keeps dataset order, since its chunks' gradients are summed
+    and another order would round the sum differently.
     """
     if not dataset:
         raise DataError("evaluation dataset is empty", module="trainer")
+    p_bot = np.empty(len(dataset))
+    by_length = np.argsort([len(ex.ids) for ex in dataset], kind="stable")
+    for idx in batch_indices(by_length, CHUNK):
+        p_bot[idx] = forward_batch(model, [dataset[i].ids for i in idx]).probabilities[:, BOT]
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     labels: dict[str, int] = {}
-    for chunk in batch_indices(dataset, CHUNK):
-        p_bot = forward_batch(model, [ex.ids for ex in chunk]).probabilities[:, BOT]
-        for ex, p in zip(chunk, p_bot):
-            sums[ex.account_id] = sums.get(ex.account_id, 0.0) + float(p)
-            counts[ex.account_id] = counts.get(ex.account_id, 0) + 1
-            labels[ex.account_id] = ex.label
+    for ex, p in zip(dataset, p_bot.tolist()):
+        sums[ex.account_id] = sums.get(ex.account_id, 0.0) + p
+        counts[ex.account_id] = counts.get(ex.account_id, 0) + 1
+        labels[ex.account_id] = ex.label
     return {
         acct: (labels[acct], sums[acct] / counts[acct]) for acct in sums
     }

@@ -26,7 +26,8 @@ def random_cell(rng, hidden, d_in, scale=0.5):
 
 def cell_step(p, x, h_prev, c_prev):
     """One step of cell `p`: the (h, c, i, f, g, o, tc) of `nn_core._step`."""
-    return _step(p.W, p.b, p.V, p.U @ x, h_prev, c_prev, p.hidden_size)
+    H = p.hidden_size
+    return _step(p.W, p.b, p.V, p.U @ x, h_prev, c_prev, H, np.empty(4 * H), np.empty(2 * H))
 
 
 def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):

@@ -10,7 +10,7 @@ from conftest import small_accounts, write_dataset_files
 
 from botlstm import cli
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
-from botlstm.datasets import synthetic
+from botlstm.datasets import Account, synthetic
 from botlstm.embeddings import write_glove
 from botlstm.text_pipeline import OOV_ID, build_vocabulary, encode, tokenize
 
@@ -568,6 +568,21 @@ class TestDataErrorExitCodes:
         assert rc == 2, err
         assert err.startswith(f"cli: cannot write {target.format(**paths)}"), err
         assert not entered
+
+    def test_stats_without_bot_tokens_writes_no_file(self, tmp_path, capsys):
+        # the human table has tokens; the bot's only token is a URL, dropped
+        # with the stopwords, so the run fails after the human table is built
+        acc, twt = write_dataset_files(
+            [Account("h1", 0, ["love you friend"]), Account("b1", 1, ["http://t.co/x"])],
+            tmp_path,
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["stats", "--accounts", str(acc), "--tweets", str(twt), "--stopwords",
+                       "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("cli: no bot tokens to count"), err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_predict_header_only_tweets_writes_header_only(self, tmp_path):
         paths = self._inputs(tmp_path)

@@ -483,6 +483,15 @@ class TestNumericHelpers:
         assert s[2] == 0.5
         assert np.all((s >= 0.0) & (s <= 1.0))
 
+    def test_sigmoid_equals_two_division_form_bitwise(self):
+        # sigmoid divides once; the form with one division per branch
+        # gives the same IEEE result
+        edges = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 710.0, -710.0, np.inf, -np.inf]
+        x = np.concatenate((edges, np.random.default_rng(3).normal(0.0, 8.0, 1000)))
+        e = np.exp(-np.abs(x))
+        old = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert sigmoid(x).tobytes() == old.tobytes()
+
     def test_softmax_large_logits(self):
         p = stable_softmax(np.array([1000.0, -1000.0]))
         assert p[0] == 1.0 and p[1] == 0.0

@@ -396,6 +396,48 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(model, [])
 
+    @staticmethod
+    def _shuffled_lengths_set():
+        """2*CHUNK + 5 sequences of 1-20 tokens from five interleaved accounts, unsorted."""
+        rng = np.random.default_rng(7)
+        model = random_model(rng, vocab_size=30, dim=4, hidden=3, layers=2)
+        n = 2 * CHUNK + 5
+        lengths = rng.permutation(np.arange(n) % 20 + 1)
+        data = [
+            LabeledSequence(f"acct{(3 * k) % 5}", (3 * k) % 5 % 2,
+                            rng.integers(1, 30, size=int(n_ids)).tolist())
+            for k, n_ids in enumerate(lengths)
+        ]
+        return model, data
+
+    def test_scores_match_per_sequence_reference(self):
+        model, data = self._shuffled_lengths_set()
+        p_bot = [forward_batch(model, [ex.ids]).probabilities[0, BOT] for ex in data]
+        expected = {}
+        for ex, p in zip(data, p_bot):  # dataset order
+            label, total, count = expected.get(ex.account_id, (ex.label, 0.0, 0))
+            expected[ex.account_id] = (label, total + p, count + 1)
+        scored = account_probabilities(model, data)
+        assert list(scored) == list(expected)  # first-appearance order
+        for acct, (label, total, count) in expected.items():
+            assert scored[acct][0] == label
+            assert abs(scored[acct][1] - total / count) < 1e-12
+
+    def test_chunks_run_in_length_order(self, monkeypatch):
+        model, data = self._shuffled_lengths_set()
+        chunk_lengths = []
+
+        def recording_forward(model, seqs, *args):
+            chunk_lengths.append([len(s) for s in seqs])
+            return forward_batch(model, seqs, *args)
+
+        monkeypatch.setattr("botlstm.trainer.forward_batch", recording_forward)
+        account_probabilities(model, data)
+        assert [len(c) for c in chunk_lengths] == [CHUNK, CHUNK, 5]
+        # each chunk non-decreasing, and each chunk starting where the last ended
+        flat = [n for c in chunk_lengths for n in c]
+        assert flat == sorted(len(ex.ids) for ex in data)
+
     def test_extreme_checkpoint_scores_to_finite_probabilities(self, tmp_path):
         # a loaded checkpoint is finite float32, so every float64 value on the
         # way to the softmax stays bounded even with all weights at +-max
