@@ -21,7 +21,7 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from . import corpus_stats, datasets, embeddings, text_pipeline, trainer
 from .errors import BotlstmError, DataError, InternalError, UsageError, open_text
-from .metrics import BOT, HUMAN, LABEL_NAMES, report_json
+from .metrics import BOT, HUMAN, LABEL_NAMES, predicted_label, report_json
 from .nn_core import ModelConfig, init_params
 
 log = logging.getLogger(__name__)
@@ -34,13 +34,17 @@ class _Parser(argparse.ArgumentParser):
 # Subcommand flags have no argparse default (argument_default=SUPPRESS): an
 # unset flag is absent from the namespace; RunConfig.from_args fills it in.
 
+def _add_embed_dim_flag(p):
+    p.add_argument("--embed-dim", dest="embed_dim", type=int,
+                   help=f"word-vector width (default {RunConfig.embed_dim})")
+
+
 def _add_model_flags(p):
     p.add_argument("--hidden", type=int,
                    help=f"recurrent units per direction (default {RunConfig.hidden})")
     p.add_argument("--layers", type=int,
                    help=f"stacked bidirectional layers (default {RunConfig.layers})")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int,
-                   help=f"word-vector width (default {RunConfig.embed_dim})")
+    _add_embed_dim_flag(p)
 
 
 def _add_training_flags(p):
@@ -55,12 +59,15 @@ def _add_training_flags(p):
 def _add_common_flags(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-seq-len", dest="max_seq_len", type=int)
-    p.add_argument("--granularity", choices=datasets.GRANULARITIES,
-                   help="sequence granularity for training/scoring")
     p.add_argument("--no-rt-token", dest="rt_token", action="store_false",
                    help="keep RT as a plain word instead of <RT>")
     p.add_argument("--output-dir", dest="output_dir")
+
+
+def _add_sequence_flags(p):
+    p.add_argument("--max-seq-len", dest="max_seq_len", type=int)
+    p.add_argument("--granularity", choices=datasets.GRANULARITIES,
+                   help="sequence granularity for training/scoring")
 
 
 def _add_data_flags(p, with_synthetic=True):
@@ -84,7 +91,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", help="plain-text corpus, one tweet per line")
     p.add_argument("--glove", help="pretrained embedding text file")
     p.add_argument("--output", help="vocabulary file to write (default vocab.tsv)")
-    _add_model_flags(p)
+    _add_embed_dim_flag(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_build_vocab)
 
@@ -96,6 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--history", help="history CSV to write (default history.csv)")
     _add_model_flags(p)
     _add_training_flags(p)
+    _add_sequence_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -103,6 +111,7 @@ def build_parser() -> _Parser:
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", help="metrics JSON to write (default metrics.json)")
+    _add_sequence_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -110,6 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tweets", required=True)
     p.add_argument("--output", help="predictions CSV (default predictions.csv)")
+    _add_sequence_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_predict)
 
@@ -408,7 +418,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                 p_bot, flag = scored[acct.account_id][1], ""
             else:
                 p_bot, flag = 0.5, "empty_account"
-            label = LABEL_NAMES[BOT if p_bot >= 0.5 else HUMAN]
+            label = LABEL_NAMES[predicted_label(p_bot)]
             writer.writerow([acct.account_id, f"{p_bot:.6f}", label, flag])
     print(f"wrote {out} ({len(accounts)} accounts)")
     return 0

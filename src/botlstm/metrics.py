@@ -17,6 +17,11 @@ LABEL_NAMES = {HUMAN: "human", BOT: "bot"}
 LABEL_IDS = {"human": HUMAN, "bot": BOT}
 
 
+def predicted_label(p_bot: float) -> int:
+    """The class given to a bot probability: BOT from 0.5 up, so a tie is a bot."""
+    return BOT if p_bot >= 0.5 else HUMAN
+
+
 @dataclass
 class ConfusionCounts:
     tp: int = 0

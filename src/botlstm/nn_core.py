@@ -37,10 +37,9 @@ no-ops in both directions: states pass through unchanged, so padding
 injects no signal and receives no gradient.
 
 All math is float64. A scan keeps only its h and c tracks; BPTT rebuilds
-the gates of all T*B steps from them with one GEMM, and each layer's
-input from the layer below. The scan and BPTT's recomputation share one
-step (`_step`, `_gates`), which writes the recurrent product and the
-peephole terms into buffers made once per scan and reused at every step.
+the gate pre-activations of all T*B steps from them with one GEMM, and
+each layer's input from the layer below. The equations above are written
+once, in `_gates`, which the scan and BPTT's recomputation both call.
 `forward_batch` and `backward_batch` are the entry points to the
 recurrence, and `forward_batch` is the only place dropout is drawn.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
@@ -104,40 +103,20 @@ class LstmCellParams:
         yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
 
 
-def _gates(pre, V, c_prev, H, peep):
+def _gates(pre, V, c_prev, H):
     """(h, c, i, f, g, o, tanh c) from the gate pre-activations pre [..., 4H].
 
-    One call serves one step, [4H] or [B, 4H], in the scan and in BPTT's
-    recomputation. `peep` [..., 2H] is scratch that the caller reuses
-    across steps; no returned array is a view of `pre` or of `peep`.
+    The module docstring's equations, for one step, [4H] or [B, 4H], in
+    the scan and in BPTT's recomputation. No returned array is a view of
+    `pre`.
     """
-    # i and f both peep at c_prev: one sigmoid over their 2H columns
-    np.multiply(V[:H], c_prev, out=peep[..., :H])
-    np.multiply(V[H : 2 * H], c_prev, out=peep[..., H:])
-    peep += pre[..., : 2 * H]
-    i_f = sigmoid(peep)
-    i, f = i_f[..., :H], i_f[..., H:]
+    i = sigmoid(pre[..., :H] + V[:H] * c_prev)
+    f = sigmoid(pre[..., H : 2 * H] + V[H : 2 * H] * c_prev)
     g = np.tanh(pre[..., 2 * H : 3 * H])
-    c = f * c_prev
-    c += i * g
-    o_pre = np.multiply(V[2 * H :], c, out=peep[..., :H])
-    o_pre += pre[..., 3 * H :]
-    o = sigmoid(o_pre)
+    c = f * c_prev + i * g
+    o = sigmoid(pre[..., 3 * H :] + V[2 * H :] * c)
     tc = np.tanh(c)
     return o * tc, c, i, f, g, o, tc
-
-
-def _step(W, b, V, xu_t, h_prev, c_prev, H, pre, peep):
-    """One cell update given the precomputed input contribution xu_t.
-
-    `pre` [..., 4H] and `peep` [..., 2H] are scratch buffers that the caller
-    reuses across steps; `pre` must be C-contiguous, so that h_prev W^T is
-    the same BLAS product written in place.
-    """
-    np.matmul(h_prev, W.T, out=pre)
-    pre += xu_t  # xu_t + h_prev W^T + b, summed in that order
-    pre += b
-    return _gates(pre, V, c_prev, H, peep)
 
 
 @dataclass
@@ -166,10 +145,10 @@ def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray) -> Direct
     c = np.empty((T, B, H))
     h_prev = np.zeros((B, H))
     c_prev = np.zeros((B, H))
-    pre, peep = np.empty((B, 4 * H)), np.empty((B, 2 * H))
+    # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        h_t, c_t, *_ = _step(p.W, p.b, p.V, XU[t], h_prev, c_prev, H, pre, peep)
+        h_t, c_t, *_ = _gates(XU[t] + h_prev @ p.W.T + p.b, p.V, c_prev, H)
         if all_ran[t]:
             h[t], c[t] = h_t, c_t
         else:
@@ -202,14 +181,12 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, X, dh_out, gra
     da += p.b
     V_i, V_f, V_o = p.V[:H], p.V[H : 2 * H], p.V[2 * H :]
 
-    all_ran = cache.ran.all(axis=1).tolist()
     zero = np.zeros((B, H))
-    peep = np.empty((B, 2 * H))
     dh_rec = dc_rec = zero
     for t in range(T - 1, -1, -1):
         c_prev = c[t - 1] if t > 0 else zero
         row = da[t]
-        _, _, i, f, g, o, tc = _gates(row, p.V, c_prev, H, peep)
+        _, _, i, f, g, o, tc = _gates(row, p.V, c_prev, H)
         dh = dh_out[t] + dh_rec
         do = dh * tc
         da_o = np.multiply(do * o, 1.0 - o, out=row[:, 3 * H :])
@@ -217,16 +194,12 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, X, dh_out, gra
         da_i = np.multiply(dc * g * i, 1.0 - i, out=row[:, :H])
         da_f = np.multiply(dc * c_prev * f, 1.0 - f, out=row[:, H : 2 * H])
         np.multiply(dc * i, 1.0 - g * g, out=row[:, 2 * H : 3 * H])
-        if all_ran[t]:
-            dh_rec = row @ p.W
-            dc_rec = dc * f + V_i * da_i + V_f * da_f
-        else:
-            # carried state: gradients pass straight through to step t-1
-            ran = cache.ran[t]
-            row[~ran] = 0.0
-            r = ran[:, None]
-            dh_rec = np.where(r, row @ p.W, dh)
-            dc_rec = np.where(r, dc * f + V_i * da_i + V_f * da_f, dc_rec)
+        # where the state was carried, gradients pass straight through to step t-1
+        ran = cache.ran[t]
+        row[~ran] = 0.0
+        r = ran[:, None]
+        dh_rec = np.where(r, row @ p.W, dh)
+        dc_rec = np.where(r, dc * f + V_i * da_i + V_f * da_f, dc_rec)
 
     da2 = da.reshape(T * B, 4 * H)
     grads["U"] += da2.T @ X
@@ -332,10 +305,6 @@ class ForwardTrace:
     @property
     def classifier_input(self) -> np.ndarray:
         return self.batch.classifier_input[0]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.batch.logits[0]
 
     @property
     def probabilities(self) -> np.ndarray:

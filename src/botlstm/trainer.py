@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InternalError
-from .metrics import BOT, HUMAN, ConfusionCounts, MetricsReport, compute_metrics, tally
+from .metrics import (
+    BOT, ConfusionCounts, MetricsReport, compute_metrics, predicted_label, tally,
+)
 from .nn_core import ModelParams, backward_batch, forward_batch
 # Not used here: re-imported only so that bench/spans.install finds these
 # names on this module to wrap, until the tracer wraps the batched entry
@@ -144,7 +146,7 @@ def _chunk_pass(model, chunk, rate: float, seeds, grad_sum):
     trace = forward_batch(model, [ex.ids for ex in chunk], rate, seeds)
     backward_batch(model, trace, labels, grad_sum)
     return [
-        (nll_loss(p, label), bool(p[label] <= 0.0), (BOT if p[BOT] >= 0.5 else HUMAN) == label)
+        (nll_loss(p, label), bool(p[label] <= 0.0), predicted_label(p[BOT]) == label)
         for p, label in zip(trace.probabilities, labels)
     ]
 
@@ -241,14 +243,14 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, f
 
 
 def evaluate(model: ModelParams, dataset) -> tuple[ConfusionCounts, MetricsReport]:
-    """Score per account: mean bot probability, threshold 0.5 (ties -> bot)."""
+    """Score per account: mean bot probability, labelled by `predicted_label` (ties -> bot)."""
     per_account = account_probabilities(model, dataset)
     predictions = []
     labels = []
     for acct, (label, p_bot) in per_account.items():
         if p_bot == 0.5:
             log.warning("account %s scored exactly 0.5; predicting bot", acct)
-        predictions.append(BOT if p_bot >= 0.5 else HUMAN)
+        predictions.append(predicted_label(p_bot))
         labels.append(label)
     counts = tally(predictions, labels)
     return counts, compute_metrics(counts)

@@ -10,7 +10,7 @@ from botlstm.nn_core import (
     BiLstmLayer,
     LstmCellParams,
     ModelParams,
-    _step,
+    _gates,
     forward_batch,
 )
 from botlstm.trainer import nll_loss
@@ -25,9 +25,8 @@ def random_cell(rng, hidden, d_in, scale=0.5):
 
 
 def cell_step(p, x, h_prev, c_prev):
-    """One step of cell `p`: the (h, c, i, f, g, o, tc) of `nn_core._step`."""
-    H = p.hidden_size
-    return _step(p.W, p.b, p.V, p.U @ x, h_prev, c_prev, H, np.empty(4 * H), np.empty(2 * H))
+    """One step of cell `p`: the (h, c, i, f, g, o, tc) of `nn_core._gates`."""
+    return _gates(p.U @ x + h_prev @ p.W.T + p.b, p.V, c_prev, p.hidden_size)
 
 
 def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):

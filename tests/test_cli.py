@@ -722,6 +722,23 @@ class TestConfigFileAndExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["train", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "4",
+         "--max-seq-len", "5"],
+        ["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "4",
+         "--hidden", "8"],
+        ["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--granularity", "per_account"],
+        ["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--max-seq-len", "5"],
+    ], ids=["build-vocab-max-seq-len", "build-vocab-hidden", "stats-granularity",
+            "stats-max-seq-len"])
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        paths = TestDataErrorExitCodes._inputs(tmp_path)
+        argv = [a.format(**paths) for a in argv]
+        rc = cli.main([*argv, "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("usage error:"), err
+
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == 1
 

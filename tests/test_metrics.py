@@ -8,9 +8,17 @@ from botlstm.metrics import (
     HUMAN,
     ConfusionCounts,
     compute_metrics,
+    predicted_label,
     report_json,
     tally,
 )
+
+
+def test_predicted_label_counts_a_tie_as_bot():
+    assert predicted_label(0.5) == BOT
+    assert predicted_label(1.0) == BOT
+    assert predicted_label(0.49999999999999994) == HUMAN
+    assert predicted_label(0.0) == HUMAN
 
 
 class TestTally:
