@@ -353,6 +353,9 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    if cfg.synthetic is not None and (cfg.glove or cfg.vocab):
+        raise UsageError("train --synthetic builds its own vocabulary and embeddings; "
+                         "it takes neither --glove nor --vocab")
     ckpt_path = cfg.out_path(cfg.checkpoint, "model.ckpt")
     history_path = cfg.out_path(cfg.history, "history.csv")
     accounts, vocab, table = _load_labeled_accounts(cfg)
@@ -392,21 +395,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def _group_tweets(path: str) -> dict[str, list[str]]:
-    groups: dict[str, list[str]] = {}
-    for _, (account_id, text) in datasets._read_rows(
-        path, datasets.TWEETS_HEADER, module="cli"
-    ):
-        groups.setdefault(account_id, []).append(text)
-    return groups
-
-
 def cmd_predict(cfg: RunConfig) -> int:
     out = cfg.out_path(cfg.output, "predictions.csv")
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts = [
         datasets.Account(account_id=account_id, label=HUMAN, tweets=tweets)
-        for account_id, tweets in _group_tweets(cfg.tweets).items()
+        for account_id, tweets in datasets.load_tweets(cfg.tweets).items()
     ]
     examples = cfg.examples(accounts, vocab)
     scored = trainer.account_probabilities(model, examples) if examples else {}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, build_table
 from .errors import DataError, open_text
-from .metrics import BOT, HUMAN, LABEL_IDS
+from .metrics import BOT, HUMAN, LABEL_IDS, LABEL_NAMES
 from .text_pipeline import PAD_ID, Vocabulary, build_vocabulary, encode, tokenize
 
 log = logging.getLogger(__name__)
@@ -49,30 +49,38 @@ class LabeledSequence:
     ids: list[int]
 
 
-def _read_rows(path, header: list[str], module: str = "datasets"):
-    with open_text(path, module, "CSV file", newline="") as fh:
+def _read_rows(path, header: list[str]):
+    with open_text(path, "datasets", "CSV file", newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
             if first is None:
-                raise DataError(f"{path}: file is empty", module=module)
+                raise DataError(f"{path}: file is empty", module="datasets")
             if first != header:
                 raise DataError(
                     f"{path}: expected header {','.join(header)!r} on line 1",
-                    module=module,
+                    module="datasets",
                 )
             for row in reader:
                 if len(row) != len(header):
                     raise DataError(
                         f"{path}: malformed row on line {reader.line_num}",
-                        module=module,
+                        module="datasets",
                     )
                 yield reader.line_num, row
         except csv.Error as exc:
             raise DataError(
                 f"{path}: CSV error near line {reader.line_num}: {exc}",
-                module=module,
+                module="datasets",
             ) from exc
+
+
+def load_tweets(path) -> dict[str, list[str]]:
+    """A tweets CSV as {account_id: tweets}, ids and tweets in file order."""
+    tweets: dict[str, list[str]] = {}
+    for _, (account_id, text) in _read_rows(path, TWEETS_HEADER):
+        tweets.setdefault(account_id, []).append(text)
+    return tweets
 
 
 def load_dataset(accounts_file, tweets_file) -> list[Account]:
@@ -95,20 +103,17 @@ def load_dataset(accounts_file, tweets_file) -> list[Account]:
             )
         accounts[account_id] = Account(account_id=account_id, label=LABEL_IDS[label])
 
-    unknown: dict[str, None] = {}
-    for _, (account_id, text) in _read_rows(tweets_file, TWEETS_HEADER):
-        acct = accounts.get(account_id)
-        if acct is None:
-            unknown[account_id] = None
-            continue
-        acct.tweets.append(text)
+    tweets = load_tweets(tweets_file)
+    unknown = sorted(tweets.keys() - accounts.keys())
     if unknown:
-        shown = ", ".join(sorted(unknown)[:10])
+        shown = ", ".join(unknown[:10])
         more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
         raise DataError(
             f"{tweets_file}: tweets reference unknown account ids: {shown}{more}",
             module="datasets",
         )
+    for account_id, texts in tweets.items():
+        accounts[account_id].tweets = texts
 
     empty = [a.account_id for a in accounts.values() if not a.tweets]
     if empty:
@@ -120,12 +125,11 @@ def load_dataset(accounts_file, tweets_file) -> list[Account]:
 
 def save_dataset(accounts: list[Account], accounts_file, tweets_file) -> None:
     """Write accounts back out in the two-CSV interchange format."""
-    names = {HUMAN: "human", BOT: "bot"}
     with open(accounts_file, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ACCOUNTS_HEADER)
         for acct in accounts:
-            writer.writerow([acct.account_id, names[acct.label]])
+            writer.writerow([acct.account_id, LABEL_NAMES[acct.label]])
     with open(tweets_file, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TWEETS_HEADER)
@@ -186,28 +190,18 @@ def make_examples(
     examples: list[LabeledSequence] = []
     dropped = 0
     for acct in accounts:
-        if mode == "per_tweet":
-            if not acct.tweets:
-                dropped += 1
-                continue
-            for tweet in acct.tweets:
-                ids = encode(tokenize(tweet, map_rt=map_rt), vocab)[:max_seq_len]
-                if not any(i != PAD_ID for i in ids):
-                    dropped += 1
-                    continue
-                examples.append(
-                    LabeledSequence(account_id=acct.account_id, label=acct.label, ids=ids)
-                )
-        else:
-            ids: list[int] = []
-            # newest-first: tweet files are stored oldest-first
-            for tweet in reversed(acct.tweets):
-                tokens = tokenize(tweet, map_rt=map_rt)
-                if not tokens:
-                    continue
+        seqs = [encode(tokenize(tweet, map_rt=map_rt), vocab) for tweet in acct.tweets]
+        if mode == "per_account" or not seqs:
+            # newest-first: tweet files are stored oldest-first. A tweetless
+            # account becomes one empty sequence, so it counts as one drop.
+            joined: list[int] = []
+            for ids in reversed(seqs):
                 if ids:
-                    ids.append(PAD_ID)
-                ids.extend(encode(tokens, vocab))
+                    if joined:
+                        joined.append(PAD_ID)
+                    joined.extend(ids)
+            seqs = [joined]
+        for ids in seqs:
             ids = ids[:max_seq_len]
             if not any(i != PAD_ID for i in ids):
                 dropped += 1
@@ -237,6 +231,10 @@ BOT_URL_PROB = 0.9
 HUMAN_URL_PROB = 0.1
 _CROSS_PROB = 0.05  # chance of borrowing one word from the other class
 _OOV_PROB = 0.05  # chance of one gibberish out-of-list word per tweet
+#: Words in the synthetic word list (class words plus filler), and tweets
+#: per synthetic account.
+SYNTHETIC_VOCAB_SIZE = 50
+SYNTHETIC_TWEETS_PER_ACCOUNT = 20
 
 
 def _synthetic_tweet(rng, main_pool, filler, cross_pool, url_prob: float) -> str:
@@ -255,8 +253,6 @@ def _synthetic_tweet(rng, main_pool, filler, cross_pool, url_prob: float) -> str
 def synthetic(
     seed: int,
     n_per_class: int,
-    vocab_size: int = 50,
-    tweets_per_account: int = 20,
     embed_dim: int = 16,
 ) -> tuple[list[Account], Vocabulary, EmbeddingTable]:
     """Deterministic desk-scale corpus with a known class signal.
@@ -271,12 +267,8 @@ def synthetic(
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    min_size = len(PROMO_WORDS) + len(SOCIAL_WORDS) + 1
-    if vocab_size < min_size:
-        raise ValueError(f"vocab_size must be >= {min_size}")
-    n_filler = vocab_size - len(PROMO_WORDS) - len(SOCIAL_WORDS)
-    filler = list(_BASE_FILLER[:n_filler])
-    filler += [f"word{k}" for k in range(len(filler), n_filler)]
+    n_filler = SYNTHETIC_VOCAB_SIZE - len(PROMO_WORDS) - len(SOCIAL_WORDS)
+    filler = list(_BASE_FILLER) + [f"word{k}" for k in range(len(_BASE_FILLER), n_filler)]
 
     rng = np.random.default_rng(seed)
     accounts: list[Account] = []
@@ -287,7 +279,7 @@ def synthetic(
                 label=HUMAN,
                 tweets=[
                     _synthetic_tweet(rng, SOCIAL_WORDS, filler, PROMO_WORDS, HUMAN_URL_PROB)
-                    for _ in range(tweets_per_account)
+                    for _ in range(SYNTHETIC_TWEETS_PER_ACCOUNT)
                 ],
             )
         )
@@ -298,7 +290,7 @@ def synthetic(
                 label=BOT,
                 tweets=[
                     _synthetic_tweet(rng, PROMO_WORDS, filler, SOCIAL_WORDS, BOT_URL_PROB)
-                    for _ in range(tweets_per_account)
+                    for _ in range(SYNTHETIC_TWEETS_PER_ACCOUNT)
                 ],
             )
         )

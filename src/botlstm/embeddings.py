@@ -52,10 +52,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def oov_vector(self) -> np.ndarray:
-        return self.vectors[OOV_ID]
-
 
 def load_glove(source, expected_dim: int, wanted):
     """Read the rows of a "word v1 ... vD" text stream whose word is in `wanted`.

@@ -292,7 +292,6 @@ class BatchTrace:
     layers: list[LayerTrace] = field(repr=False)
     dropout_scale: float
     classifier_input: np.ndarray
-    logits: np.ndarray
     probabilities: np.ndarray
 
 
@@ -337,15 +336,13 @@ def _forward(model: ModelParams, ids, lengths, keep, scale: float) -> BatchTrace
         x = _layer_output(lt, scale)
 
     classifier_input = np.concatenate((x[lengths - 1, np.arange(B), :H], x[0, :, H:]), axis=1)
-    logits = classifier_input @ model.softmax_W.T + model.softmax_b
     return BatchTrace(
         ids=ids,
         lengths=lengths,
         layers=layer_traces,
         dropout_scale=scale,
         classifier_input=classifier_input,
-        logits=logits,
-        probabilities=stable_softmax(logits),
+        probabilities=stable_softmax(classifier_input @ model.softmax_W.T + model.softmax_b),
     )
 
 

@@ -27,6 +27,7 @@ from .metrics import (
     BOT, ConfusionCounts, MetricsReport, compute_metrics, predicted_label, tally,
 )
 from .nn_core import ModelParams, backward_batch, forward_batch
+from .text_pipeline import OOV_ID
 # Not used here: re-imported only so that bench/spans.install finds these
 # names on this module to wrap, until the tracer wraps the batched entry
 # points instead (ROADMAP item 1).
@@ -217,19 +218,21 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, f
 
     Sequences are scored CHUNK at a time in stable length order, so a
     chunk's scan runs to a length its sequences share and little of it is
-    padding. Each account's sum then adds its probabilities in dataset
-    order. A probability depends on the rest of its chunk only through
-    BLAS rounding, which can differ in the last bits between chunk
-    widths; with full chunks it came out bit-identical to dataset order.
-    Training keeps dataset order, since its chunks' gradients are summed
-    and another order would round the sum differently.
+    padding. A short last chunk is filled up to CHUNK columns with
+    one-token [OOV_ID] sequences, whose rows are dropped: every call then
+    has the same width, so BLAS rounds each sequence's products the same
+    way and its probability does not depend on the other sequences
+    scored. Each account's sum then adds its probabilities in dataset
+    order. Training keeps dataset order, since its chunks' gradients are
+    summed and another order would round the sum differently.
     """
     if not dataset:
         raise DataError("evaluation dataset is empty", module="trainer")
     p_bot = np.empty(len(dataset))
     by_length = np.argsort([len(ex.ids) for ex in dataset], kind="stable")
     for idx in batch_indices(by_length, CHUNK):
-        p_bot[idx] = forward_batch(model, [dataset[i].ids for i in idx]).probabilities[:, BOT]
+        seqs = [dataset[i].ids for i in idx] + [[OOV_ID]] * (CHUNK - len(idx))
+        p_bot[idx] = forward_batch(model, seqs).probabilities[: len(idx), BOT]
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     labels: dict[str, int] = {}

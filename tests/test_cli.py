@@ -481,7 +481,7 @@ class TestDataErrorExitCodes:
           "--embed-dim", "4", "--vocab", "{bad}"], "text_pipeline:"),
         (["train", "--accounts", "{acc}", "--tweets", "{bad}", "--glove", "{glove}",
           "--embed-dim", "4"], "datasets:"),
-        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad}"], "cli:"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad}"], "datasets:"),
         (["build-vocab", "--corpus", "{bad}", "--glove", "{glove}", "--embed-dim", "4"],
          "cli:"),
         (["build-vocab", "--corpus", "{corpus}", "--glove", "{bad}", "--embed-dim", "4"],
@@ -493,7 +493,7 @@ class TestDataErrorExitCodes:
           "--embed-dim", "4"], "datasets:"),
         (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{bad_header}",
           "--tweets", "{twt}"], "datasets:"),
-        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad_header}"], "cli:"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad_header}"], "datasets:"),
         (["stats", "--accounts", "{bad_header}", "--tweets", "{twt}"], "datasets:"),
         (["train", "--accounts", "{acc}", "--tweets", "{header_only}", "--glove", "{glove}",
           "--embed-dim", "4", "--hidden", "2", "--layers", "1"], "trainer:"),
@@ -501,7 +501,7 @@ class TestDataErrorExitCodes:
           "--tweets", "{header_only}"], "trainer:"),
         (["stats", "--accounts", "{acc}", "--tweets", "{header_only}"], "cli:"),
         (["stats", "--accounts", "{zero_bytes}", "--tweets", "{twt}"], "datasets:"),
-        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{zero_bytes}"], "cli:"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{zero_bytes}"], "datasets:"),
         (["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "3"],
          "embeddings:"),
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
@@ -729,8 +729,12 @@ class TestConfigFileAndExitCodes:
          "--hidden", "8"],
         ["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--granularity", "per_account"],
         ["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--max-seq-len", "5"],
+        ["train", "--synthetic", "2", "--glove", "{glove}", "--embed-dim", "4",
+         "--hidden", "2", "--layers", "1", "--epochs", "1"],
+        ["train", "--synthetic", "2", "--vocab", "{vocab}", "--embed-dim", "4",
+         "--hidden", "2", "--layers", "1", "--epochs", "1"],
     ], ids=["build-vocab-max-seq-len", "build-vocab-hidden", "stats-granularity",
-            "stats-max-seq-len"])
+            "stats-max-seq-len", "train-synthetic-glove", "train-synthetic-vocab"])
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
         paths = TestDataErrorExitCodes._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]

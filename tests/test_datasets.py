@@ -7,6 +7,7 @@ from botlstm.datasets import (
     Account,
     compose_test_set,
     load_dataset,
+    load_tweets,
     make_examples,
     split_accounts,
     synthetic,
@@ -17,6 +18,12 @@ from botlstm.text_pipeline import PAD_ID, URL, build_vocabulary, tokenize
 
 
 class TestLoadDataset:
+    def test_load_tweets_keeps_file_order(self, tmp_path):
+        twt = tmp_path / "tweets.csv"
+        twt.write_text("account_id,tweet_text\nb,one\na,two\nb,three\n")
+        tweets = load_tweets(twt)
+        assert list(tweets.items()) == [("b", ["one", "three"]), ("a", ["two"])]
+
     def test_join(self, tmp_path):
         acc = tmp_path / "accounts.csv"
         twt = tmp_path / "tweets.csv"
@@ -218,6 +225,34 @@ class TestMakeExamples:
         bot_tweets = sum(len(a.tweets) for a in accounts if a.label == BOT)
         assert sum(e.label == BOT for e in examples) == bot_tweets
 
+    # love=6, haha=8; "?!" is two OOV tokens. A tweetless account, a <PAD>-only
+    # newest tweet, and an empty tweet among punctuation.
+    EDGE_ACCOUNTS = [
+        Account("none", BOT, []),
+        Account("pad", HUMAN, ["love", "haha love", "<PAD>"]),
+        Account("punct", BOT, ["love love", "?!", "", "haha"]),
+    ]
+
+    @pytest.mark.parametrize("mode, max_seq_len, expected, expected_dropped", [
+        ("per_tweet", 1, [("pad", [6]), ("pad", [8]), ("punct", [6]), ("punct", [1]),
+                          ("punct", [8])], 3),
+        ("per_tweet", 3, [("pad", [6]), ("pad", [8, 6]), ("punct", [6, 6]),
+                          ("punct", [1, 1]), ("punct", [8])], 3),
+        ("per_tweet", 64, [("pad", [6]), ("pad", [8, 6]), ("punct", [6, 6]),
+                           ("punct", [1, 1]), ("punct", [8])], 3),
+        ("per_account", 1, [("punct", [8])], 2),
+        ("per_account", 3, [("pad", [0, 0, 8]), ("punct", [8, 0, 1])], 1),
+        ("per_account", 64, [("pad", [0, 0, 8, 6, 0, 6]),
+                             ("punct", [8, 0, 1, 1, 0, 6, 6])], 1),
+    ])
+    def test_edge_accounts(self, vocab, mode, max_seq_len, expected, expected_dropped):
+        assert (vocab.id_of("love"), vocab.id_of("haha")) == (6, 8)
+        examples, dropped = make_examples(
+            self.EDGE_ACCOUNTS, vocab, mode=mode, max_seq_len=max_seq_len
+        )
+        assert [(e.account_id, e.ids) for e in examples] == expected
+        assert dropped == expected_dropped
+
     def test_bad_mode_rejected(self, vocab):
         with pytest.raises(ValueError, match="mode"):
             make_examples([], vocab, mode="per_word")
@@ -262,8 +297,6 @@ class TestSynthetic:
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             synthetic(seed=0, n_per_class=0)
-        with pytest.raises(ValueError):
-            synthetic(seed=0, n_per_class=1, vocab_size=5)
 
 
 class TestSplitAccounts:

@@ -133,7 +133,7 @@ class TestBuildTable:
         b = build_table(*args, rng_seed=42)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         c = build_table(*args, rng_seed=43)
-        assert not np.array_equal(a.oov_vector, c.oov_vector)
+        assert not np.array_equal(a.vectors[OOV_ID], c.vectors[OOV_ID])
 
     def test_missing_vocab_word_rejected(self, vocab):
         with pytest.raises(DataError, match="dog"):
@@ -153,7 +153,7 @@ class TestEmbedSequence:
 
     def test_oov_selects_shared_vector(self, table):
         out = embed_sequence(table, [OOV_ID])
-        np.testing.assert_array_equal(out[0], table.oov_vector)
+        np.testing.assert_array_equal(out[0], table.vectors[OOV_ID])
 
     def test_pad_rows_zero(self, table):
         out = embed_sequence(table, [PAD_ID, PAD_ID])
@@ -162,7 +162,7 @@ class TestEmbedSequence:
     def test_composition(self, table):
         out = embed_sequence(table, [6, OOV_ID])
         np.testing.assert_array_equal(out[0], [7.0, 8.0])
-        np.testing.assert_array_equal(out[1], table.oov_vector)
+        np.testing.assert_array_equal(out[1], table.vectors[OOV_ID])
 
     def test_length_and_finite(self, table):
         ids = [0, 1, 2, 3, 4, 5, 6]

@@ -13,6 +13,7 @@ from botlstm.metrics import BOT, HUMAN
 from botlstm.nn_core import (
     ModelConfig, backward, backward_batch, bilstm_forward, forward_batch, init_params,
 )
+from botlstm.text_pipeline import OOV_ID
 from botlstm.trainer import (
     CHUNK,
     LOSS_CLAMP,
@@ -425,18 +426,40 @@ class TestEvaluate:
 
     def test_chunks_run_in_length_order(self, monkeypatch):
         model, data = self._shuffled_lengths_set()
-        chunk_lengths = []
+        chunks = []
 
         def recording_forward(model, seqs, *args):
-            chunk_lengths.append([len(s) for s in seqs])
+            chunks.append([list(s) for s in seqs])
             return forward_batch(model, seqs, *args)
 
         monkeypatch.setattr("botlstm.trainer.forward_batch", recording_forward)
         account_probabilities(model, data)
-        assert [len(c) for c in chunk_lengths] == [CHUNK, CHUNK, 5]
+        assert [len(c) for c in chunks] == [CHUNK, CHUNK, CHUNK]
+        # the short last chunk holds its 5 sequences first, then one-token fillers
+        assert chunks[2][5:] == [[OOV_ID]] * (CHUNK - 5)
         # each chunk non-decreasing, and each chunk starting where the last ended
-        flat = [n for c in chunk_lengths for n in c]
+        flat = [len(s) for c in chunks[:2] + [chunks[2][:5]] for s in c]
         assert flat == sorted(len(ex.ids) for ex in data)
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    def test_a_tweets_p_bot_does_not_depend_on_the_other_tweets(self, hidden):
+        # one tweet per account, so an account's mean is its tweet's p_bot
+        rng = np.random.default_rng(11)
+        model = random_model(rng, vocab_size=30, dim=8, hidden=hidden, layers=3)
+        data = [
+            LabeledSequence(f"acct{k:02d}", k % 2, rng.integers(1, 30, size=int(n)).tolist())
+            for k, n in enumerate(rng.integers(1, 25, size=45))
+        ]
+        together = account_probabilities(model, data)
+        alone, in_threes = {}, {}
+        for ex in data:
+            alone.update(account_probabilities(model, [ex]))
+        for start in range(0, len(data), 3):
+            in_threes.update(account_probabilities(model, data[start : start + 3]))
+        shuffled = account_probabilities(model, [data[i] for i in rng.permutation(len(data))])
+        assert alone == together  # bitwise: == on floats
+        assert in_threes == together
+        assert shuffled == together
 
     def test_extreme_checkpoint_scores_to_finite_probabilities(self, tmp_path):
         # a loaded checkpoint is finite float32, so every float64 value on the
