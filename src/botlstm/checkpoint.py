@@ -9,7 +9,8 @@ Layout (all integers little-endian uint32, floats little-endian float32):
       vocabulary block: vocab_size entries, each u32 byte length +
         UTF-8 surface, in id order
       tensor block: raw C-order float32 tensors, in the order of
-        ModelParams.named_tensors():
+        ModelParams.named_tensors(), with the shapes of
+        ModelConfig.tensor_shapes():
           embedding.vectors [vocab_size, embed_dim]
           for each layer 0..L-1, for direction fwd then bwd, the cell's
           gate-fused blocks (nn_core.LstmCellParams), with d_in = embed_dim
@@ -26,7 +27,10 @@ Parameters are saved at float32 precision, so save -> load -> save is
 byte-identical. A block is the C-order concatenation of its gate pieces,
 so the bytes are unchanged from the earlier layout that stored each gate
 as its own tensor. A tensor block holding a NaN or an infinity is
-rejected on load.
+rejected on load. The checksum does not cover the header, so the loader
+walks the header's tensor shapes only as far as the payload reaches: a
+header that implies more tensor bytes than the file holds is rejected
+before anything is allocated for them.
 """
 
 from __future__ import annotations
@@ -37,26 +41,14 @@ import zlib
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
 from .errors import CheckpointError
-from .nn_core import BiLstmLayer, LstmCellParams, ModelConfig, ModelParams, N_CLASSES
+from .nn_core import ModelConfig, ModelParams, N_CLASSES
 from .text_pipeline import Vocabulary
 
 MAGIC = b"BLSTM1"
 VERSION = 1
 _HEADER = struct.Struct("<6s6I")
 _LENGTH = struct.Struct("<I")
-
-
-def _tensor_shapes(vocab_size: int, embed_dim: int, hidden: int, layers: int):
-    """Expected tensor shapes in file order."""
-    shapes = [(vocab_size, embed_dim)]
-    for li in range(layers):
-        d_in = embed_dim if li == 0 else 2 * hidden
-        cell = [(4 * hidden, d_in), (4 * hidden, hidden), (3 * hidden,), (4 * hidden,)]
-        shapes += cell * 2  # fwd, bwd
-    shapes += [(N_CLASSES, 2 * hidden), (N_CLASSES,)]
-    return shapes
 
 
 def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
@@ -68,8 +60,7 @@ def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
     cfg = model.config()
-    shapes = _tensor_shapes(cfg.vocab_size, cfg.embed_dim, cfg.hidden, cfg.layers)
-    for (name, arr), shape in zip(model.named_tensors(), shapes):
+    for (name, arr), shape in zip(model.named_tensors(), cfg.tensor_shapes()):
         if arr.shape != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -102,7 +93,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     if classes != N_CLASSES:
         raise CheckpointError(f"unsupported class count {classes}")
     try:
-        ModelConfig(vocab_size, embed_dim, hidden, layers)
+        config = ModelConfig(vocab_size, embed_dim, hidden, layers)
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
@@ -124,29 +115,15 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     except ValueError as exc:  # bad UTF-8 or a malformed vocabulary
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
-    shapes = _tensor_shapes(vocab_size, embed_dim, hidden, layers)
-    counts = [math.prod(shape) for shape in shapes]
-    end = offset + 4 * sum(counts)
-    if end != len(payload):
-        problem = "truncated payload" if end > len(payload) else "trailing bytes in payload"
-        raise CheckpointError(f"corrupt checkpoint: {problem}")
-    block = np.frombuffer(payload, dtype="<f4", offset=offset)
-    if not np.isfinite(block).all():
+    tensors = []
+    for shape in config.tensor_shapes():  # stops at the first tensor past the payload
+        count = math.prod(shape)
+        if offset + 4 * count > len(payload):
+            raise CheckpointError("corrupt checkpoint: truncated payload")
+        tensors.append(np.frombuffer(payload, "<f4", count, offset).reshape(shape))
+        offset += 4 * count
+    if offset != len(payload):
+        raise CheckpointError("corrupt checkpoint: trailing bytes in payload")
+    if not all(np.isfinite(t).all() for t in tensors):
         raise CheckpointError("corrupt checkpoint: non-finite parameter values")
-    tensors = [
-        part.astype(np.float64).reshape(shape)
-        for part, shape in zip(np.split(block, np.cumsum(counts)[:-1]), shapes)
-    ]
-
-    embedding = EmbeddingTable(vectors=tensors[0])
-    cells = [
-        LstmCellParams(*tensors[k : k + 4])
-        for k in range(1, 1 + 8 * layers, 4)
-    ]
-    model = ModelParams(
-        embedding=embedding,
-        layers=[BiLstmLayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])],
-        softmax_W=tensors[-2],
-        softmax_b=tensors[-1],
-    )
-    return model, vocab
+    return ModelParams.from_tensors([t.astype(np.float64) for t in tensors]), vocab

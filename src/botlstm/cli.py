@@ -209,6 +209,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
+        unread = [f"--{n}" for n in ("accounts", "tweets", "glove", "vocab") if getattr(self, n)]
+        # only train and evaluate read synthetic; the others ignore it from a --config file
+        if self.synthetic is not None and self.command in ("train", "evaluate") and unread:
+            raise UsageError("--synthetic builds its own accounts, vocabulary and embeddings; "
+                             f"it does not read {', '.join(unread)}")
         if self.granularity not in datasets.GRANULARITIES:
             raise UsageError(
                 f"granularity must be one of {', '.join(datasets.GRANULARITIES)}, "
@@ -353,9 +358,6 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    if cfg.synthetic is not None and (cfg.glove or cfg.vocab):
-        raise UsageError("train --synthetic builds its own vocabulary and embeddings; "
-                         "it takes neither --glove nor --vocab")
     ckpt_path = cfg.out_path(cfg.checkpoint, "model.ckpt")
     history_path = cfg.out_path(cfg.history, "history.csv")
     accounts, vocab, table = _load_labeled_accounts(cfg)

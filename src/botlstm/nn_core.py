@@ -14,10 +14,10 @@ are an addition to the classic peephole formulation; the forget bias is
 initialized to 1.0 so gradients flow early in training.
 
 Each cell stores its weights as four gate-fused blocks, and only these
-(`LstmCellParams`): U [4H, D_in], W [4H, H] and b [4H] stack the gates
-i, f, c, o; V [3H] stacks the peepholes i, f, o. Model tensors are named
-`layers.{l}.{fwd|bwd}.{U|W|V|b}` in gradients, optimizer state and
-checkpoint order alike.
+(`LstmCellParams`): U, W and b stack the gates i, f, c, o; V stacks the
+peepholes i, f, o. Model tensors are named `layers.{l}.{fwd|bwd}.{U|W|V|b}`
+in gradients, optimizer state and checkpoint order alike. Their shapes are
+stated once, in `ModelConfig.tensor_shapes()`.
 
 Sequences run in batches: B token-id sequences, right-padded with <PAD>
 to the longest length T, form a [T, B] grid. Each of the L stacked
@@ -230,6 +230,20 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
+    def tensor_shapes(self):
+        """Each tensor's shape, in `ModelParams.named_tensors()` order (a generator).
+
+        The embedding [V, D]; per layer, fwd then bwd, a cell's U [4H, D_in],
+        W [4H, H], V [3H] and b [4H], with D_in = D on layer 0 and 2H (both
+        directions' outputs) above; the softmax W [2, 2H] and b [2].
+        """
+        H = self.hidden
+        yield (self.vocab_size, self.embed_dim)
+        for li in range(self.layers):
+            d_in = self.embed_dim if li == 0 else 2 * H
+            yield from ((4 * H, d_in), (4 * H, H), (3 * H,), (4 * H,)) * 2  # fwd, bwd
+        yield from ((N_CLASSES, 2 * H), (N_CLASSES,))
+
 
 @dataclass
 class ModelParams:
@@ -239,6 +253,14 @@ class ModelParams:
     layers: list[BiLstmLayer]
     softmax_W: np.ndarray
     softmax_b: np.ndarray
+
+    @classmethod
+    def from_tensors(cls, tensors) -> "ModelParams":
+        """The model whose `named_tensors()` are `tensors`, in that order and not copied."""
+        vectors, *blocks, softmax_W, softmax_b = tensors
+        cells = [LstmCellParams(*blocks[k : k + 4]) for k in range(0, len(blocks), 4)]
+        layers = [BiLstmLayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
+        return cls(EmbeddingTable(vectors=vectors), layers, softmax_W, softmax_b)
 
     @property
     def hidden(self) -> int:
@@ -451,25 +473,14 @@ def backward(model: ModelParams, trace: ForwardTrace, label: int):
     return grads
 
 
-def _glorot(rng: np.random.Generator, shape, blocks: int = 1) -> np.ndarray:
-    """`blocks` stacked [fan_out, fan_in] maps, uniform within +-sqrt(6/(fan_in+fan_out)).
+def _glorot(rng: np.random.Generator, block: np.ndarray, blocks: int = 1) -> None:
+    """Fill `block` with `blocks` stacked maps, uniform within +-sqrt(6/(fan_in+fan_out)).
 
     One draw of the stack gives the same values as one draw per map in order.
     """
-    fan_out, fan_in = shape
+    fan_out, fan_in = block.shape[0] // blocks, block.shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, (blocks * fan_out, fan_in))
-
-
-def _init_cell(rng: np.random.Generator, hidden: int, d_in: int) -> LstmCellParams:
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0  # forget gate
-    return LstmCellParams(
-        U=_glorot(rng, (hidden, d_in), blocks=4),
-        W=_glorot(rng, (hidden, hidden), blocks=4),
-        V=np.zeros(3 * hidden),
-        b=b,
-    )
+    block[...] = rng.uniform(-limit, limit, block.shape)
 
 
 def init_params(
@@ -480,34 +491,26 @@ def init_params(
     Input/recurrent matrices are uniform within +-sqrt(6/(fan_in+fan_out)),
     peepholes start at zero, biases at zero except the forget bias at 1.0.
     When no embedding table is supplied, a random one is created with the
-    usual trainable rows (OOV + meme tokens) and a zero PAD row.
+    usual trainable rows (OOV + meme tokens) and a zero PAD row. The draws
+    run in `named_tensors()` order.
     """
     rng = np.random.default_rng(rng_seed)
+    shapes = config.tensor_shapes()
+    table_shape = next(shapes)
     if embedding is None:
-        vectors = rng.uniform(
-            -TRAINABLE_INIT_RANGE,
-            TRAINABLE_INIT_RANGE,
-            (config.vocab_size, config.embed_dim),
-        )
+        vectors = rng.uniform(-TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, table_shape)
         vectors[PAD_ID] = 0.0
-        embedding = EmbeddingTable(vectors=vectors)
+    elif embedding.vectors.shape == table_shape:
+        vectors = embedding.vectors
     else:
-        if embedding.vocab_size != config.vocab_size or embedding.dim != config.embed_dim:
-            raise ValueError(
-                "embedding table does not match the configured vocab/dim"
-            )
+        raise ValueError("embedding table does not match the configured vocab/dim")
 
-    layers = []
-    for li in range(config.layers):
-        d_in = config.embed_dim if li == 0 else 2 * config.hidden
-        layers.append(
-            BiLstmLayer(
-                fwd=_init_cell(rng, config.hidden, d_in),
-                bwd=_init_cell(rng, config.hidden, d_in),
-            )
-        )
-    softmax_W = _glorot(rng, (N_CLASSES, 2 * config.hidden))
-    softmax_b = np.zeros(N_CLASSES)
-    return ModelParams(
-        embedding=embedding, layers=layers, softmax_W=softmax_W, softmax_b=softmax_b
-    )
+    model = ModelParams.from_tensors([vectors, *(np.zeros(shape) for shape in shapes)])
+    H = config.hidden
+    for layer in model.layers:
+        for cell in (layer.fwd, layer.bwd):
+            _glorot(rng, cell.U, blocks=4)
+            _glorot(rng, cell.W, blocks=4)
+            cell.b[H : 2 * H] = 1.0  # forget gate
+    _glorot(rng, model.softmax_W)
+    return model

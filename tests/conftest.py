@@ -5,10 +5,9 @@ import math
 import numpy as np
 
 from botlstm.datasets import Account, save_dataset
-from botlstm.embeddings import EmbeddingTable
 from botlstm.nn_core import (
-    BiLstmLayer,
     LstmCellParams,
+    ModelConfig,
     ModelParams,
     _gates,
     forward_batch,
@@ -16,12 +15,13 @@ from botlstm.nn_core import (
 from botlstm.trainer import nll_loss
 
 
+def cell_shapes(hidden, d_in):
+    """A cell's (U, W, V, b) shapes: layer 0's fwd cell in `ModelConfig.tensor_shapes()`."""
+    return list(ModelConfig(1, d_in, hidden, 1).tensor_shapes())[1:5]
+
+
 def random_cell(rng, hidden, d_in, scale=0.5):
-    u = lambda shape: rng.uniform(-scale, scale, shape)
-    return LstmCellParams(
-        U=u((4 * hidden, d_in)), W=u((4 * hidden, hidden)),
-        V=u(3 * hidden), b=u(4 * hidden),
-    )
+    return LstmCellParams(*(rng.uniform(-scale, scale, s) for s in cell_shapes(hidden, d_in)))
 
 
 def cell_step(p, x, h_prev, c_prev):
@@ -31,23 +31,12 @@ def cell_step(p, x, h_prev, c_prev):
 
 def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):
     """Model with every tensor (peepholes and biases included) randomized."""
-    vectors = rng.uniform(-0.8, 0.8, (vocab_size, dim))
-    vectors[0] = 0.0
-    cells = []
-    for li in range(layers):
-        d_in = dim if li == 0 else 2 * hidden
-        cells.append(
-            BiLstmLayer(
-                fwd=random_cell(rng, hidden, d_in, scale),
-                bwd=random_cell(rng, hidden, d_in, scale),
-            )
-        )
-    return ModelParams(
-        embedding=EmbeddingTable(vectors=vectors),
-        layers=cells,
-        softmax_W=rng.uniform(-scale, scale, (2, 2 * hidden)),
-        softmax_b=rng.uniform(-scale, scale, 2),
+    table_shape, *shapes = ModelConfig(vocab_size, dim, hidden, layers).tensor_shapes()
+    model = ModelParams.from_tensors(
+        [rng.uniform(-0.8, 0.8, table_shape)] + [rng.uniform(-scale, scale, s) for s in shapes]
     )
+    model.embedding.vectors[0] = 0.0
+    return model
 
 
 def model_loss(model, ids, label, rate=0.0, seed=None):

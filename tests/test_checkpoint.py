@@ -1,16 +1,15 @@
-import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from botlstm.checkpoint import (
-    MAGIC, VERSION, _tensor_shapes, load_checkpoint, save_checkpoint,
-)
+from botlstm.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from botlstm.datasets import synthetic
 from botlstm.errors import CheckpointError
 from botlstm.nn_core import ModelConfig, init_params
+from botlstm.text_pipeline import Vocabulary
 
 
 @pytest.fixture
@@ -168,7 +167,10 @@ class TestCorruption:
         dims = {"vocab_size": len(vocab), "embed_dim": 4, "hidden": 3, "layers": 2}
         dims[field] = 0
         words = [w.encode("utf-8") for w in vocab.surfaces]
-        n_floats = sum(math.prod(shape) for shape in _tensor_shapes(**dims))
+        V, D, H, L = dims.values()
+        # embedding, the L layers' cells (U's D_in is D, then 2H), softmax
+        n_floats = (V * D + min(L, 1) * 8 * H * (D + 2 * H * (L - 1))
+                    + 2 * L * (4 * H * H + 7 * H) + 4 * H + 2)
         payload = b"".join(struct.pack("<I", len(w)) + w for w in words)
         payload += np.zeros(n_floats, dtype="<f4").tobytes()
         path = tmp_path / "m.ckpt"
@@ -179,6 +181,26 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match=f"corrupt checkpoint: {field} must be positive"):
             load_checkpoint(path)
 
+    def test_huge_layer_count_rejected_within_the_file_size(self, tmp_path):
+        # a flipped high bit in the layers field must not build 2^16 layers' shapes
+        _, vocab, table = synthetic(seed=2, n_per_class=2)
+        model = init_params(
+            ModelConfig(len(vocab), table.dim, hidden=2, layers=1), rng_seed=1, embedding=table
+        )
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, vocab)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 6 + 4 * 4, 2**16 + 1)  # version, V, D, H, then layers
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated payload"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(MAGIC)
@@ -188,3 +210,19 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "missing.ckpt")
+
+
+class TestSaveGuards:
+    def test_vocabulary_size_must_match_the_embedding(self, tmp_path, model_and_vocab):
+        model, vocab = model_and_vocab
+        short = Vocabulary(vocab.surfaces[:-1])
+        with pytest.raises(ValueError, match="vocabulary size"):
+            save_checkpoint(tmp_path / "m.ckpt", model, short)
+
+    def test_wrong_layer_input_size_names_the_tensor(self, tmp_path, model_and_vocab):
+        model, vocab = model_and_vocab
+        cell = model.layers[1].fwd
+        cell.U = np.zeros((cell.U.shape[0], cell.U.shape[1] + 1))
+        with pytest.raises(ValueError, match=r"tensor layers\.1\.fwd\.U has shape"):
+            save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        assert not (tmp_path / "m.ckpt").exists()

@@ -638,7 +638,8 @@ class TestConfigFileAndExitCodes:
             expected[f.name] = value
         config = tmp_path / "all.cfg"
         config.write_text("\n".join(lines) + "\n")
-        cfg = cli.RunConfig.from_args(cli.parse_args(["train", "--config", str(config)]))
+        # stats: train and evaluate reject synthetic together with accounts/tweets/glove/vocab
+        cfg = cli.RunConfig.from_args(cli.parse_args(["stats", "--config", str(config)]))
         for name, value in expected.items():
             got = getattr(cfg, name)
             assert got == value and type(got) is type(value), name
@@ -719,6 +720,17 @@ class TestConfigFileAndExitCodes:
         cfg = cli.RunConfig.from_args(cli.parse_args([*argv, "--config", str(config)]))
         assert (cfg.seed, cfg.max_seq_len, cfg.rt_token) == (5, 9, False)
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--checkpoint", "m.ckpt", "--tweets", "t.csv"],
+        ["stats", "--accounts", "a.csv", "--tweets", "t.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_config_synthetic_does_not_bind_commands_without_it(self, tmp_path, argv):
+        # a config file shared with train may set synthetic; these commands never read it
+        config = tmp_path / "run.cfg"
+        config.write_text("synthetic=2\n")
+        cfg = cli.RunConfig.from_args(cli.parse_args([*argv, "--config", str(config)]))
+        assert cfg.synthetic == 2
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["train", "--frobnicate"]) == 1
 
@@ -733,8 +745,12 @@ class TestConfigFileAndExitCodes:
          "--hidden", "2", "--layers", "1", "--epochs", "1"],
         ["train", "--synthetic", "2", "--vocab", "{vocab}", "--embed-dim", "4",
          "--hidden", "2", "--layers", "1", "--epochs", "1"],
+        ["train", "--synthetic", "2", "--accounts", "{acc}", "--embed-dim", "4",
+         "--hidden", "2", "--layers", "1", "--epochs", "1"],
+        ["evaluate", "--checkpoint", "{ckpt}", "--synthetic", "2", "--tweets", "{twt}"],
     ], ids=["build-vocab-max-seq-len", "build-vocab-hidden", "stats-granularity",
-            "stats-max-seq-len", "train-synthetic-glove", "train-synthetic-vocab"])
+            "stats-max-seq-len", "train-synthetic-glove", "train-synthetic-vocab",
+            "train-synthetic-accounts", "evaluate-synthetic-tweets"])
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
         paths = TestDataErrorExitCodes._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cell_shapes,
     cell_step,
     fd_tensor_gradient,
     max_rel_err,
@@ -14,7 +15,7 @@ from conftest import (
     scalar_cell_oracle,
 )
 
-from botlstm.embeddings import TRAINABLE_INIT_RANGE
+from botlstm.embeddings import TRAINABLE_INIT_RANGE, EmbeddingTable
 from botlstm.nn_core import (
     BiLstmLayer,
     LstmCellParams,
@@ -34,11 +35,7 @@ from botlstm.trainer import CHUNK
 
 
 def zero_cell(hidden, d_in):
-    z = np.zeros
-    return LstmCellParams(
-        U=z((4 * hidden, d_in)), W=z((4 * hidden, hidden)),
-        V=z(3 * hidden), b=z(4 * hidden),
-    )
+    return LstmCellParams(*(np.zeros(s) for s in cell_shapes(hidden, d_in)))
 
 
 class TestCellParams:
@@ -468,6 +465,12 @@ class TestInitParams:
             ModelConfig(vocab_size=0, embed_dim=4)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=4, embed_dim=4, hidden=-1)
+
+    @pytest.mark.parametrize("rows, dim", [(11, 4), (10, 5)], ids=["vocab-size", "dim"])
+    def test_table_must_match_the_config(self, rows, dim):
+        table = EmbeddingTable(vectors=np.zeros((rows, dim)))
+        with pytest.raises(ValueError, match="does not match the configured vocab/dim"):
+            init_params(ModelConfig(10, 4, 5, 1), rng_seed=0, embedding=table)
 
     def test_pad_row_zero_in_random_table(self):
         model = init_params(ModelConfig(10, 4, 5, 1), rng_seed=0)
