@@ -8,8 +8,14 @@ its dropout masks from its own seeded generator.
 Training and scoring run the batched recurrence in chunks of CHUNK
 sequences. Each chunk's gradients are added into the batch sum in place,
 so a step holds one chunk's trace and one gradient dict, whatever the
-batch size. Training fills its chunks in dataset order, scoring in
-length order (see `account_probabilities`).
+batch size. Both fill their chunks in stable length order, so a chunk's
+scan runs to a length its sequences share. Training sorts within each
+mini-batch: the batch's members, their dropout seeds and its mean
+gradient stay those of the shuffled order, and each example's loss is
+tallied in that order. Only the order in which chunk gradients are added
+differs from filling the chunks in shuffled order, which moves trained
+parameters in their last bits. Scoring sorts the whole dataset (see
+`account_probabilities`).
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ class EpochStats:
     dropout: float
     seconds: float
     clamped: int = 0
+    seq_per_s: float = 0.0
 
 
 @dataclass
@@ -85,11 +92,13 @@ class TrainHistory:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "accuracy", "dropout", "seconds"])
+            writer.writerow(["epoch", "loss", "accuracy", "dropout", "seconds",
+                             "clamped", "seq_per_s"])
             for e in self.epochs:
                 writer.writerow(
                     [e.epoch, f"{e.loss:.10g}", f"{e.accuracy:.10g}",
-                     f"{e.dropout:.10g}", f"{e.seconds:.6f}"]
+                     f"{e.dropout:.10g}", f"{e.seconds:.6f}", e.clamped,
+                     f"{e.seq_per_s:.6g}"]
                 )
 
 
@@ -163,7 +172,11 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
 
     Each epoch reshuffles with the seeded generator, walks batches of
     cfg.batch_size (last batch may be short), and applies one momentum
-    step per batch on the mean gradient. Returns (model, TrainHistory).
+    step per batch on the mean gradient. Each example draws its dropout
+    seed in shuffled order and keeps it when the batch is cut into CHUNK
+    columns in stable length order; its (loss, clamped, correct) is
+    written back to its batch position and tallied in shuffled order.
+    Returns (model, TrainHistory).
     """
     if not dataset:
         raise DataError("training dataset is empty", module="trainer")
@@ -180,31 +193,37 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
         n_clamped = 0
         for batch_ids in batch_indices(order, cfg.batch_size):
             seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch_ids))
+            by_length = np.argsort(
+                [len(dataset[i].ids) for i in batch_ids], kind="stable"
+            )
+            outcomes = [None] * len(batch_ids)
             grad_sum = model.zero_grads()
-            for ids, chunk_seeds in zip(
-                batch_indices(batch_ids, CHUNK), batch_indices(seeds, CHUNK)
-            ):
-                chunk = [dataset[i] for i in ids]
-                for loss, clamped, correct in _chunk_pass(
-                    model, chunk, rate, chunk_seeds, grad_sum
+            for pos in batch_indices(by_length, CHUNK):
+                chunk = [dataset[i] for i in batch_ids[pos]]
+                for k, outcome in zip(
+                    pos, _chunk_pass(model, chunk, rate, seeds[pos], grad_sum)
                 ):
-                    loss_sum += loss
-                    n_clamped += clamped
-                    n_correct += correct
+                    outcomes[k] = outcome
+            for loss, clamped, correct in outcomes:  # shuffled order
+                loss_sum += loss
+                n_clamped += clamped
+                n_correct += correct
             scale = 1.0 / len(batch_ids)
             for g in grad_sum.values():
                 g *= scale
             sgd_momentum_step(model, grad_sum, velocity, cfg.learning_rate, cfg.momentum)
         if n_clamped:
             log.warning("epoch %d: %d clamped zero-probability losses", epoch, n_clamped)
+        seconds = time.perf_counter() - tic
         history.epochs.append(
             EpochStats(
                 epoch=epoch,
                 loss=loss_sum / len(dataset),
                 accuracy=n_correct / len(dataset),
                 dropout=rate,
-                seconds=time.perf_counter() - tic,
+                seconds=seconds,
                 clamped=n_clamped,
+                seq_per_s=len(dataset) / seconds,
             )
         )
     return model, history
@@ -223,8 +242,9 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, f
     has the same width, so BLAS rounds each sequence's products the same
     way and its probability does not depend on the other sequences
     scored. Each account's sum then adds its probabilities in dataset
-    order. Training keeps dataset order, since its chunks' gradients are
-    summed and another order would round the sum differently.
+    order. Training sorts the same way, but within each mini-batch (see
+    `train`); its chunks are not filled up, since a short last chunk is
+    as wide in any order.
     """
     if not dataset:
         raise DataError("evaluation dataset is empty", module="trainer")

@@ -9,7 +9,7 @@ from conftest import random_model
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import LabeledSequence, make_examples, synthetic
 from botlstm.errors import DataError, InternalError
-from botlstm.metrics import BOT, HUMAN
+from botlstm.metrics import BOT, HUMAN, predicted_label
 from botlstm.nn_core import (
     ModelConfig, backward, backward_batch, bilstm_forward, forward_batch, init_params,
 )
@@ -208,6 +208,20 @@ class TestBatchIndices:
         assert sorted(np.concatenate(batches).tolist()) == list(range(23))
 
 
+def _shuffled_lengths_set():
+    """2*CHUNK + 5 sequences of 1-20 tokens from five interleaved accounts, unsorted."""
+    rng = np.random.default_rng(7)
+    model = random_model(rng, vocab_size=30, dim=4, hidden=3, layers=2)
+    n = 2 * CHUNK + 5
+    lengths = rng.permutation(np.arange(n) % 20 + 1)
+    data = [
+        LabeledSequence(f"acct{(3 * k) % 5}", (3 * k) % 5 % 2,
+                        rng.integers(1, 30, size=int(n_ids)).tolist())
+        for k, n_ids in enumerate(lengths)
+    ]
+    return model, data
+
+
 def _toy_setup(n_per_class=3, hidden=4, layers=1, seed=5):
     accounts, vocab, table = synthetic(seed=seed, n_per_class=n_per_class)
     examples, _ = make_examples(accounts, vocab)
@@ -288,9 +302,12 @@ class TestTrain:
         path = tmp_path / "history.csv"
         history.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss,accuracy,dropout,seconds"
+        assert lines[0] == "epoch,loss,accuracy,dropout,seconds,clamped,seq_per_s"
         assert len(lines) == 2
         assert lines[1].startswith("1,")
+        (epoch,) = history.epochs
+        assert lines[1].split(",")[5] == str(epoch.clamped)
+        assert epoch.seq_per_s == len(examples) / epoch.seconds
 
     def test_fixed_rows_bitwise_stable(self):
         model, examples, _, _ = _toy_setup()
@@ -301,16 +318,19 @@ class TestTrain:
         assert np.array_equal(model.embedding.vectors[fixed], before)
 
     @staticmethod
-    def _one_step_and_hand_reduction(batch_size):
-        """(trained, by_hand) models after one step on examples[:batch_size]."""
-        model, examples, _, _ = _toy_setup()
+    def _one_step_and_hand_reduction(make_set, batch_size):
+        """(trained, by_hand) models after one step on the first batch_size examples.
+
+        `make_set()` returns a fresh (model, examples) pair, the same each call.
+        """
+        model, examples = make_set()
         batch = examples[:batch_size]
         cfg = TrainingConfig(epochs=1, batch_size=len(batch), seed=4)
         model, _ = train(model, batch, cfg)
 
         # the same step by hand: per-example gradients under each example's
-        # own dropout seed, summed in batch order, meaned, one momentum step
-        by_hand = _toy_setup()[0]
+        # own dropout seed, summed in shuffled order, meaned, one momentum step
+        by_hand = make_set()[0]
         rng = np.random.default_rng(cfg.seed)
         order = rng.permutation(len(batch))
         seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch))
@@ -323,17 +343,91 @@ class TestTrain:
         sgd_momentum_step(by_hand, mean, {}, cfg.learning_rate, cfg.momentum)
         return model, by_hand
 
+    # The toy set's tweets are 3-8 tokens long, the shuffled-lengths set's
+    # 1-20, so sorting its batches changes each chunk's scan length far
+    # more. In both, a seed that did not follow its example would show.
+    HAND_REDUCTION_SETS = {
+        "toy": lambda: _toy_setup()[:2],
+        "shuffled lengths": _shuffled_lengths_set,
+    }
+
+    def _assert_step_matches_hand_reduction(self, batch_size):
+        for set_name, make_set in self.HAND_REDUCTION_SETS.items():
+            model, by_hand = self._one_step_and_hand_reduction(make_set, batch_size)
+            # the trainer sums in length-ordered chunks over a [T, B] batch,
+            # so the order of its float additions differs from this loop
+            for (name, a), (_, b) in zip(model.named_tensors(), by_hand.named_tensors()):
+                np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=f"{set_name}: {name}")
+
     def test_one_step_matches_hand_reduction(self):
-        model, by_hand = self._one_step_and_hand_reduction(6)
-        # the trainer sums in chunks over a [T, B] batch, so the order of
-        # its float additions differs from this per-example loop
-        for (name, a), (_, b) in zip(model.named_tensors(), by_hand.named_tensors()):
-            np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=name)
+        self._assert_step_matches_hand_reduction(6)
 
     def test_step_over_several_chunks_matches_hand_reduction(self):
-        model, by_hand = self._one_step_and_hand_reduction(2 * CHUNK + 5)
-        for (name, a), (_, b) in zip(model.named_tensors(), by_hand.named_tensors()):
-            np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=name)
+        self._assert_step_matches_hand_reduction(2 * CHUNK + 5)
+
+    def test_chunks_run_in_length_order_within_each_batch(self, monkeypatch):
+        model, data = _shuffled_lengths_set()
+        position = {id(ex.ids): i for i, ex in enumerate(data)}
+        chunks = []  # (dataset indices, seeds) per forward call
+
+        def recording_forward(model, seqs, rate, seeds):
+            chunks.append(([position[id(s)] for s in seqs], [int(x) for x in seeds]))
+            return forward_batch(model, seqs, rate, seeds)
+
+        monkeypatch.setattr("botlstm.trainer.forward_batch", recording_forward)
+        cfg = TrainingConfig(epochs=1, batch_size=CHUNK + 4, seed=6)
+        train(model, data, cfg)
+
+        # the epoch's draws, as train makes them: the permutation, then one
+        # seed per example of each batch in shuffled order
+        rng = np.random.default_rng(cfg.seed)
+        order = rng.permutation(len(data))
+        batches = list(batch_indices(order, cfg.batch_size))
+        assert [len(b) for b in batches] == [CHUNK + 4, CHUNK + 1]  # short last batch
+        seed_of = {}
+        for batch in batches:
+            seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch))
+            seed_of.update(zip(batch.tolist(), seeds.tolist()))
+
+        length = [len(ex.ids) for ex in data]
+        assert [len(idx) for idx, _ in chunks] == [CHUNK, 4, CHUNK, 1]
+        for batch, batch_chunks in zip(batches, (chunks[:2], chunks[2:])):
+            members = set(batch.tolist())
+            held = []
+            for idx, seeds in batch_chunks:
+                assert [length[i] for i in idx] == sorted(length[i] for i in idx)
+                assert set(idx) <= members  # no chunk mixes two batches
+                assert seeds == [seed_of[i] for i in idx]
+                held += idx
+            assert sorted(held) == sorted(members)
+            # stable: equal lengths keep their shuffled order
+            assert held == sorted(batch.tolist(), key=lambda i: length[i])
+
+    def test_one_batch_epoch_tallies_as_in_batch_order(self):
+        # a sequence's probabilities do not depend on its chunk-mates at a
+        # fixed chunk width, so a whole number of chunks gives the same
+        # per-example values in length order as in batch order, and they
+        # are tallied in batch order
+        model, data = _shuffled_lengths_set()
+        data = data[: 2 * CHUNK]
+        cfg = TrainingConfig(epochs=1, batch_size=len(data), seed=8)
+        rng = np.random.default_rng(cfg.seed)
+        order = rng.permutation(len(data))
+        seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(data))
+        rate = dropout_schedule(1, cfg)
+        loss_sum, n_correct = 0.0, 0
+        for idx, chunk_seeds in zip(batch_indices(order, CHUNK), batch_indices(seeds, CHUNK)):
+            probabilities = forward_batch(
+                model, [data[i].ids for i in idx], rate, chunk_seeds
+            ).probabilities
+            for i, p in zip(idx, probabilities):
+                loss_sum += nll_loss(p, data[i].label)
+                n_correct += predicted_label(p[BOT]) == data[i].label
+
+        _, history = train(model, data, cfg)
+        (epoch,) = history.epochs
+        assert epoch.loss == loss_sum / len(data)
+        assert epoch.accuracy == n_correct / len(data)
 
     def test_step_memory_is_bounded_by_the_chunk(self):
         # a step holds the gradient sum and the velocity (2x the trainable
@@ -397,22 +491,8 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(model, [])
 
-    @staticmethod
-    def _shuffled_lengths_set():
-        """2*CHUNK + 5 sequences of 1-20 tokens from five interleaved accounts, unsorted."""
-        rng = np.random.default_rng(7)
-        model = random_model(rng, vocab_size=30, dim=4, hidden=3, layers=2)
-        n = 2 * CHUNK + 5
-        lengths = rng.permutation(np.arange(n) % 20 + 1)
-        data = [
-            LabeledSequence(f"acct{(3 * k) % 5}", (3 * k) % 5 % 2,
-                            rng.integers(1, 30, size=int(n_ids)).tolist())
-            for k, n_ids in enumerate(lengths)
-        ]
-        return model, data
-
     def test_scores_match_per_sequence_reference(self):
-        model, data = self._shuffled_lengths_set()
+        model, data = _shuffled_lengths_set()
         p_bot = [forward_batch(model, [ex.ids]).probabilities[0, BOT] for ex in data]
         expected = {}
         for ex, p in zip(data, p_bot):  # dataset order
@@ -425,7 +505,7 @@ class TestEvaluate:
             assert abs(scored[acct][1] - total / count) < 1e-12
 
     def test_chunks_run_in_length_order(self, monkeypatch):
-        model, data = self._shuffled_lengths_set()
+        model, data = _shuffled_lengths_set()
         chunks = []
 
         def recording_forward(model, seqs, *args):
