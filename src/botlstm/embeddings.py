@@ -58,12 +58,18 @@ def load_glove(source, expected_dim: int, wanted):
 
     `source` may be a path or an iterable of lines. Returns (words, matrix):
     the wanted words found, in stream order, and their [n, D] float64 rows.
-    A line's vector is its last D whitespace-separated fields; its word is
-    what precedes them and may not hold an ASCII space or tab. Every line's
-    field count is checked, but only wanted rows are parsed. A repeated word
-    keeps its first vector; repeats are counted and logged. Raises DataError
-    naming the line on a bad field count or a non-numeric wanted field, and
-    on an empty stream.
+    A line's vector is its last D fields, separated by runs of whitespace as
+    `str.split()` sees it (ASCII space, tab, U+00A0, U+3000 and the rest);
+    its word is what precedes them and may not hold an ASCII space or tab.
+    Every line's field count is checked, but only wanted rows are parsed,
+    each value as `float()` reads it. A repeated word keeps its first
+    vector; repeats are counted and logged. Raises DataError naming the
+    first faulty line in stream order, on a bad field count or a non-numeric
+    wanted field, and on an empty stream.
+
+    Cost: a line whose fields are single ASCII spaces apart is checked
+    without being split, so what remains is parsing the wanted rows' floats,
+    all in one call. Memory grows with the wanted rows, not with the file.
     """
     if isinstance(source, (str, Path)):
         with open_text(source, "embeddings", "embedding file") as fh:
@@ -72,39 +78,88 @@ def load_glove(source, expected_dim: int, wanted):
 
 
 def _parse_glove_lines(lines, expected_dim: int, wanted, name: str):
-    rows: dict[str, np.ndarray] = {}
+    # A "plain" line is `word` + " " + D fields joined by single ASCII
+    # spaces, with no other whitespace: for it, rsplit(None, D) would give
+    # exactly [word, *vector.split(" ")], so counting the spaces is the whole
+    # field-count check. Any other line is split as whitespace-separated.
+    found: dict[str, int] = {}  # wanted word -> its first line number
+    texts: list[str] = []  # their vectors, fields joined by single spaces
     duplicates = 0
     n = 0
-    for n, line in enumerate(lines, start=1):
-        fields = line.lstrip().rsplit(None, expected_dim)
-        if not fields:
-            raise DataError(f"{name}: empty line {n}", module="embeddings")
-        word = fields[0]
-        if len(fields) != expected_dim + 1 or " " in word or "\t" in word:
-            raise DataError(
-                f"{name}: line {n} has {len(line.split()) - 1} values, expected "
-                f"{expected_dim}",
-                module="embeddings",
-            )
-        if word not in wanted:
-            continue
-        if word in rows:
-            duplicates += 1
-            continue
-        try:
-            rows[word] = np.array(fields[1:], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(
-                f"{name}: non-numeric field on line {n}", module="embeddings"
-            ) from exc
+    try:
+        for n, line in enumerate(lines, start=1):
+            word, _, vector = line.rstrip("\r\n").partition(" ")
+            if not (
+                word
+                and vector
+                and vector.count(" ") == expected_dim - 1
+                and vector.isascii()
+                and word.isprintable()
+                and vector[0] != " "
+                and vector[-1] != " "
+                and "  " not in vector
+                # the ASCII whitespace besides the space (nine `in` tests are
+                # several times faster than `isprintable()` on a long line)
+                and "\t" not in vector and "\n" not in vector and "\v" not in vector
+                and "\f" not in vector and "\r" not in vector and "\x1c" not in vector
+                and "\x1d" not in vector and "\x1e" not in vector
+                and "\x1f" not in vector
+            ):
+                fields = line.lstrip().rsplit(None, expected_dim)
+                if not fields:
+                    raise DataError(f"{name}: empty line {n}", module="embeddings")
+                word = fields[0]
+                if len(fields) != expected_dim + 1 or " " in word or "\t" in word:
+                    raise DataError(
+                        f"{name}: line {n} has {len(line.split()) - 1} values, "
+                        f"expected {expected_dim}",
+                        module="embeddings",
+                    )
+                vector = " ".join(fields[1:])
+            if word not in wanted:
+                continue
+            if word in found:
+                duplicates += 1
+                continue
+            found[word] = n
+            texts.append(vector)
+    except (DataError, OSError, UnicodeDecodeError):
+        # A non-numeric wanted row before this fault is the one to report.
+        _parse_vectors(texts, list(found.values()), expected_dim, name)
+        raise
     if n == 0:
         raise DataError(f"{name}: empty embedding stream", module="embeddings")
+    matrix = _parse_vectors(texts, list(found.values()), expected_dim, name)
     if duplicates:
         log.warning(
             "%s: %d duplicate word(s); first occurrence kept", name, duplicates
         )
-    matrix = np.array(list(rows.values()), dtype=np.float64)
-    return list(rows), matrix.reshape(len(rows), expected_dim)
+    return list(found), matrix
+
+
+def _parse_vectors(texts, line_numbers, expected_dim: int, name: str):
+    """[len(texts), D] float64 from texts of D space-separated `float()` values.
+
+    np.loadtxt reads a subset of what `float()` reads, to the same values;
+    if it refuses, each row is parsed on its own, which either accepts what
+    only `float()` reads (`1_0`, `٣.٥`) or names the first non-numeric line.
+    """
+    if not texts:
+        return np.zeros((0, expected_dim), dtype=np.float64)
+    try:
+        matrix = np.loadtxt(
+            texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2
+        )
+    except ValueError:
+        matrix = np.empty((len(texts), expected_dim), dtype=np.float64)
+        for i, (text, n) in enumerate(zip(texts, line_numbers)):
+            try:
+                matrix[i] = np.array(text.split(" "), dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(
+                    f"{name}: non-numeric field on line {n}", module="embeddings"
+                ) from exc
+    return matrix
 
 
 def write_glove(path, words, vectors) -> None:

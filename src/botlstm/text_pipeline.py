@@ -147,7 +147,7 @@ class Vocabulary:
                 if not line:
                     continue
                 parts = line.split("\t")
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                     raise DataError(
                         f"{path}: malformed vocabulary line {n}", module="text_pipeline"
                     )

@@ -12,7 +12,7 @@ from botlstm import cli
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import Account, synthetic
 from botlstm.embeddings import write_glove
-from botlstm.text_pipeline import OOV_ID, build_vocabulary, encode, tokenize
+from botlstm.text_pipeline import OOV_ID, RESERVED_TOKENS, build_vocabulary, encode, tokenize
 
 #: Flags whose name is not their RunConfig field's with "-" for "_".
 FLAG_NAMES = {"learning_rate": "lr"}
@@ -462,6 +462,11 @@ class TestDataErrorExitCodes:
         bad.write_bytes("account_id,tweet_text\nu1,caf\xe9\n".encode("latin-1"))
         vocab_file = tmp_path / "vocab.tsv"
         build_vocabulary([w.split() for w in words], set(words)).save(vocab_file)
+        superscript_id = tmp_path / "superscript_id.tsv"
+        superscript_id.write_text(
+            "".join(f"{s}\t{i}\n" for i, s in enumerate(RESERVED_TOKENS)) + "love\t\u00b2\n",
+            encoding="utf-8",
+        )
         bad_header = tmp_path / "bad_header.csv"
         bad_header.write_text("id,text\nu1,hi\n")
         header_only = tmp_path / "header_only.csv"
@@ -472,13 +477,15 @@ class TestDataErrorExitCodes:
                 "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
                 "missing": tmp_path / "missing.tsv", "vocab": vocab_file,
                 "bad_header": bad_header, "header_only": header_only,
-                "zero_bytes": zero_bytes}
+                "zero_bytes": zero_bytes, "superscript_id": superscript_id}
 
     @pytest.mark.parametrize("argv, prefix", [
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
           "--embed-dim", "4", "--vocab", "{missing}"], "text_pipeline:"),
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
           "--embed-dim", "4", "--vocab", "{bad}"], "text_pipeline:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--embed-dim", "4", "--vocab", "{superscript_id}"], "text_pipeline:"),
         (["train", "--accounts", "{acc}", "--tweets", "{bad}", "--glove", "{glove}",
           "--embed-dim", "4"], "datasets:"),
         (["predict", "--checkpoint", "{ckpt}", "--tweets", "{bad}"], "datasets:"),
@@ -506,10 +513,10 @@ class TestDataErrorExitCodes:
          "embeddings:"),
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
           "--vocab", "{vocab}", "--embed-dim", "5"], "embeddings:"),
-    ], ids=["missing-vocab", "latin1-vocab", "latin1-tweets", "latin1-predict-tweets",
-            "latin1-corpus", "latin1-glove", "nan-checkpoint", "truncated-checkpoint",
-            "train-bad-header", "evaluate-bad-header", "predict-bad-header",
-            "stats-bad-header", "train-header-only", "evaluate-header-only",
+    ], ids=["missing-vocab", "latin1-vocab", "superscript-vocab-id", "latin1-tweets",
+            "latin1-predict-tweets", "latin1-corpus", "latin1-glove", "nan-checkpoint",
+            "truncated-checkpoint", "train-bad-header", "evaluate-bad-header",
+            "predict-bad-header", "stats-bad-header", "train-header-only", "evaluate-header-only",
             "stats-header-only", "stats-zero-bytes", "predict-zero-bytes",
             "build-vocab-glove-dim", "train-glove-dim"])
     def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):

@@ -1,9 +1,11 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from botlstm.embeddings import (
+    _parse_glove_lines,
     build_table,
     embed_sequence,
     load_glove,
@@ -103,6 +105,223 @@ class TestLoadGlove:
             ["w " + " ".join(fields)], expected_dim=len(fields), wanted={"w"}
         )
         assert matrix.tobytes() == np.array([[float(f) for f in fields]]).tobytes()
+
+    def test_values_only_float_reads_still_load(self):
+        # np.loadtxt refuses both; a row-by-row parse reads them as float() does
+        lines = ["a 1_0 -2_5.0_1", "b \u0663.\u0665 1"]
+        words, matrix = load_glove(lines, expected_dim=2, wanted={"a", "b"})
+        assert words == ["a", "b"]
+        assert matrix.tobytes() == np.array([[10.0, -25.01], [3.5, 1.0]]).tobytes()
+
+    @pytest.mark.parametrize("lines, message", [
+        (["cat 0.1 oops", "dog 0.3 0.4", "bad 1"], "non-numeric field on line 1"),
+        (["cat 0.1 0.2", "bad 1", "dog 0.3 oops"], "line 2 has 1 values, expected 2"),
+        (["cat 0.1 oops", "  "], "non-numeric field on line 1"),
+    ], ids=["non-numeric-first", "field-count-first", "non-numeric-before-empty-line"])
+    def test_first_fault_in_stream_order_is_reported(self, lines, message):
+        with pytest.raises(DataError, match=message):
+            load_glove(lines, expected_dim=2, wanted={"cat", "dog"})
+
+    def test_non_numeric_row_before_undecodable_bytes_is_reported(self, tmp_path):
+        path = tmp_path / "glove.txt"
+        path.write_bytes(b"cat 0.1 oops\n" + b"dog 0.3 0.4\n" * 3000 + b"\xff 1 2\n")
+        with pytest.raises(DataError, match="non-numeric field on line 1"):
+            load_glove(path, expected_dim=2, wanted={"cat"})
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            load_glove(path, expected_dim=2, wanted={"dog"})
+
+
+def _reference_parse_glove_lines(lines, expected_dim: int, wanted, name: str):
+    """Reference loader: every line is split on whitespace runs, and every
+    wanted row is parsed on its own."""
+    rows: dict[str, np.ndarray] = {}
+    duplicates = 0
+    n = 0
+    for n, line in enumerate(lines, start=1):
+        fields = line.lstrip().rsplit(None, expected_dim)
+        if not fields:
+            raise DataError(f"{name}: empty line {n}", module="embeddings")
+        word = fields[0]
+        if len(fields) != expected_dim + 1 or " " in word or "\t" in word:
+            raise DataError(
+                f"{name}: line {n} has {len(line.split()) - 1} values, expected "
+                f"{expected_dim}",
+                module="embeddings",
+            )
+        if word not in wanted:
+            continue
+        if word in rows:
+            duplicates += 1
+            continue
+        try:
+            rows[word] = np.array(fields[1:], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(
+                f"{name}: non-numeric field on line {n}", module="embeddings"
+            ) from exc
+    if n == 0:
+        raise DataError(f"{name}: empty embedding stream", module="embeddings")
+    if duplicates:
+        logging.getLogger("botlstm.embeddings").warning(
+            "%s: %d duplicate word(s); first occurrence kept", name, duplicates
+        )
+    matrix = np.array(list(rows.values()), dtype=np.float64)
+    return list(rows), matrix.reshape(len(rows), expected_dim)
+
+
+# Pieces of random embedding lines. Words may hold non-ASCII whitespace;
+# SPLIT_WORDS hold whitespace that str.split() splits on.
+WORDS = ["cat", "dog", "caf\u00e9", "a\xa0b", "x\u3000y", "w\u200bz"]
+SPLIT_WORDS = ["e\x1cf", "g\vh", "i\tj", "k\x85l"]
+VALUES = ["0.5", "-1.25", "+3e-2", ".5", "-0.0", "1e400", "nan", "-inf", "4.9e-324", "7"]
+#: float() reads these and np.loadtxt does not
+FLOAT_ONLY_VALUES = ["1_0", "\u0663.\u0665", "\uff11"]
+NON_NUMERIC = ["oops", "1#", "0x10", "1\x00", "1\x7f", "--1", "1_", "\u00b2", "nan(1)"]
+#: whitespace besides the ASCII space: all of it in ASCII, and some beyond
+INNER_SPACES = ["\t", "\n", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+                "\x85", "\xa0", "\u2028", "\u3000"]
+SEPARATORS = ["\t", "  ", "\xa0", "\u3000", " \t", "\x1f "]
+ENDINGS = ["\n", "", "\r\n", " \n", "\t\r\n"]
+BLANK_LINES = ["", "\n", "   \n", "\t\n", "\r\n", "\xa0\n"]
+#: line shapes and their shares; "short-extra-space" lines lack one value and
+#: hold one extra space, so their spaces still number D
+SHAPES = {"single-spaces": 0.6, "mixed-whitespace": 0.23, "blank": 0.015,
+          "split-word": 0.03, "wrong-count": 0.03, "short-extra-space": 0.04,
+          "space-in-value": 0.055}
+
+
+def _random_line(rng, dim: int) -> tuple[str, str]:
+    """One embedding line, and its shape."""
+    shape = str(rng.choice(list(SHAPES), p=list(SHAPES.values())))
+    if shape == "blank":
+        return str(rng.choice(BLANK_LINES)), shape
+    word = str(rng.choice(SPLIT_WORDS if shape == "split-word" else WORDS))
+    n_values = dim
+    if shape == "wrong-count":
+        n_values += int(rng.choice([-1, 1]))
+    elif shape == "short-extra-space":
+        n_values -= 1
+    values = []
+    for _ in range(n_values):
+        r = rng.random()
+        pool = VALUES if r < 0.95 else FLOAT_ONLY_VALUES if r < 0.975 else NON_NUMERIC
+        values.append(str(rng.choice(pool)))
+    if shape == "space-in-value":
+        i = int(rng.integers(len(values)))
+        at = int(rng.integers(len(values[i]) + 1))
+        values[i] = values[i][:at] + str(rng.choice(INNER_SPACES)) + values[i][at:]
+    fields = [word, *values]
+    seps = [" "] * (len(fields) - 1)
+    prefix = ""
+    ending = str(rng.choice(ENDINGS[:3], p=[0.8, 0.1, 0.1]))
+    if shape == "mixed-whitespace":
+        seps = [" " if rng.random() < 0.6 else str(rng.choice(SEPARATORS)) for _ in seps]
+        prefix = str(rng.choice(["", " ", "\t", "\u3000"], p=[0.7, 0.1, 0.1, 0.1]))
+        ending = str(rng.choice(ENDINGS))
+    elif shape == "short-extra-space":
+        where = rng.choice(["leading", "trailing", "doubled"])
+        if where == "leading":
+            prefix = " "
+        elif where == "trailing":
+            ending = " " + ending
+        elif seps:
+            seps[int(rng.integers(len(seps)))] = "  "
+        else:
+            ending = " " + ending
+    line = prefix + "".join(f + s for f, s in zip(fields, seps)) + fields[-1] + ending
+    return line, shape
+
+
+def _outcome(parse, lines, dim, wanted, caplog):
+    caplog.clear()
+    try:
+        words, matrix = parse(lines, dim, wanted, "<stream>")
+    except DataError as exc:
+        result = (type(exc), str(exc), exc.module)
+    else:
+        result = (words, matrix.shape, matrix.dtype, matrix.tobytes())
+    return result, [r.getMessage() for r in caplog.records]
+
+
+class TestLoadGloveMatchesLineSplitting:
+    def test_whitespace_other_than_the_space_is_never_printable(self):
+        # the plain-line check relies on this to keep whitespace out of words
+        chars = map(chr, range(0x110000))
+        assert [c for c in chars if c.isspace() and c.isprintable()] == [" "]
+
+    @pytest.mark.parametrize("space", INNER_SPACES,
+                             ids=[f"U+{ord(c):04X}" for c in INNER_SPACES])
+    def test_whitespace_inside_a_value_splits_it(self, space):
+        lines = ["cat 0.1 0.2", f"dog 0{space}5 0.6"]
+        with pytest.raises(DataError, match="line 2 has 3 values, expected 2"):
+            load_glove(lines, expected_dim=2, wanted={"cat"})
+
+    def test_random_streams_match_the_reference(self, caplog):
+        rng = np.random.default_rng(20140)
+        shapes = dict.fromkeys(SHAPES, 0)
+        outcomes = dict.fromkeys(
+            ["rows", "non-numeric", "values, expected", "empty line", "duplicate warning"], 0
+        )
+        with caplog.at_level(logging.WARNING, logger="botlstm.embeddings"):
+            for _ in range(600):
+                dim = int(rng.integers(1, 4))
+                built = [_random_line(rng, dim) for _ in range(int(rng.integers(2, 13)))]
+                lines = [line for line, _ in built]
+                wanted = {w for w in WORDS + SPLIT_WORDS if rng.random() < 0.6}
+                want = _outcome(_reference_parse_glove_lines, lines, dim, wanted, caplog)
+                got = _outcome(_parse_glove_lines, lines, dim, wanted, caplog)
+                assert got == want, lines
+                for _, shape in built:
+                    shapes[shape] += 1
+                result, warnings = want
+                if isinstance(result[0], list):  # (words, shape, dtype, bytes)
+                    outcomes["rows"] += len(result[0]) > 0
+                else:  # (type, message, module)
+                    for kind in ("non-numeric", "values, expected", "empty line"):
+                        outcomes[kind] += kind in result[1]
+                outcomes["duplicate warning"] += bool(warnings)
+        assert sum(shapes.values()) >= 2000
+        assert min(shapes.values()) >= 30, shapes
+        assert min(outcomes.values()) >= 10, outcomes
+
+
+class TestLoadGloveMemory:
+    """Memory grows with the wanted rows, not with the file."""
+
+    @staticmethod
+    def _peak_bytes(path, dim, wanted):
+        tracemalloc.start()
+        try:
+            words, matrix = load_glove(path, expected_dim=dim, wanted=wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return words, matrix, peak
+
+    def test_unwanted_lines_are_not_kept(self, tmp_path):
+        dim = 50
+        vector = " ".join(f"{v:+.4f}" for v in np.random.default_rng(1).uniform(-1, 1, dim))
+        path = tmp_path / "glove.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(20_000):
+                fh.write(f"{'cat' if i % 5000 == 7 else f'u{i}'} {vector}\n")
+        assert path.stat().st_size > 7_000_000
+        words, matrix, peak = self._peak_bytes(path, dim, {"cat", "dog"})
+        assert words == ["cat"] and matrix.shape == (1, dim)
+        assert peak < 1_000_000
+
+    def test_wanted_rows_cost_at_most_2_5x_their_matrix(self, tmp_path):
+        dim = 200
+        rng = np.random.default_rng(2)
+        words = [f"w{i}" for i in range(2_000)]
+        path = tmp_path / "glove.txt"
+        path.write_text("".join(
+            w + " " + " ".join(f"{v:+.4f}" for v in row) + "\n"
+            for w, row in zip(words, rng.uniform(-1, 1, (len(words), dim)))
+        ), encoding="utf-8")
+        got, matrix, peak = self._peak_bytes(path, dim, set(words))
+        assert got == words
+        assert peak <= 2.5 * matrix.nbytes, peak / matrix.nbytes
 
 
 class TestBuildTable:

@@ -147,6 +147,15 @@ class TestVocabulary:
         with pytest.raises(DataError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("bad_id", ["\u00b2", "\u0666"], ids=["superscript-2", "arabic-6"])
+    def test_load_requires_ascii_digit_ids(self, tmp_path, bad_id):
+        # str.isdigit() passes both, and int() rejects the superscript
+        path = tmp_path / "vocab.tsv"
+        lines = [f"{s}\t{i}" for i, s in enumerate(RESERVED_TOKENS)]
+        path.write_text("\n".join(lines + [f"love\t{bad_id}"]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="malformed vocabulary line 7$"):
+            Vocabulary.load(path)
+
     def test_load_rejects_non_dense_ids(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("<PAD>\t0\n<OOV>\t2\n", encoding="utf-8")
