@@ -109,15 +109,15 @@ def build_parser() -> _Parser:
 
     p = add_parser("evaluate", help="score a labeled test set")
     _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint")
     p.add_argument("--output", help="metrics JSON to write (default metrics.json)")
     _add_sequence_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = add_parser("predict", help="write per-account bot probabilities")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tweets", required=True)
+    p.add_argument("--checkpoint")
+    p.add_argument("--tweets")
     p.add_argument("--output", help="predictions CSV (default predictions.csv)")
     _add_sequence_flags(p)
     _add_common_flags(p)
@@ -172,12 +172,14 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
-@dataclass
-class RunConfig:
-    """One command's resolved settings; the field defaults are the CLI's."""
+@dataclass(kw_only=True)
+class RunConfig(trainer.TrainingConfig):
+    """One command's resolved settings; the field defaults are the CLI's.
+
+    The training fields and their defaults are TrainingConfig's.
+    """
 
     command: str
-    seed: int = 0
     max_seq_len: int = 64
     granularity: str = "per_tweet"
     rt_token: bool = True
@@ -185,12 +187,6 @@ class RunConfig:
     hidden: int = 200
     layers: int = 3
     embed_dim: int = 200
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs: int = 30
-    dropout_start: float = 0.5
-    dropout_end: float = 0.1
     accounts: str | None = None
     tweets: str | None = None
     synthetic: int | None = None
@@ -220,7 +216,7 @@ class RunConfig:
                 f"got {self.granularity!r}"
             )
         try:
-            self.training()  # checks the fields RunConfig shares with TrainingConfig
+            super().__post_init__()
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -233,9 +229,19 @@ class RunConfig:
         fields = {k: v for k, v in values.items() if k in cls.__dataclass_fields__}
         return cls(**fields)
 
-    def training(self) -> trainer.TrainingConfig:
-        names = trainer.TrainingConfig.__dataclass_fields__
-        return trainer.TrainingConfig(**{n: getattr(self, n) for n in names})
+    def require(self, *names: str, unless_synthetic: tuple[str, ...] = ()) -> None:
+        """Raise a UsageError naming every unset flag among `names`.
+
+        The inputs in `unless_synthetic` are required too, unless --synthetic
+        is set; the message then names --synthetic N as their alternative.
+        """
+        if self.synthetic is None:
+            names += unless_synthetic
+        missing = [n for n in names if not getattr(self, n)]
+        if missing:
+            either = " (or --synthetic N)" if set(missing) & set(unless_synthetic) else ""
+            flags = " and ".join(f"--{n}" for n in missing)
+            raise UsageError(f"{self.command} requires {flags}{either}")
 
     def examples(self, accounts, vocab) -> list[datasets.LabeledSequence]:
         """Labeled sequences at this run's granularity; empty ones are dropped."""
@@ -247,18 +253,20 @@ class RunConfig:
             log.warning("dropped %d empty sequence(s)", dropped)
         return examples
 
+    def target(self, explicit: str | None, default_name: str) -> Path:
+        """`explicit`, or `default_name` in --output-dir."""
+        return Path(explicit) if explicit else Path(self.output_dir) / default_name
+
     def out_path(self, explicit: str | None, default_name: str) -> Path:
-        """`explicit`, or `default_name` in --output-dir (made if missing).
+        """`target()`, making --output-dir if the path lies in it and it is missing.
 
         A path whose directory is missing or cannot be made is a DataError,
         raised here, before the command does its work.
         """
-        if explicit:
-            path = Path(explicit)
-        else:
+        path = self.target(explicit, default_name)
+        if not explicit:
             with _writing(self.output_dir):
                 Path(self.output_dir).mkdir(parents=True, exist_ok=True)
-            path = Path(self.output_dir) / default_name
         if not path.parent.is_dir():
             raise DataError(f"cannot write {path}: no directory {path.parent}", module="cli")
         return path
@@ -301,8 +309,7 @@ def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
 
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
-    if not cfg.corpus or not cfg.glove:
-        raise UsageError("build-vocab requires --corpus and --glove")
+    cfg.require("corpus", "glove")
     out = cfg.out_path(cfg.output, "vocab.tsv")
     tweets = _read_corpus_lines(cfg.corpus)
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
@@ -312,12 +319,8 @@ def cmd_build_vocab(cfg: RunConfig) -> int:
               "vocabulary holds only the reserved tokens", file=sys.stderr)
     with _writing(out):
         vocab.save(out)
-    total = 0
-    oov = 0
-    for tokens in tokenized:
-        for token_id in text_pipeline.encode(tokens, vocab):
-            total += 1
-            oov += token_id == text_pipeline.OOV_ID
+    total = sum(map(len, tokenized))
+    oov = sum(text_pipeline.encode(t, vocab).count(text_pipeline.OOV_ID) for t in tokenized)
     rate = oov / total if total else 0.0
     print(f"corpus tokens: {total}")
     print(f"vocabulary size: {len(vocab)}")
@@ -332,17 +335,11 @@ def _load_labeled_accounts(cfg: RunConfig):
         return datasets.synthetic(
             seed=cfg.seed, n_per_class=cfg.synthetic, embed_dim=cfg.embed_dim
         )
-    if not cfg.accounts or not cfg.tweets:
-        raise UsageError(
-            "need either --synthetic N or both --accounts and --tweets"
-        )
     return datasets.load_dataset(cfg.accounts, cfg.tweets), None, None
 
 
 def _glove_vocab_and_table(cfg: RunConfig, accounts):
     """(vocab, table) for CSV inputs, reading only the vocabulary's embedding rows."""
-    if not cfg.glove:
-        raise UsageError("train requires --glove when using CSV inputs")
     if cfg.vocab:
         vocab = text_pipeline.Vocabulary.load(cfg.vocab)
         wanted = set(vocab.surfaces) - text_pipeline.SPECIAL_TOKENS
@@ -358,6 +355,10 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    cfg.require(unless_synthetic=("accounts", "tweets", "glove"))
+    ckpt_target = cfg.target(cfg.checkpoint, "model.ckpt")
+    if ckpt_target.resolve() == cfg.target(cfg.history, "history.csv").resolve():
+        raise UsageError("--checkpoint and --history name the same file")
     ckpt_path = cfg.out_path(cfg.checkpoint, "model.ckpt")
     history_path = cfg.out_path(cfg.history, "history.csv")
     accounts, vocab, table = _load_labeled_accounts(cfg)
@@ -370,7 +371,7 @@ def cmd_train(cfg: RunConfig) -> int:
         hidden=cfg.hidden, layers=cfg.layers,
     )
     model = init_params(model_config, rng_seed=cfg.seed, embedding=table)
-    model, history = trainer.train(model, examples, cfg.training())
+    model, history = trainer.train(model, examples, cfg)
 
     with _writing(ckpt_path):
         ckpt.save_checkpoint(ckpt_path, model, vocab)
@@ -384,6 +385,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    cfg.require("checkpoint", unless_synthetic=("accounts", "tweets"))
     out = cfg.out_path(cfg.output, "metrics.json")
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts, _, _ = _load_labeled_accounts(cfg)
@@ -398,6 +400,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    cfg.require("checkpoint", "tweets")
     out = cfg.out_path(cfg.output, "predictions.csv")
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts = [
@@ -421,8 +424,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    if not cfg.accounts or not cfg.tweets:
-        raise UsageError("stats requires --accounts and --tweets")
+    cfg.require("accounts", "tweets")
     report_path = cfg.out_path(None, "divergence.json")
     accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
     humans = [a for a in accounts if a.label == HUMAN]

@@ -272,28 +272,21 @@ def synthetic(
 
     rng = np.random.default_rng(seed)
     accounts: list[Account] = []
-    for k in range(n_per_class):
-        accounts.append(
+    for label, prefix, own, other, url_prob in (
+        (HUMAN, "human", SOCIAL_WORDS, PROMO_WORDS, HUMAN_URL_PROB),
+        (BOT, "bot", PROMO_WORDS, SOCIAL_WORDS, BOT_URL_PROB),
+    ):
+        accounts += [
             Account(
-                account_id=f"human{k:04d}",
-                label=HUMAN,
+                account_id=f"{prefix}{k:04d}",
+                label=label,
                 tweets=[
-                    _synthetic_tweet(rng, SOCIAL_WORDS, filler, PROMO_WORDS, HUMAN_URL_PROB)
+                    _synthetic_tweet(rng, own, filler, other, url_prob)
                     for _ in range(SYNTHETIC_TWEETS_PER_ACCOUNT)
                 ],
             )
-        )
-    for k in range(n_per_class):
-        accounts.append(
-            Account(
-                account_id=f"bot{k:04d}",
-                label=BOT,
-                tweets=[
-                    _synthetic_tweet(rng, PROMO_WORDS, filler, SOCIAL_WORDS, BOT_URL_PROB)
-                    for _ in range(SYNTHETIC_TWEETS_PER_ACCOUNT)
-                ],
-            )
-        )
+            for k in range(n_per_class)
+        ]
 
     word_list = list(PROMO_WORDS) + list(SOCIAL_WORDS) + filler
     corpus = (tokenize(tw) for acct in accounts for tw in acct.tweets)

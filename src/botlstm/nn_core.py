@@ -222,8 +222,8 @@ class BiLstmLayer:
 class ModelConfig:
     vocab_size: int
     embed_dim: int
-    hidden: int = 200
-    layers: int = 3
+    hidden: int
+    layers: int
 
     def __post_init__(self):
         for name in ("vocab_size", "embed_dim", "hidden", "layers"):

@@ -210,6 +210,22 @@ class TestTrain:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("outputs", [
+        ["--checkpoint", "{d}/same.out", "--history", "{d}/same.out"],
+        ["--checkpoint", "{d}/sub/../same.out", "--history", "{d}/same.out"],
+        ["--checkpoint", "{d}/out/history.csv", "--output-dir", "{d}/out"],
+    ], ids=["same-flag-value", "same-file-other-spelling", "history-default"])
+    def test_checkpoint_and_history_on_one_file_is_usage_error(self, tmp_path, capsys, outputs):
+        rc = cli.main([
+            "train", "--synthetic", "2", "--hidden", "2", "--layers", "1",
+            "--embed-dim", "4", "--epochs", "1",
+            *[a.format(d=tmp_path) for a in outputs],
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert "--checkpoint and --history" in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_hidden_is_usage_error(self, tmp_path, capsys):
         rc = cli.main([
             "train", "--synthetic", "2", "--hidden", "0", "--epochs", "1",
@@ -793,6 +809,72 @@ class TestConfigFileAndExitCodes:
         from botlstm.trainer import TrainingConfig
 
         cfg = cli.RunConfig(command="train")
-        trained = cfg.training()
-        assert trained == TrainingConfig(seed=0)
+        assert isinstance(cfg, TrainingConfig)
+        for f in dataclasses.fields(TrainingConfig):
+            assert getattr(cfg, f.name) == getattr(TrainingConfig(), f.name), f.name
         assert cfg.hidden == 200 and cfg.layers == 3 and cfg.embed_dim == 200
+
+    def test_make_examples_defaults_are_run_config_defaults(self):
+        # bench/checks.py recomputes predict's p_bot through make_examples's defaults
+        import inspect
+
+        from botlstm.datasets import make_examples
+
+        params = inspect.signature(make_examples).parameters
+        cfg = cli.RunConfig(command="predict")
+        assert (params["mode"].default, params["max_seq_len"].default,
+                params["map_rt"].default) == (cfg.granularity, cfg.max_seq_len, cfg.rt_token)
+
+
+class TestRequiredInputs:
+    """Each command names every missing input in one usage error, before any output."""
+
+    @pytest.mark.parametrize("argv, missing, absent", [
+        (["build-vocab"], ["--corpus", "--glove"], []),
+        (["build-vocab", "--corpus", "c.txt"], ["--glove"], ["--corpus"]),
+        (["train"], ["--accounts", "--tweets", "--glove", "--synthetic N"], []),
+        (["train", "--accounts", "{d}/a.csv", "--tweets", "{d}/t.csv"],
+         ["--glove", "--synthetic N"], ["--accounts", "--tweets"]),
+        (["evaluate"], ["--checkpoint", "--accounts", "--tweets", "--synthetic N"], []),
+        (["evaluate", "--checkpoint", "{d}/m.ckpt"],
+         ["--accounts", "--tweets", "--synthetic N"], ["--checkpoint"]),
+        (["evaluate", "--synthetic", "2"], ["--checkpoint"], ["--synthetic N", "--accounts"]),
+        (["predict"], ["--checkpoint", "--tweets"], []),
+        (["predict", "--tweets", "{d}/t.csv"], ["--checkpoint"], ["--tweets"]),
+        (["stats"], ["--accounts", "--tweets"], []),
+    ], ids=["build-vocab", "build-vocab-corpus", "train", "train-csvs", "evaluate",
+            "evaluate-checkpoint", "evaluate-synthetic", "predict", "predict-tweets", "stats"])
+    def test_missing_input_is_one_usage_error_before_any_output(
+        self, tmp_path, capsys, argv, missing, absent
+    ):
+        # the named inputs do not exist: reading one would exit 2, not 1
+        out = tmp_path / "out"
+        rc = cli.main([*[a.format(d=tmp_path) for a in argv], "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith(f"usage error: {argv[0]} requires"), err
+        for flag in missing:
+            assert flag in err, err
+        for flag in absent:
+            assert flag not in err, err
+        assert not out.exists()
+
+    def test_config_file_supplies_evaluate_checkpoint(self, trained, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"checkpoint={trained[0]}\n")
+        out = tmp_path / "metrics.json"
+        rc = cli.main(["evaluate", "--config", str(config), "--synthetic", "2",
+                       "--output", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["tp"] + payload["fn"] == 2  # --synthetic 2: two bot accounts
+
+    def test_config_file_supplies_predict_checkpoint_and_tweets(self, trained, tmp_path):
+        _, twt = write_dataset_files(small_accounts(), tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"checkpoint={trained[0]}\ntweets={twt}\n")
+        out = tmp_path / "predictions.csv"
+        rc = cli.main(["predict", "--config", str(config), "--output", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + len(small_accounts())

@@ -462,9 +462,9 @@ class TestInitParams:
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=0, embed_dim=4)
+            ModelConfig(vocab_size=0, embed_dim=4, hidden=5, layers=1)
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=4, embed_dim=4, hidden=-1)
+            ModelConfig(vocab_size=4, embed_dim=4, hidden=-1, layers=1)
 
     @pytest.mark.parametrize("rows, dim", [(11, 4), (10, 5)], ids=["vocab-size", "dim"])
     def test_table_must_match_the_config(self, rows, dim):
