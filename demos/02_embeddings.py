@@ -20,6 +20,7 @@ from botlstm import (
     tokenize,
     write_glove,
 )
+from botlstm.embeddings import TRAINABLE_ROWS
 
 rng = np.random.default_rng(0)
 words = ["love", "deal", "lol", "check"]
@@ -39,8 +40,9 @@ vocab = build_vocabulary(corpus, set(words))
 table = build_table(vocab, loaded_words, matrix, rng_seed=7)
 
 print("\n== table layout ==")
+trainable = range(len(vocab))[TRAINABLE_ROWS]
 for i, surface in enumerate(vocab.surfaces):
-    kind = "trainable" if table.trainable_mask[i] else "frozen"
+    kind = "trainable" if i in trainable else "frozen"
     print(f"  row {i:2d} {surface:10} {kind:9} {np.round(table.vectors[i][:3], 3)}...")
 
 print("\n== embedding a sequence ==")

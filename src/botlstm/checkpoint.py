@@ -24,10 +24,11 @@ Layout (all integers little-endian uint32, floats little-endian float32):
     checksum u32  CRC-32 of the payload bytes
 
 Parameters are saved at float32 precision, so save -> load -> save is
-byte-identical. A block is the C-order concatenation of its gate pieces,
+byte-identical. A finite value beyond float32's range is refused before
+the file is opened, and a tensor block holding a NaN or an infinity is
+rejected on load. A block is the C-order concatenation of its gate pieces,
 so the bytes are unchanged from the earlier layout that stored each gate
-as its own tensor. A tensor block holding a NaN or an infinity is
-rejected on load. The checksum does not cover the header, so the loader
+as its own tensor. The checksum does not cover the header, so the loader
 walks the header's tensor shapes only as far as the payload reaches: a
 header that implies more tensor bytes than the file holds is rejected
 before anything is allocated for them.
@@ -41,7 +42,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, InternalError
 from .nn_core import ModelConfig, ModelParams, N_CLASSES
 from .text_pipeline import Vocabulary
 
@@ -63,7 +64,11 @@ def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
     for (name, arr), shape in zip(model.named_tensors(), cfg.tensor_shapes()):
         if arr.shape != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+            block = np.ascontiguousarray(arr, dtype="<f4")
+        if (np.isinf(block) & np.isfinite(arr)).any():
+            raise InternalError(f"tensor {name} overflows float32", module="checkpoint")
+        parts.append(block.tobytes())
     payload = b"".join(parts)
     header = _HEADER.pack(
         MAGIC, VERSION, cfg.vocab_size, cfg.embed_dim, cfg.hidden, cfg.layers, N_CLASSES

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 import typing
 from contextlib import contextmanager
@@ -253,23 +254,56 @@ class RunConfig(trainer.TrainingConfig):
             log.warning("dropped %d empty sequence(s)", dropped)
         return examples
 
-    def target(self, explicit: str | None, default_name: str) -> Path:
-        """`explicit`, or `default_name` in --output-dir."""
-        return Path(explicit) if explicit else Path(self.output_dir) / default_name
+    def out_paths(self) -> list[Path]:
+        """The files this command writes, in `_WRITES` order, checked before it reads.
 
-    def out_path(self, explicit: str | None, default_name: str) -> Path:
-        """`target()`, making --output-dir if the path lies in it and it is missing.
-
-        A path whose directory is missing or cannot be made is a DataError,
-        raised here, before the command does its work.
+        Each is its flag's value, or its default name in --output-dir. First,
+        an output that names a file the command reads, or another of its
+        outputs, is a UsageError naming both flags. Paths are compared
+        resolved, and by `os.path.samefile` when both exist, so a hard link
+        or a symlink is caught too. Then --output-dir is made if a path lies
+        in it and it is missing; a path whose directory is missing or cannot
+        be made is a DataError.
         """
-        path = self.target(explicit, default_name)
-        if not explicit:
-            with _writing(self.output_dir):
-                Path(self.output_dir).mkdir(parents=True, exist_ok=True)
-        if not path.parent.is_dir():
-            raise DataError(f"cannot write {path}: no directory {path.parent}", module="cli")
-        return path
+        writes = [(f, f and getattr(self, f), name) for f, name in _WRITES[self.command]]
+        paths = [Path(v) if v else Path(self.output_dir) / name for _, v, name in writes]
+        files = [(f"--{f or 'output-dir'}", path) for (f, _, _), path in zip(writes, paths)]
+        files += [(f"--{flag}", Path(getattr(self, flag)))
+                  for flag in _READS[self.command] if getattr(self, flag)]
+        for k, (flag, path) in enumerate(files[: len(paths)]):
+            for other, other_path in files[k + 1 :]:
+                try:
+                    same = os.path.samefile(path, other_path)
+                except OSError:  # one of them is missing
+                    same = path.resolve() == other_path.resolve()
+                if same:
+                    raise UsageError(f"{flag} and {other} name the same file")
+        for (_, explicit, _), path in zip(writes, paths):
+            if not explicit:
+                with _writing(self.output_dir):
+                    Path(self.output_dir).mkdir(parents=True, exist_ok=True)
+            if not path.parent.is_dir():
+                raise DataError(f"cannot write {path}: no directory {path.parent}", module="cli")
+        return paths
+
+
+#: Per command, the flags naming the files it reads.
+_READS = {
+    "build-vocab": ("corpus", "glove"),
+    "train": ("accounts", "tweets", "glove", "vocab"),
+    "evaluate": ("checkpoint", "accounts", "tweets"),
+    "predict": ("checkpoint", "tweets"),
+    "stats": ("accounts", "tweets"),
+}
+#: Per command, the files it writes: (flag or None, default name in --output-dir).
+_WRITES = {
+    "build-vocab": (("output", "vocab.tsv"),),
+    "train": (("checkpoint", "model.ckpt"), ("history", "history.csv")),
+    "evaluate": (("output", "metrics.json"),),
+    "predict": (("output", "predictions.csv"),),
+    "stats": ((None, "human_frequencies.csv"), (None, "bot_frequencies.csv"),
+              (None, "divergence.json")),
+}
 
 
 @contextmanager
@@ -310,7 +344,7 @@ def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
     cfg.require("corpus", "glove")
-    out = cfg.out_path(cfg.output, "vocab.tsv")
+    (out,) = cfg.out_paths()
     tweets = _read_corpus_lines(cfg.corpus)
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
     vocab, _, _ = _corpus_vocabulary(cfg, tokenized)
@@ -356,11 +390,7 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 def cmd_train(cfg: RunConfig) -> int:
     cfg.require(unless_synthetic=("accounts", "tweets", "glove"))
-    ckpt_target = cfg.target(cfg.checkpoint, "model.ckpt")
-    if ckpt_target.resolve() == cfg.target(cfg.history, "history.csv").resolve():
-        raise UsageError("--checkpoint and --history name the same file")
-    ckpt_path = cfg.out_path(cfg.checkpoint, "model.ckpt")
-    history_path = cfg.out_path(cfg.history, "history.csv")
+    ckpt_path, history_path = cfg.out_paths()
     accounts, vocab, table = _load_labeled_accounts(cfg)
     if table is None:
         vocab, table = _glove_vocab_and_table(cfg, accounts)
@@ -386,7 +416,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     cfg.require("checkpoint", unless_synthetic=("accounts", "tweets"))
-    out = cfg.out_path(cfg.output, "metrics.json")
+    (out,) = cfg.out_paths()
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts, _, _ = _load_labeled_accounts(cfg)
     examples = cfg.examples(accounts, vocab)
@@ -401,7 +431,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     cfg.require("checkpoint", "tweets")
-    out = cfg.out_path(cfg.output, "predictions.csv")
+    (out,) = cfg.out_paths()
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts = [
         datasets.Account(account_id=account_id, label=HUMAN, tweets=tweets)
@@ -425,7 +455,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_stats(cfg: RunConfig) -> int:
     cfg.require("accounts", "tweets")
-    report_path = cfg.out_path(None, "divergence.json")
+    *table_paths, report_path = cfg.out_paths()
     accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
     humans = [a for a in accounts if a.label == HUMAN]
     bots = [a for a in accounts if a.label == BOT]
@@ -443,8 +473,7 @@ def cmd_stats(cfg: RunConfig) -> int:
             raise DataError(f"no {name} tokens to count", module="cli")
     report = corpus_stats.compare_tables(tables["human"], tables["bot"], cfg.top_k)
     payload = {"a": "human", "b": "bot", **report.as_dict()}
-    for name, table in tables.items():
-        path = report_path.with_name(f"{name}_frequencies.csv")
+    for table, path in zip(tables.values(), table_paths):
         with _writing(path):
             table.to_csv(path)
         print(f"wrote {path} ({table.total_retained} retained tokens)")

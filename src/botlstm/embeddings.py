@@ -38,13 +38,6 @@ class EmbeddingTable:
     vectors: np.ndarray
 
     @property
-    def trainable_mask(self) -> np.ndarray:
-        """Boolean row mask of TRAINABLE_ROWS (a fresh array per access)."""
-        mask = np.zeros(self.vocab_size, dtype=bool)
-        mask[TRAINABLE_ROWS] = True
-        return mask
-
-    @property
     def vocab_size(self) -> int:
         return self.vectors.shape[0]
 

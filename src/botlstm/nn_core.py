@@ -36,12 +36,12 @@ an affine map and a max-subtracted softmax.
 no-ops in both directions: states pass through unchanged, so padding
 injects no signal and receives no gradient.
 
-All math is float64. A scan keeps only its h and c tracks; BPTT rebuilds
-the gate pre-activations of all T*B steps from them with one GEMM, and
-each layer's input from the layer below. The equations above are written
-once, in `_gates`, which the scan and BPTT's recomputation both call.
-`forward_batch` and `backward_batch` are the entry points to the
-recurrence, and `forward_batch` is the only place dropout is drawn.
+All math is float64. `forward_batch` hands `backward_batch` plain arrays
+(`BatchTrace`): each scan's h and c tracks and the keep-masks. BPTT
+rebuilds the gate pre-activations of all T*B steps from the tracks with
+one GEMM, and each layer's input from the layer below. The equations
+above are written once, in `_gates`, which the scan and BPTT's
+recomputation both call. `forward_batch` is the only place dropout is drawn.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
 their one-sequence, dropout-free case and take no options.
 """
@@ -94,10 +94,6 @@ class LstmCellParams:
     def hidden_size(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def input_size(self) -> int:
-        return self.U.shape[1]
-
     def named_tensors(self):
         """(name, block) pairs in storage (checkpoint) order."""
         yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
@@ -119,23 +115,10 @@ def _gates(pre, V, c_prev, H):
     return o * tc, c, i, f, g, o, tc
 
 
-@dataclass
-class DirectionCache:
-    """The state tracks [T, B, H] of one left-to-right scan, in scan order.
-
-    `ran` [T, B] marks the steps where the cell executed (False at PAD
-    positions and past a column's length). The gates are not kept: BPTT
-    rebuilds them from these tracks.
-    """
-
-    ran: np.ndarray
-    h: np.ndarray
-    c: np.ndarray
-
-
-def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray) -> DirectionCache:
+def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray):
     """Scan one cell left to right over X [T, B, D_in] from zero state.
 
+    Returns the state tracks h and c [T, B, H]; the gates are not kept.
     Steps where `ran` [T, B] is False carry the state through unchanged.
     """
     T, B, D = X.shape
@@ -156,26 +139,25 @@ def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray) -> Direct
             h[t] = np.where(r, h_t, h_prev)
             c[t] = np.where(r, c_t, c_prev)
         h_prev, c_prev = h[t], c[t]
-    return DirectionCache(ran=ran, h=h, c=c)
+    return h, c
 
 
-def _direction_backward(p: LstmCellParams, cache: DirectionCache, X, dh_out, grads):
+def _direction_backward(p: LstmCellParams, h, c, ran, X, dh_out, grads):
     """BPTT through one scan.
 
-    X [T, B, D_in] is the scan's input and `dh_out` the loss gradient
-    w.r.t. its hidden track, both in scan order. Adds the cell's gradients
-    into `grads` (keyed U, W, V, b) in place and returns the input
-    gradient [T, B, D_in] in scan order.
+    h, c and `ran` are the scan's tracks and step mask, X [T, B, D_in] its
+    input and `dh_out` the loss gradient w.r.t. h, all in scan order. Adds
+    the cell's gradients into `grads` (keyed U, W, V, b) in place and
+    returns the input gradient [T, B, D_in] in scan order.
 
     One GEMM over the T*B rows rebuilds every step's gate pre-activations
     from X and the h track. The reverse loop recomputes a step's gates from
     them and overwrites them with their gradient, so BPTT holds one
     [T, B, 4H] buffer besides its input.
     """
-    T, B, H = cache.h.shape
+    T, B, H = h.shape
     D = X.shape[2]
     X = X.reshape(T * B, D)  # one copy when X is a reversed view
-    h, c = cache.h, cache.c
     da = (X @ p.U.T).reshape(T, B, 4 * H)
     da[1:] += (h[:-1].reshape(-1, H) @ p.W.T).reshape(T - 1, B, 4 * H)  # h_{-1} = 0
     da += p.b
@@ -195,9 +177,8 @@ def _direction_backward(p: LstmCellParams, cache: DirectionCache, X, dh_out, gra
         da_f = np.multiply(dc * c_prev * f, 1.0 - f, out=row[:, H : 2 * H])
         np.multiply(dc * i, 1.0 - g * g, out=row[:, 2 * H : 3 * H])
         # where the state was carried, gradients pass straight through to step t-1
-        ran = cache.ran[t]
-        row[~ran] = 0.0
-        r = ran[:, None]
+        row[~ran[t]] = 0.0
+        r = ran[t, :, None]
         dh_rec = np.where(r, row @ p.W, dh)
         dc_rec = np.where(r, dc * f + V_i * da_i + V_f * da_f, dc_rec)
 
@@ -295,23 +276,17 @@ class ModelParams:
 
 
 @dataclass
-class LayerTrace:
-    fwd: DirectionCache
-    #: The backward cell's scan, over the grid reversed in time.
-    bwd: DirectionCache
-    #: Inverted-dropout keep-mask [T, B, 2H]; kept values are scaled by
-    #: the batch's `dropout_scale`. None when dropout is not applied.
-    keep: np.ndarray | None
-
-
-@dataclass
 class BatchTrace:
     """Everything `backward_batch` needs from one `forward_batch` run."""
 
     #: [T, B] token ids, each column right-padded with PAD.
     ids: np.ndarray
     lengths: np.ndarray
-    layers: list[LayerTrace] = field(repr=False)
+    #: Per layer, the fwd cell's (h, c) then the bwd cell's, [T, B, H] in scan order.
+    tracks: list[tuple[tuple[np.ndarray, np.ndarray], ...]] = field(repr=False)
+    #: Inverted-dropout keep-masks [L, T, B, 2H]; kept values are scaled by
+    #: `dropout_scale`. None when dropout is not applied.
+    keep: np.ndarray | None = field(repr=False)
     dropout_scale: float
     classifier_input: np.ndarray
     probabilities: np.ndarray
@@ -332,40 +307,14 @@ class ForwardTrace:
         return self.batch.probabilities[0]
 
 
-def _layer_output(lt: LayerTrace, scale: float) -> np.ndarray:
-    """[->h ; <-h] per position, times the layer's dropout mask: the next layer's input."""
-    out = np.concatenate((lt.fwd.h, lt.bwd.h[::-1]), axis=2)
-    if lt.keep is not None:
-        out *= lt.keep
+def _layer_output(tracks, keep, li: int, scale: float) -> np.ndarray:
+    """Layer li's [->h ; <-h] per position, times its keep-mask: the next layer's input."""
+    (h_fwd, _), (h_bwd, _) = tracks[li]
+    out = np.concatenate((h_fwd, h_bwd[::-1]), axis=2)
+    if keep is not None:
+        out *= keep[li]
         out *= scale
     return out
-
-
-def _forward(model: ModelParams, ids, lengths, keep, scale: float) -> BatchTrace:
-    """The batched forward over padded ids [T, B]; keep[l] is layer l's keep-mask or None."""
-    T, B = ids.shape
-    H = model.hidden
-    active = ids != PAD_ID
-    x = embed_sequence(model.embedding, ids)
-    layer_traces: list[LayerTrace] = []
-    for li, layer in enumerate(model.layers):
-        lt = LayerTrace(
-            fwd=_direction_pass(layer.fwd, x, active),
-            bwd=_direction_pass(layer.bwd, x[::-1], active[::-1]),
-            keep=None if keep is None else keep[li],
-        )
-        layer_traces.append(lt)
-        x = _layer_output(lt, scale)
-
-    classifier_input = np.concatenate((x[lengths - 1, np.arange(B), :H], x[0, :, H:]), axis=1)
-    return BatchTrace(
-        ids=ids,
-        lengths=lengths,
-        layers=layer_traces,
-        dropout_scale=scale,
-        classifier_input=classifier_input,
-        probabilities=stable_softmax(classifier_input @ model.softmax_W.T + model.softmax_b),
-    )
 
 
 def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=None) -> BatchTrace:
@@ -398,7 +347,27 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
             rng = np.random.default_rng(int(seed))
             for mask in keep[:, :n, b]:
                 mask[...] = rng.random(mask.shape) >= dropout_rate
-    return _forward(model, ids, lengths, keep, 1.0 / (1.0 - dropout_rate))
+
+    scale = 1.0 / (1.0 - dropout_rate)
+    active = ids != PAD_ID
+    x = embed_sequence(model.embedding, ids)
+    tracks = []
+    for li, layer in enumerate(model.layers):
+        tracks.append((_direction_pass(layer.fwd, x, active),
+                       _direction_pass(layer.bwd, x[::-1], active[::-1])))
+        x = _layer_output(tracks, keep, li, scale)
+
+    H = model.hidden
+    classifier_input = np.concatenate((x[lengths - 1, np.arange(B), :H], x[0, :, H:]), axis=1)
+    return BatchTrace(
+        ids=ids,
+        lengths=lengths,
+        tracks=tracks,
+        keep=keep,
+        dropout_scale=scale,
+        classifier_input=classifier_input,
+        probabilities=stable_softmax(classifier_input @ model.softmax_W.T + model.softmax_b),
+    )
 
 
 def bilstm_forward(model: ModelParams, ids) -> ForwardTrace:
@@ -416,7 +385,7 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     labels = np.asarray(labels)
     if labels.shape != trace.lengths.shape or not np.isin(labels, (0, 1)).all():
         raise ValueError(f"label must be 0 or 1, one per sequence, got {labels!r}")
-    if len(trace.layers) != len(model.layers):
+    if len(trace.tracks) != len(model.layers):
         raise ValueError("trace does not match model depth")
     H = model.hidden
     T, B = trace.ids.shape
@@ -435,21 +404,22 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     dY[0, :, H:] = dclf[:, H:]
 
     scale = trace.dropout_scale
+    ran = trace.ids != PAD_ID
     for li in range(len(model.layers) - 1, -1, -1):
-        lt = trace.layers[li]
-        if lt.keep is not None:  # dY becomes the gradient before dropout
-            dY *= lt.keep
+        if trace.keep is not None:  # dY becomes the gradient before dropout
+            dY *= trace.keep[li]
             dY *= scale
         X = (
             embed_sequence(model.embedding, trace.ids) if li == 0
-            else _layer_output(trace.layers[li - 1], scale)
+            else _layer_output(trace.tracks, trace.keep, li - 1, scale)
         )
         layer = model.layers[li]
+        fwd, bwd = trace.tracks[li]
         dXf = _direction_backward(
-            layer.fwd, lt.fwd, X, dY[..., :H], _cell_grads(grads, li, "fwd")
+            layer.fwd, *fwd, ran, X, dY[..., :H], _cell_grads(grads, li, "fwd")
         )
         dXb = _direction_backward(
-            layer.bwd, lt.bwd, X[::-1], dY[::-1, :, H:], _cell_grads(grads, li, "bwd")
+            layer.bwd, *bwd, ran[::-1], X[::-1], dY[::-1, :, H:], _cell_grads(grads, li, "bwd")
         )
         dY = dXf + dXb[::-1]
 

@@ -31,6 +31,7 @@ from botlstm.datasets import (
     split_accounts,
     synthetic,
 )
+from botlstm.embeddings import TRAINABLE_ROWS
 from botlstm.metrics import BOT, HUMAN, ConfusionCounts, compute_metrics
 from botlstm.nn_core import (
     ModelConfig,
@@ -261,7 +262,7 @@ def test_criterion_8_pipeline_invariants():
         rng_seed=9,
         embedding=table,
     )
-    fixed = ~model.embedding.trainable_mask
+    fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
     before = model.embedding.vectors[fixed].copy()
     dataset = examples[:20]
     cfg = TrainingConfig(epochs=10, batch_size=2, seed=9)  # 10 steps x 10 epochs

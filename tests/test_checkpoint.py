@@ -7,7 +7,7 @@ import pytest
 
 from botlstm.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from botlstm.datasets import synthetic
-from botlstm.errors import CheckpointError
+from botlstm.errors import CheckpointError, InternalError
 from botlstm.nn_core import ModelConfig, init_params
 from botlstm.text_pipeline import Vocabulary
 
@@ -60,15 +60,6 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 got, orig.astype(np.float32).astype(np.float64), err_msg=name
             )
-
-    def test_trainable_mask_reconstructed(self, tmp_path, model_and_vocab):
-        model, vocab = model_and_vocab
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, vocab)
-        loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(
-            loaded.embedding.trainable_mask, model.embedding.trainable_mask
-        )
 
     def test_tensor_block_follows_documented_layout(self, tmp_path, model_and_vocab):
         # parse the file at the offsets the module docstring gives, so an
@@ -225,4 +216,12 @@ class TestSaveGuards:
         cell.U = np.zeros((cell.U.shape[0], cell.U.shape[1] + 1))
         with pytest.raises(ValueError, match=r"tensor layers\.1\.fwd\.U has shape"):
             save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_float32_overflow_names_the_tensor_before_opening(self, tmp_path, model_and_vocab):
+        model, vocab = model_and_vocab
+        model.layers[0].bwd.W[2, 1] = 1e39  # finite in float64, inf in float32
+        with pytest.raises(InternalError, match=r"tensor layers\.0\.bwd\.W overflows") as exc:
+            save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        assert exc.value.module == "checkpoint"
         assert not (tmp_path / "m.ckpt").exists()

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import weakref
 
 import numpy as np
@@ -616,6 +617,45 @@ class TestDataErrorExitCodes:
         assert (tmp_path / "out" / "predictions.csv").read_text() == (
             "account_id,p_bot,predicted_label,flag\n"
         )
+
+
+class TestNoOverwrite:
+    """An output that names an input or another output is a usage error, before any write."""
+
+    SMALL_MODEL = ["--hidden", "2", "--layers", "1", "--embed-dim", "4", "--epochs", "1"]
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "4",
+          "--output", "{corpus}", "--output-dir", "{new}"], "--output and --corpus"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          *SMALL_MODEL, "--checkpoint", "{twt}", "--output-dir", "{new}"],
+         "--checkpoint and --tweets"),
+        (["train", "--synthetic", "2", *SMALL_MODEL, "--checkpoint", "{ckpt}",
+          "--history", "{ckpt_hard_link}", "--output-dir", "{new}"],
+         "--checkpoint and --history"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}", "--tweets", "{twt}",
+          "--output", "{ckpt}", "--output-dir", "{new}"], "--output and --checkpoint"),
+        (["predict", "--checkpoint", "{ckpt}", "--tweets", "{twt}",
+          "--output", "{twt_symlink}", "--output-dir", "{new}"], "--output and --tweets"),
+        (["stats", "--accounts", "{acc}", "--tweets", "{in_dir}/human_frequencies.csv",
+          "--output-dir", "{in_dir}"], "--output-dir and --tweets"),
+    ], ids=["build-vocab", "train-input", "train-hard-link", "evaluate", "predict-symlink",
+            "stats"])
+    def test_usage_error_leaves_every_file_as_it_was(self, tmp_path, capsys, argv, flags):
+        paths = {**TestDataErrorExitCodes._inputs(tmp_path), "new": tmp_path / "new",
+                 "ckpt_hard_link": tmp_path / "ckpt_hard_link",
+                 "twt_symlink": tmp_path / "twt_symlink", "in_dir": tmp_path / "in"}
+        os.link(paths["ckpt"], paths["ckpt_hard_link"])
+        paths["twt_symlink"].symlink_to(paths["twt"])
+        paths["in_dir"].mkdir()
+        (paths["in_dir"] / "human_frequencies.csv").write_bytes(paths["twt"].read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        rc = cli.main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("usage error: ") and f"{flags} name the same file" in err, err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not paths["new"].exists()
 
 
 class TestConfigFileAndExitCodes:

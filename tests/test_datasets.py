@@ -12,6 +12,7 @@ from botlstm.datasets import (
     split_accounts,
     synthetic,
 )
+from botlstm.embeddings import TRAINABLE_ROWS
 from botlstm.errors import DataError
 from botlstm.metrics import BOT, HUMAN
 from botlstm.text_pipeline import PAD_ID, URL, build_vocabulary, tokenize
@@ -292,7 +293,7 @@ class TestSynthetic:
         accounts, vocab, table = synthetic(seed=1, n_per_class=3)
         assert len(vocab) == table.vocab_size
         # every non-reserved vocab row is frozen (pretrained convention)
-        assert not table.trainable_mask[6:].any()
+        assert range(table.vocab_size)[TRAINABLE_ROWS] == range(1, 6)
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):

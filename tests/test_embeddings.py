@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from botlstm.embeddings import (
+    TRAINABLE_ROWS,
     _parse_glove_lines,
     build_table,
     embed_sequence,
@@ -334,16 +335,16 @@ class TestBuildTable:
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
         table = build_table(vocab, words, matrix, rng_seed=0)
         np.testing.assert_array_equal(table.vectors[vocab.id_of("cat")], [1.0, 2.0])
-        assert not table.trainable_mask[vocab.id_of("cat")]
+        assert vocab.id_of("cat") not in range(len(vocab))[TRAINABLE_ROWS]
 
     def test_pad_row_zero_and_fixed(self, vocab):
         table = build_table(vocab, ["cat", "dog"], np.ones((2, 2)), rng_seed=0)
         np.testing.assert_array_equal(table.vectors[PAD_ID], [0.0, 0.0])
-        assert not table.trainable_mask[PAD_ID]
+        assert PAD_ID not in range(len(vocab))[TRAINABLE_ROWS]
 
     def test_trainable_rows(self, vocab):
         table = build_table(vocab, ["cat", "dog"], np.ones((2, 2)), rng_seed=0)
-        assert list(np.flatnonzero(table.trainable_mask)) == [1, 2, 3, 4, 5]
+        assert range(len(vocab))[TRAINABLE_ROWS] == range(1, 6)
         assert np.all(np.abs(table.vectors[1:6]) <= 0.05)
 
     def test_seed_determinism(self, vocab):

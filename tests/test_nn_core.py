@@ -15,7 +15,7 @@ from conftest import (
     scalar_cell_oracle,
 )
 
-from botlstm.embeddings import TRAINABLE_INIT_RANGE, EmbeddingTable
+from botlstm.embeddings import TRAINABLE_INIT_RANGE, TRAINABLE_ROWS, EmbeddingTable
 from botlstm.nn_core import (
     BiLstmLayer,
     LstmCellParams,
@@ -46,7 +46,7 @@ class TestCellParams:
         assert (p.U.shape, p.W.shape, p.V.shape, p.b.shape) == (
             (12, 2), (12, 3), (9,), (12,)
         )
-        assert (p.hidden_size, p.input_size) == (3, 2)
+        assert p.hidden_size == 3
 
 
 class TestCellForward:
@@ -113,13 +113,13 @@ class TestRunDirection:
         x = rng.standard_normal((1, 1, 4))
         ran = np.ones((1, 1), dtype=bool)
         np.testing.assert_array_equal(
-            _direction_pass(p, x, ran).h, _direction_pass(p, x[::-1], ran).h[::-1]
+            _direction_pass(p, x, ran)[0], _direction_pass(p, x[::-1], ran)[0][::-1]
         )
 
     def test_zero_params_zero_states(self):
         p = zero_cell(3, 2)
         x = np.random.default_rng(0).standard_normal((5, 1, 2))
-        out = _direction_pass(p, x, np.ones((5, 1), dtype=bool)).h[:, 0]
+        out = _direction_pass(p, x, np.ones((5, 1), dtype=bool))[0][:, 0]
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_inactive_steps_carry_state(self):
@@ -127,9 +127,9 @@ class TestRunDirection:
         p = random_cell(rng, 3, 2)
         x = rng.standard_normal((4, 1, 2))
         active = np.array([True, False, True, True])[:, None]
-        out = _direction_pass(p, x, active).h[:, 0]
+        out = _direction_pass(p, x, active)[0][:, 0]
         np.testing.assert_array_equal(out[1], out[0])
-        compact = _direction_pass(p, x[[0, 2, 3]], np.ones((3, 1), dtype=bool)).h[:, 0]
+        compact = _direction_pass(p, x[[0, 2, 3]], np.ones((3, 1), dtype=bool))[0][:, 0]
         np.testing.assert_allclose(out[[0, 2, 3]], compact, atol=1e-15)
 
 
@@ -228,8 +228,9 @@ class TestBilstmForward:
         n = 2_000
         trace = forward_batch(model, [[6, 7, 8, 6]] * n, 0.5, seeds=range(n))
         assert trace.dropout_scale == 2.0
-        for lt in trace.layers:
-            assert abs((lt.keep * trace.dropout_scale).mean() - 1.0) < 0.02
+        assert trace.keep.shape == (len(model.layers), 4, n, 2 * model.hidden)
+        for keep in trace.keep:
+            assert abs((keep * trace.dropout_scale).mean() - 1.0) < 0.02
 
 
 class TestBackwardBasics:
@@ -290,7 +291,7 @@ class TestBackwardBasics:
         ids = [1, 6, 7, 8]
         rate, seed = 0.4, 5
         trace = forward_batch(small, [ids], rate, [seed])
-        assert not all(lt.keep.all() for lt in trace.layers)
+        assert not all(keep.all() for keep in trace.keep)
         grads = small.zero_grads()
         backward_batch(small, trace, [0], grads)
         for name, tensor in small.trainable_tensors():
@@ -366,10 +367,10 @@ class TestBatchedPath:
         width = 2 * model.hidden
         for b, (s, seed) in enumerate(zip(seqs, seeds)):
             rng = np.random.default_rng(int(seed))
-            for lt in trace.layers:
+            for keep in trace.keep:
                 drawn = rng.random((len(s), width)) >= self.RATE
-                assert np.array_equal(lt.keep[: len(s), b], drawn)
-                assert not lt.keep[len(s) :, b].any()
+                assert np.array_equal(keep[: len(s), b], drawn)
+                assert not keep[len(s) :, b].any()
 
     def test_labels_checked(self, case):
         model, seqs, _, _ = case
@@ -456,9 +457,9 @@ class TestInitParams:
 
     def test_layer_input_dims(self):
         model = init_params(ModelConfig(10, 4, 5, 3), rng_seed=0)
-        assert model.layers[0].fwd.input_size == 4
-        assert model.layers[1].fwd.input_size == 10
-        assert model.layers[2].bwd.input_size == 10
+        assert model.layers[0].fwd.U.shape[1] == 4
+        assert model.layers[1].fwd.U.shape[1] == 10
+        assert model.layers[2].bwd.U.shape[1] == 10
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -475,7 +476,7 @@ class TestInitParams:
     def test_pad_row_zero_in_random_table(self):
         model = init_params(ModelConfig(10, 4, 5, 1), rng_seed=0)
         np.testing.assert_array_equal(model.embedding.vectors[0], np.zeros(4))
-        assert list(np.flatnonzero(model.embedding.trainable_mask)) == [1, 2, 3, 4, 5]
+        assert range(10)[TRAINABLE_ROWS] == range(1, 6)
 
 
 class TestNumericHelpers:

@@ -8,6 +8,7 @@ from conftest import random_model
 
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import LabeledSequence, make_examples, synthetic
+from botlstm.embeddings import TRAINABLE_ROWS
 from botlstm.errors import DataError, InternalError
 from botlstm.metrics import BOT, HUMAN, predicted_label
 from botlstm.nn_core import (
@@ -145,7 +146,7 @@ class TestSgdMomentumStep:
             sgd_momentum_step(model, grads, {}, lr=0.1, momentum=0.9)
 
     def test_fixed_embedding_rows_untouched(self, model):
-        fixed = ~model.embedding.trainable_mask
+        fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
         before = model.embedding.vectors[fixed].copy()
         grads = self._zero_grads(model)
         grads["embedding.vectors"][:] = 1.0  # every trainable row moves
@@ -311,7 +312,7 @@ class TestTrain:
 
     def test_fixed_rows_bitwise_stable(self):
         model, examples, _, _ = _toy_setup()
-        fixed = ~model.embedding.trainable_mask
+        fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
         before = model.embedding.vectors[fixed].copy()
         cfg = TrainingConfig(epochs=3, batch_size=4, seed=1)
         model, _ = train(model, examples, cfg)
