@@ -7,7 +7,6 @@ three stacked bidirectional peephole-LSTM layers -> softmax over
 """
 
 from .corpus_stats import (
-    DivergenceReport,
     FrequencyTable,
     STOPWORDS,
     compare_tables,
@@ -17,7 +16,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import (
     Account,
     LabeledSequence,
-    MixedTestSet,
     compose_test_set,
     load_dataset,
     make_examples,
@@ -86,7 +84,6 @@ __all__ = [
     "CheckpointError",
     "ConfusionCounts",
     "DataError",
-    "DivergenceReport",
     "EmbeddingTable",
     "ForwardTrace",
     "FrequencyTable",
@@ -95,7 +92,6 @@ __all__ = [
     "LabeledSequence",
     "LstmCellParams",
     "MetricsReport",
-    "MixedTestSet",
     "ModelConfig",
     "ModelParams",
     "OOV_ID",

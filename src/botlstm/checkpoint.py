@@ -26,9 +26,7 @@ Layout (all integers little-endian uint32, floats little-endian float32):
 Parameters are saved at float32 precision, so save -> load -> save is
 byte-identical. A finite value beyond float32's range is refused before
 the file is opened, and a tensor block holding a NaN or an infinity is
-rejected on load. A block is the C-order concatenation of its gate pieces,
-so the bytes are unchanged from the earlier layout that stored each gate
-as its own tensor. The checksum does not cover the header, so the loader
+rejected on load. The checksum does not cover the header, so the loader
 walks the header's tensor shapes only as far as the payload reaches: a
 header that implies more tensor bytes than the file holds is rejected
 before anything is allocated for them.

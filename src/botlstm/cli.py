@@ -206,9 +206,8 @@ class RunConfig(trainer.TrainingConfig):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
-        unread = [f"--{n}" for n in ("accounts", "tweets", "glove", "vocab") if getattr(self, n)]
-        # only train and evaluate read synthetic; the others ignore it from a --config file
-        if self.synthetic is not None and self.command in ("train", "evaluate") and unread:
+        unread = [f"--{n}" for n in _SYNTHETIC_BUILDS.get(self.command, ()) if getattr(self, n)]
+        if self.synthetic is not None and unread:
             raise UsageError("--synthetic builds its own accounts, vocabulary and embeddings; "
                              f"it does not read {', '.join(unread)}")
         if self.granularity not in datasets.GRANULARITIES:
@@ -230,20 +229,6 @@ class RunConfig(trainer.TrainingConfig):
         fields = {k: v for k, v in values.items() if k in cls.__dataclass_fields__}
         return cls(**fields)
 
-    def require(self, *names: str, unless_synthetic: tuple[str, ...] = ()) -> None:
-        """Raise a UsageError naming every unset flag among `names`.
-
-        The inputs in `unless_synthetic` are required too, unless --synthetic
-        is set; the message then names --synthetic N as their alternative.
-        """
-        if self.synthetic is None:
-            names += unless_synthetic
-        missing = [n for n in names if not getattr(self, n)]
-        if missing:
-            either = " (or --synthetic N)" if set(missing) & set(unless_synthetic) else ""
-            flags = " and ".join(f"--{n}" for n in missing)
-            raise UsageError(f"{self.command} requires {flags}{either}")
-
     def examples(self, accounts, vocab) -> list[datasets.LabeledSequence]:
         """Labeled sequences at this run's granularity; empty ones are dropped."""
         examples, dropped = datasets.make_examples(
@@ -263,8 +248,16 @@ class RunConfig(trainer.TrainingConfig):
         resolved, and by `os.path.samefile` when both exist, so a hard link
         or a symlink is caught too. Then --output-dir is made if a path lies
         in it and it is missing; a path whose directory is missing or cannot
-        be made is a DataError.
+        be made is a DataError. Before all of that, an unset required input
+        (see `_READS`) is a UsageError naming every such flag.
         """
+        stands_in = _SYNTHETIC_BUILDS.get(self.command, ())
+        excused = stands_in if self.synthetic is not None else ("vocab",)
+        missing = [n for n in _READS[self.command] if n not in excused and not getattr(self, n)]
+        if missing:
+            either = " (or --synthetic N)" if set(missing) & set(stands_in) else ""
+            flags = " and ".join(f"--{n}" for n in missing)
+            raise UsageError(f"{self.command} requires {flags}{either}")
         writes = [(f, f and getattr(self, f), name) for f, name in _WRITES[self.command]]
         paths = [Path(v) if v else Path(self.output_dir) / name for _, v, name in writes]
         files = [(f"--{f or 'output-dir'}", path) for (f, _, _), path in zip(writes, paths)]
@@ -287,7 +280,8 @@ class RunConfig(trainer.TrainingConfig):
         return paths
 
 
-#: Per command, the flags naming the files it reads.
+#: Per command, the flags naming the files it reads. All but --vocab are
+#: required, less those a set --synthetic N builds (`_SYNTHETIC_BUILDS`).
 _READS = {
     "build-vocab": ("corpus", "glove"),
     "train": ("accounts", "tweets", "glove", "vocab"),
@@ -295,6 +289,9 @@ _READS = {
     "predict": ("checkpoint", "tweets"),
     "stats": ("accounts", "tweets"),
 }
+#: The inputs --synthetic N builds, per command that reads it (the others
+#: ignore it from a --config file).
+_SYNTHETIC_BUILDS = dict.fromkeys(("train", "evaluate"), ("accounts", "tweets", "glove", "vocab"))
 #: Per command, the files it writes: (flag or None, default name in --output-dir).
 _WRITES = {
     "build-vocab": (("output", "vocab.tsv"),),
@@ -343,7 +340,6 @@ def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
 
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
-    cfg.require("corpus", "glove")
     (out,) = cfg.out_paths()
     tweets = _read_corpus_lines(cfg.corpus)
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
@@ -389,7 +385,6 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    cfg.require(unless_synthetic=("accounts", "tweets", "glove"))
     ckpt_path, history_path = cfg.out_paths()
     accounts, vocab, table = _load_labeled_accounts(cfg)
     if table is None:
@@ -415,7 +410,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    cfg.require("checkpoint", unless_synthetic=("accounts", "tweets"))
     (out,) = cfg.out_paths()
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts, _, _ = _load_labeled_accounts(cfg)
@@ -430,7 +424,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    cfg.require("checkpoint", "tweets")
     (out,) = cfg.out_paths()
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
     accounts = [
@@ -454,7 +447,6 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    cfg.require("accounts", "tweets")
     *table_paths, report_path = cfg.out_paths()
     accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
     humans = [a for a in accounts if a.label == HUMAN]
@@ -471,8 +463,8 @@ def cmd_stats(cfg: RunConfig) -> int:
         )
         if not tables[name].entries:
             raise DataError(f"no {name} tokens to count", module="cli")
-    report = corpus_stats.compare_tables(tables["human"], tables["bot"], cfg.top_k)
-    payload = {"a": "human", "b": "bot", **report.as_dict()}
+    payload = {"a": "human", "b": "bot",
+               **corpus_stats.compare_tables(tables["human"], tables["bot"])}
     for table, path in zip(tables.values(), table_paths):
         with _writing(path):
             table.to_csv(path)

@@ -1,7 +1,7 @@
 """Token-frequency tables and rank-divergence reports.
 
-Counts run over normalized tokens; the meme tokens are tallied in a
-separate sidecar section and pure-punctuation tokens are ignored.
+Counts run over normalized tokens; the meme tokens and pure-punctuation
+tokens are left out.
 Relative frequencies are always computed over every retained token, not
 just the returned top-k slice.
 """
@@ -43,13 +43,11 @@ class FrequencyTable:
     """Top-k token counts, sorted by count descending then lexicographic.
 
     `entries` rows are (token, count, relative_frequency) where the
-    relative frequency denominator is `total_retained`. `special_counts`
-    is the sidecar tally of meme tokens.
+    relative frequency denominator is `total_retained`.
     """
 
     entries: list[tuple[str, int, float]]
     total_retained: int
-    special_counts: dict[str, int]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -69,14 +67,10 @@ def token_frequencies(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     counts: Counter[str] = Counter()
-    specials: Counter[str] = Counter()
     for acct in accounts:
         for tweet in acct.tweets:
             for token in tokenize(tweet, map_rt=map_rt):
-                if token in SPECIAL_TOKENS:
-                    specials[token] += 1
-                    continue
-                if _is_punctuation(token):
+                if token in SPECIAL_TOKENS or _is_punctuation(token):
                     continue
                 if drop_stopwords and token in STOPWORDS:
                     continue
@@ -84,43 +78,25 @@ def token_frequencies(
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     entries = [(tok, n, n / total) for tok, n in ordered[:top_k]]
-    return FrequencyTable(
-        entries=entries, total_retained=total, special_counts=dict(specials)
-    )
+    return FrequencyTable(entries=entries, total_retained=total)
 
 
-@dataclass
-class DivergenceReport:
-    """How two frequency tables differ within their top-k entries.
+def compare_tables(a: FrequencyTable, b: FrequencyTable) -> dict:
+    """How two tables differ within their top-k entries, as a JSON-ready dict.
 
-    `rank_deltas` maps each shared token to rank_in_b - rank_in_a using
-    1-based ranks, so a positive delta means the token sits lower in b.
+    "only_in_a" and "only_in_b" list the tokens in one table only, in
+    rank order. "rank_deltas" maps each shared token to rank_in_b -
+    rank_in_a using 1-based ranks, so a positive delta means the token
+    sits lower in b.
     """
-
-    only_in_a: list[str]
-    only_in_b: list[str]
-    rank_deltas: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "only_in_a": self.only_in_a,
-            "only_in_b": self.only_in_b,
-            "rank_deltas": self.rank_deltas,
-        }
-
-
-def compare_tables(
-    a: FrequencyTable, b: FrequencyTable, top_k: int
-) -> DivergenceReport:
-    """Set differences and rank deltas between the two top-k token lists."""
     if not a.entries or not b.entries:
         raise ValueError("cannot compare empty frequency tables")
-    a_rank = {tok: r for r, (tok, _, _) in enumerate(a.entries[:top_k], start=1)}
-    b_rank = {tok: r for r, (tok, _, _) in enumerate(b.entries[:top_k], start=1)}
-    return DivergenceReport(
-        only_in_a=[tok for tok in a_rank if tok not in b_rank],
-        only_in_b=[tok for tok in b_rank if tok not in a_rank],
-        rank_deltas={
+    a_rank = {tok: r for r, (tok, _, _) in enumerate(a.entries, start=1)}
+    b_rank = {tok: r for r, (tok, _, _) in enumerate(b.entries, start=1)}
+    return {
+        "only_in_a": [tok for tok in a_rank if tok not in b_rank],
+        "only_in_b": [tok for tok in b_rank if tok not in a_rank],
+        "rank_deltas": {
             tok: b_rank[tok] - a_rank[tok] for tok in a_rank if tok in b_rank
         },
-    )
+    }

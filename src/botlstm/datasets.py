@@ -37,12 +37,6 @@ class Account:
 
 
 @dataclass
-class MixedTestSet:
-    accounts: list[Account]
-    provenance: dict
-
-
-@dataclass
 class LabeledSequence:
     account_id: str
     label: int
@@ -140,7 +134,7 @@ def save_dataset(accounts: list[Account], accounts_file, tweets_file) -> None:
 
 def compose_test_set(
     humans: list[Account], bots: list[Account], per_class: int, seed: int
-) -> MixedTestSet:
+) -> list[Account]:
     """Seeded 50/50 sample: per_class accounts from each side, shuffled."""
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
@@ -154,15 +148,7 @@ def compose_test_set(
     picked = [humans[i] for i in rng.choice(len(humans), per_class, replace=False)]
     picked += [bots[i] for i in rng.choice(len(bots), per_class, replace=False)]
     order = rng.permutation(len(picked))
-    return MixedTestSet(
-        accounts=[picked[i] for i in order],
-        provenance={
-            "humans_available": len(humans),
-            "bots_available": len(bots),
-            "per_class": per_class,
-            "seed": seed,
-        },
-    )
+    return [picked[i] for i in order]
 
 
 #: Sequence granularities: one sequence per tweet, or per account.

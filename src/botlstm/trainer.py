@@ -45,6 +45,9 @@ log = logging.getLogger(__name__)
 #: step or a scoring pass holds live: one chunk's state tracks.
 CHUNK = 16
 
+#: Largest finite float32; a parameter beyond it cannot be checkpointed.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 #: Loss value substituted when the true class gets probability exactly 0.
 LOSS_CLAMP = -math.log(1e-300)
 
@@ -126,17 +129,17 @@ def sgd_momentum_step(
     velocity: dict[str, np.ndarray],
     lr: float,
     momentum: float,
-):
+) -> None:
     """Classical momentum update: v <- mu*v - lr*g; theta <- theta + v.
 
     `grads` and `velocity` are keyed and shaped like `params.trainable_tensors()`,
     so frozen embedding rows are never touched. Mutates `params` and
-    `velocity` in place and returns them.
+    `velocity` in place. A tensor that the step leaves non-finite or beyond
+    float32's range, which a checkpoint cannot hold, is an InternalError
+    naming it, raised at once so a diverging run stops at its first bad step.
     """
     for name, tensor in params.trainable_tensors():
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise InternalError(f"non-finite gradient for {name}", module="trainer")
         v = velocity.get(name)
         if v is None:
             v = np.zeros_like(tensor)
@@ -144,7 +147,11 @@ def sgd_momentum_step(
         v *= momentum
         v -= lr * g
         tensor += v
-    return params, velocity
+        # NaN fails both comparisons
+        if not (-FLOAT32_MAX <= tensor.min() and tensor.max() <= FLOAT32_MAX):
+            if not np.isfinite(g).all():
+                raise InternalError(f"non-finite gradient for {name}", module="trainer")
+            raise InternalError(f"step leaves {name} beyond float32's range", module="trainer")
 
 
 def _chunk_pass(model, chunk, rate: float, seeds, grad_sum):

@@ -230,10 +230,10 @@ def test_criterion_7_test_set_composition():
     bots3 = [Account(f"c{i}", BOT, ["x"]) for i in range(464)]
     set1 = compose_test_set(humans, bots1, per_class=991, seed=0)
     set2 = compose_test_set(humans, bots3, per_class=464, seed=0)
-    assert len(set1.accounts) == 1982
-    assert len(set2.accounts) == 928
-    assert sum(a.label == BOT for a in set1.accounts) == 991
-    assert sum(a.label == BOT for a in set2.accounts) == 464
+    assert len(set1) == 1982
+    assert len(set2) == 928
+    assert sum(a.label == BOT for a in set1) == 991
+    assert sum(a.label == BOT for a in set2) == 464
     _report("criterion 7", "1,982 and 928 accounts at 50/50 composition")
 
 

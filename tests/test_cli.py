@@ -227,6 +227,19 @@ class TestTrain:
         assert "--checkpoint and --history" in err, err
         assert list(tmp_path.iterdir()) == []
 
+    def test_diverging_run_stops_at_its_first_step(self, tmp_path, capsys):
+        # one step at lr 1e300 leaves the parameters far beyond float32's range
+        rc = cli.main([
+            "train", "--synthetic", "2", "--hidden", "2", "--layers", "1",
+            "--embed-dim", "4", "--epochs", "3", "--lr", "1e300",
+            "--output-dir", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("trainer: step leaves "), err
+        assert "float32" in err and "clamped" not in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_hidden_is_usage_error(self, tmp_path, capsys):
         rc = cli.main([
             "train", "--synthetic", "2", "--hidden", "0", "--epochs", "1",

@@ -126,15 +126,14 @@ class TestComposeTestSet:
         humans = self._accounts(1, HUMAN, "h")
         bots = self._accounts(1, BOT, "b")
         mixed = compose_test_set(humans, bots, per_class=1, seed=0)
-        assert {a.account_id for a in mixed.accounts} == {"h0", "b0"}
+        assert {a.account_id for a in mixed} == {"h0", "b0"}
 
     def test_balanced_composition(self):
         mixed = compose_test_set(
             self._accounts(20, HUMAN, "h"), self._accounts(15, BOT, "b"), 10, seed=1
         )
-        assert len(mixed.accounts) == 20
-        assert sum(a.label == BOT for a in mixed.accounts) == 10
-        assert mixed.provenance["per_class"] == 10
+        assert len(mixed) == 20
+        assert sum(a.label == BOT for a in mixed) == 10
 
     def test_too_large_rejected(self):
         with pytest.raises(DataError, match="per_class"):
@@ -147,13 +146,13 @@ class TestComposeTestSet:
         bots = self._accounts(30, BOT, "b")
         a = compose_test_set(humans, bots, 10, seed=7)
         b = compose_test_set(humans, bots, 10, seed=7)
-        assert [x.account_id for x in a.accounts] == [x.account_id for x in b.accounts]
+        assert [x.account_id for x in a] == [x.account_id for x in b]
 
     def test_no_duplicates_within_sample(self):
         humans = self._accounts(30, HUMAN, "h")
         bots = self._accounts(30, BOT, "b")
         mixed = compose_test_set(humans, bots, 25, seed=3)
-        ids = [a.account_id for a in mixed.accounts]
+        ids = [a.account_id for a in mixed]
         assert len(set(ids)) == len(ids)
 
 

@@ -17,6 +17,7 @@ from botlstm.nn_core import (
 from botlstm.text_pipeline import OOV_ID
 from botlstm.trainer import (
     CHUNK,
+    FLOAT32_MAX,
     LOSS_CLAMP,
     TrainingConfig,
     account_probabilities,
@@ -139,11 +140,25 @@ class TestSgdMomentumStep:
             model.softmax_b[0], start - 0.01 - 0.019, atol=1e-15
         )
 
-    def test_non_finite_gradient_named(self, model):
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_gradient_named(self, model, value):
         grads = self._zero_grads(model)
-        grads["softmax.W"][0, 0] = np.nan
-        with pytest.raises(InternalError, match="softmax.W"):
+        grads["softmax.W"][0, 0] = value
+        with pytest.raises(InternalError, match=r"non-finite gradient for softmax\.W"):
             sgd_momentum_step(model, grads, {}, lr=0.1, momentum=0.9)
+
+    def test_step_beyond_float32_named(self, model):
+        # finite in float64, but no checkpoint can hold it
+        grads = self._zero_grads(model)
+        grads["layers.0.fwd.b"][0] = -1e39
+        with pytest.raises(InternalError, match=r"layers\.0\.fwd\.b beyond float32"):
+            sgd_momentum_step(model, grads, {}, lr=1.0, momentum=0.0)
+
+    def test_step_to_largest_float32_accepted(self, model):
+        grads = self._zero_grads(model)
+        grads["softmax.b"][0] = model.softmax_b[0] - FLOAT32_MAX
+        sgd_momentum_step(model, grads, {}, lr=1.0, momentum=0.0)
+        assert model.softmax_b[0] == FLOAT32_MAX
 
     def test_fixed_embedding_rows_untouched(self, model):
         fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
