@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Subcommands: build-vocab, train, evaluate, predict, stats. Flags can be
+Subcommands: build-vocab, train, evaluate, predict, stats. One table,
+`_COMMANDS`, gives each its handler, the files it reads and writes and its
+other RunConfig fields; each flag is made from its field there: its name
+with "-" for "_" (`--lr` for learning_rate), its type and default. Flags can be
 preloaded from a flat key=value config file (--config); command-line
 flags override it. Exit codes: 0 success, 1 usage error, 2 data error,
 3 internal invariant violation.
@@ -30,108 +33,6 @@ log = logging.getLogger(__name__)
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-# Subcommand flags have no argparse default (argument_default=SUPPRESS): an
-# unset flag is absent from the namespace; RunConfig.from_args fills it in.
-
-def _add_embed_dim_flag(p):
-    p.add_argument("--embed-dim", dest="embed_dim", type=int,
-                   help=f"word-vector width (default {RunConfig.embed_dim})")
-
-
-def _add_model_flags(p):
-    p.add_argument("--hidden", type=int,
-                   help=f"recurrent units per direction (default {RunConfig.hidden})")
-    p.add_argument("--layers", type=int,
-                   help=f"stacked bidirectional layers (default {RunConfig.layers})")
-    _add_embed_dim_flag(p)
-
-
-def _add_training_flags(p):
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout-start", dest="dropout_start", type=float)
-    p.add_argument("--dropout-end", dest="dropout_end", type=float)
-
-
-def _add_common_flags(p):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--no-rt-token", dest="rt_token", action="store_false",
-                   help="keep RT as a plain word instead of <RT>")
-    p.add_argument("--output-dir", dest="output_dir")
-
-
-def _add_sequence_flags(p):
-    p.add_argument("--max-seq-len", dest="max_seq_len", type=int)
-    p.add_argument("--granularity", choices=datasets.GRANULARITIES,
-                   help="sequence granularity for training/scoring")
-
-
-def _add_data_flags(p, with_synthetic=True):
-    p.add_argument("--accounts", help="accounts CSV (account_id,label)")
-    p.add_argument("--tweets", help="tweets CSV (account_id,tweet_text)")
-    if with_synthetic:
-        p.add_argument("--synthetic", type=int, metavar="N",
-                       help="use the built-in generator with N accounts per class")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="botlstm",
-                     description="Bidirectional-LSTM bot/human tweet classifier")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                parser_class=_Parser)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
-
-    p = add_parser("build-vocab", help="build a vocabulary file")
-    p.add_argument("--corpus", help="plain-text corpus, one tweet per line")
-    p.add_argument("--glove", help="pretrained embedding text file")
-    p.add_argument("--output", help="vocabulary file to write (default vocab.tsv)")
-    _add_embed_dim_flag(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_build_vocab)
-
-    p = add_parser("train", help="train a model and write a checkpoint")
-    _add_data_flags(p)
-    p.add_argument("--glove", help="pretrained embedding text file")
-    p.add_argument("--vocab", help="prebuilt vocabulary file (optional)")
-    p.add_argument("--checkpoint", help="checkpoint to write (default model.ckpt)")
-    p.add_argument("--history", help="history CSV to write (default history.csv)")
-    _add_model_flags(p)
-    _add_training_flags(p)
-    _add_sequence_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = add_parser("evaluate", help="score a labeled test set")
-    _add_data_flags(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--output", help="metrics JSON to write (default metrics.json)")
-    _add_sequence_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = add_parser("predict", help="write per-account bot probabilities")
-    p.add_argument("--checkpoint")
-    p.add_argument("--tweets")
-    p.add_argument("--output", help="predictions CSV (default predictions.csv)")
-    _add_sequence_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = add_parser("stats", help="word-frequency tables per class")
-    _add_data_flags(p, with_synthetic=False)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--stopwords", action="store_true",
-                   help="drop common English stopwords")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_stats)
-    return parser
 
 
 def _load_config_file(path: str) -> dict:
@@ -164,13 +65,6 @@ def _load_config_file(path: str) -> dict:
                 f"{path}: bad value for {key!r} on line {n}: {raw!r}"
             ) from exc
     return values
-
-
-def parse_args(argv) -> argparse.Namespace:
-    args = build_parser().parse_args(argv)
-    if args.command is None:
-        raise UsageError("a subcommand is required (see --help)")
-    return args
 
 
 @dataclass(kw_only=True)
@@ -206,7 +100,7 @@ class RunConfig(trainer.TrainingConfig):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
-        unread = [f"--{n}" for n in _SYNTHETIC_BUILDS.get(self.command, ()) if getattr(self, n)]
+        unread = [f"--{n}" for n in _COMMANDS[self.command].built() if getattr(self, n)]
         if self.synthetic is not None and unread:
             raise UsageError("--synthetic builds its own accounts, vocabulary and embeddings; "
                              f"it does not read {', '.join(unread)}")
@@ -240,7 +134,7 @@ class RunConfig(trainer.TrainingConfig):
         return examples
 
     def out_paths(self) -> list[Path]:
-        """The files this command writes, in `_WRITES` order, checked before it reads.
+        """The files this command writes, in its `writes` order, checked before it reads.
 
         Each is its flag's value, or its default name in --output-dir. First,
         an output that names a file the command reads, or another of its
@@ -249,20 +143,21 @@ class RunConfig(trainer.TrainingConfig):
         or a symlink is caught too. Then --output-dir is made if a path lies
         in it and it is missing; a path whose directory is missing or cannot
         be made is a DataError. Before all of that, an unset required input
-        (see `_READS`) is a UsageError naming every such flag.
+        (its `reads`) is a UsageError naming every such flag.
         """
-        stands_in = _SYNTHETIC_BUILDS.get(self.command, ())
-        excused = stands_in if self.synthetic is not None else ("vocab",)
-        missing = [n for n in _READS[self.command] if n not in excused and not getattr(self, n)]
+        command = _COMMANDS[self.command]
+        built = command.built()
+        excused = built if self.synthetic is not None else ("vocab",)
+        missing = [n for n in command.reads if n not in excused and not getattr(self, n)]
         if missing:
-            either = " (or --synthetic N)" if set(missing) & set(stands_in) else ""
+            either = " (or --synthetic N)" if set(missing) & set(built) else ""
             flags = " and ".join(f"--{n}" for n in missing)
             raise UsageError(f"{self.command} requires {flags}{either}")
-        writes = [(f, f and getattr(self, f), name) for f, name in _WRITES[self.command]]
+        writes = [(f, f and getattr(self, f), name) for f, name in command.writes]
         paths = [Path(v) if v else Path(self.output_dir) / name for _, v, name in writes]
         files = [(f"--{f or 'output-dir'}", path) for (f, _, _), path in zip(writes, paths)]
         files += [(f"--{flag}", Path(getattr(self, flag)))
-                  for flag in _READS[self.command] if getattr(self, flag)]
+                  for flag in command.reads if getattr(self, flag)]
         for k, (flag, path) in enumerate(files[: len(paths)]):
             for other, other_path in files[k + 1 :]:
                 try:
@@ -280,29 +175,6 @@ class RunConfig(trainer.TrainingConfig):
         return paths
 
 
-#: Per command, the flags naming the files it reads. All but --vocab are
-#: required, less those a set --synthetic N builds (`_SYNTHETIC_BUILDS`).
-_READS = {
-    "build-vocab": ("corpus", "glove"),
-    "train": ("accounts", "tweets", "glove", "vocab"),
-    "evaluate": ("checkpoint", "accounts", "tweets"),
-    "predict": ("checkpoint", "tweets"),
-    "stats": ("accounts", "tweets"),
-}
-#: The inputs --synthetic N builds, per command that reads it (the others
-#: ignore it from a --config file).
-_SYNTHETIC_BUILDS = dict.fromkeys(("train", "evaluate"), ("accounts", "tweets", "glove", "vocab"))
-#: Per command, the files it writes: (flag or None, default name in --output-dir).
-_WRITES = {
-    "build-vocab": (("output", "vocab.tsv"),),
-    "train": (("checkpoint", "model.ckpt"), ("history", "history.csv")),
-    "evaluate": (("output", "metrics.json"),),
-    "predict": (("output", "predictions.csv"),),
-    "stats": ((None, "human_frequencies.csv"), (None, "bot_frequencies.csv"),
-              (None, "divergence.json")),
-}
-
-
 @contextmanager
 def _writing(path):
     """Turn an OS error while writing `path` into a DataError that names it."""
@@ -312,24 +184,12 @@ def _writing(path):
         raise DataError(f"cannot write {path}: {exc.strerror or exc}", module="cli") from exc
 
 
-def _config_types() -> dict[str, type]:
-    """--config keys and their value types: every RunConfig field but `command`."""
-    types = {}
-    for name, hint in typing.get_type_hints(RunConfig).items():
-        if name != "command":
-            # `X | None` fields take an X
-            types[name] = next(
-                (t for t in typing.get_args(hint) if t is not type(None)), hint
-            )
-    return types
-
-
-_CONFIG_TYPES = _config_types()
-
-
-def _read_corpus_lines(path: str) -> list[str]:
-    with open_text(path, "cli", "corpus file") as fh:
-        return fh.read().splitlines()
+#: --config keys and their value types: every RunConfig field but `command`,
+#: an `X | None` field taking an X.
+_CONFIG_TYPES = {
+    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for name, hint in typing.get_type_hints(RunConfig).items() if name != "command"
+}
 
 
 def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
@@ -341,7 +201,8 @@ def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
     (out,) = cfg.out_paths()
-    tweets = _read_corpus_lines(cfg.corpus)
+    with open_text(cfg.corpus, "cli", "corpus file") as fh:
+        tweets = fh.read().splitlines()
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
     vocab, _, _ = _corpus_vocabulary(cfg, tokenized)
     if len(vocab) == len(text_pipeline.RESERVED_TOKENS):
@@ -357,15 +218,6 @@ def cmd_build_vocab(cfg: RunConfig) -> int:
     print(f"oov rate: {rate:.6f}")
     print(f"wrote {out}")
     return 0
-
-
-def _load_labeled_accounts(cfg: RunConfig):
-    """Accounts plus (vocab, table) when the synthetic generator is used."""
-    if cfg.synthetic is not None:
-        return datasets.synthetic(
-            seed=cfg.seed, n_per_class=cfg.synthetic, embed_dim=cfg.embed_dim
-        )
-    return datasets.load_dataset(cfg.accounts, cfg.tweets), None, None
 
 
 def _glove_vocab_and_table(cfg: RunConfig, accounts):
@@ -386,8 +238,10 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
 
 def cmd_train(cfg: RunConfig) -> int:
     ckpt_path, history_path = cfg.out_paths()
-    accounts, vocab, table = _load_labeled_accounts(cfg)
-    if table is None:
+    if cfg.synthetic is not None:
+        accounts, vocab, table = datasets.synthetic(cfg.seed, cfg.synthetic, cfg.embed_dim)
+    else:
+        accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
         vocab, table = _glove_vocab_and_table(cfg, accounts)
 
     examples = cfg.examples(accounts, vocab)
@@ -412,7 +266,10 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     (out,) = cfg.out_paths()
     model, vocab = ckpt.load_checkpoint(cfg.checkpoint)
-    accounts, _, _ = _load_labeled_accounts(cfg)
+    if cfg.synthetic is not None:
+        accounts, _, _ = datasets.synthetic(cfg.seed, cfg.synthetic)
+    else:
+        accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
     examples = cfg.examples(accounts, vocab)
     counts, report = trainer.evaluate(model, examples)
     payload = report_json(counts, report)
@@ -473,6 +330,106 @@ def cmd_stats(cfg: RunConfig) -> int:
         report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {report_path}")
     return 0
+
+
+class _Command(typing.NamedTuple):
+    help: str
+    run: typing.Callable[[RunConfig], int]
+    #: the fields naming the files it reads; all but `vocab` are required
+    reads: tuple[str, ...]
+    #: the files it writes: (field naming one, or None; default name in --output-dir)
+    writes: tuple[tuple[str | None, str], ...]
+    #: its other flags, as RunConfig field names
+    flags: tuple[str, ...]
+
+    def built(self) -> tuple[str, ...]:
+        """The inputs that --synthetic N stands in for, if the command takes it."""
+        if "synthetic" not in self.flags:
+            return ()
+        return tuple(n for n in self.reads if n in ("accounts", "tweets", "glove", "vocab"))
+
+
+_SEQUENCE = ("max_seq_len", "granularity")
+_COMMANDS = {
+    "build-vocab": _Command(
+        "build a vocabulary file", cmd_build_vocab,
+        ("corpus", "glove"), (("output", "vocab.tsv"),), ("embed_dim",)),
+    "train": _Command(
+        "train a model and write a checkpoint", cmd_train,
+        ("accounts", "tweets", "glove", "vocab"),
+        (("checkpoint", "model.ckpt"), ("history", "history.csv")),
+        ("synthetic", "hidden", "layers", "embed_dim",
+         *trainer.TrainingConfig.__dataclass_fields__, *_SEQUENCE)),
+    "evaluate": _Command(
+        "score a labeled test set", cmd_evaluate,
+        ("checkpoint", "accounts", "tweets"), (("output", "metrics.json"),),
+        ("synthetic", "seed", *_SEQUENCE)),
+    "predict": _Command(
+        "write per-account bot probabilities", cmd_predict,
+        ("checkpoint", "tweets"), (("output", "predictions.csv"),), _SEQUENCE),
+    "stats": _Command(
+        "word-frequency tables per class", cmd_stats, ("accounts", "tweets"),
+        ((None, "human_frequencies.csv"), (None, "bot_frequencies.csv"),
+         (None, "divergence.json")),
+        ("top_k", "stopwords")),
+}
+#: What a flag's help says before its default, if anything.
+_HELP = {
+    "corpus": "plain-text corpus, one tweet per line",
+    "glove": "pretrained embedding text file",
+    "vocab": "prebuilt vocabulary file (optional)",
+    "accounts": "accounts CSV (account_id,label)",
+    "tweets": "tweets CSV (account_id,tweet_text)",
+    "checkpoint": "model checkpoint",
+    "synthetic": "use the built-in generator with N accounts per class",
+    "rt_token": "keep RT as a plain word instead of <RT>",
+    "stopwords": "drop common English stopwords",
+    "hidden": "recurrent units per direction",
+    "layers": "stacked bidirectional layers",
+    "embed_dim": "word-vector width",
+    "granularity": f"sequence granularity, {' or '.join(datasets.GRANULARITIES)}",
+}
+
+
+def _add_flag(p: argparse.ArgumentParser, name: str, writes: str | None) -> None:
+    """Add RunConfig field `name` as a flag; `writes` is its default file name if it is one."""
+    default = RunConfig.__dataclass_fields__[name].default
+    typ = _CONFIG_TYPES[name]
+    flag = "lr" if name == "learning_rate" else name.replace("_", "-")
+    text = _HELP.get(name, "")
+    if typ is bool:  # a flag turns it from its default to the other value
+        p.add_argument(f"--no-{flag}" if default else f"--{flag}", dest=name,
+                       action="store_false" if default else "store_true", help=text)
+        return
+    if writes:
+        text, default = f"{text or 'file'} to write", writes
+    if default is not None:
+        text = f"{text} (default {default})".lstrip()
+    p.add_argument(f"--{flag}", dest=name, type=None if typ is str else typ,
+                   metavar="N" if name == "synthetic" else None, help=text)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="botlstm",
+                     description="Bidirectional-LSTM bot/human tweet classifier")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
+    for name, command in _COMMANDS.items():
+        # No argparse defaults: an unset flag is absent from the namespace,
+        # and RunConfig.from_args fills it in.
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=command.run)
+        p.add_argument("--config", help="flat key=value config file")
+        writes = {f: default for f, default in command.writes if f}
+        for field in (*command.reads, *writes, *command.flags, "rt_token", "output_dir"):
+            _add_flag(p, field, writes.get(field))
+    return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    args = build_parser().parse_args(argv)
+    if args.command is None:
+        raise UsageError("a subcommand is required (see --help)")
+    return args
 
 
 def main(argv=None) -> int:

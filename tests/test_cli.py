@@ -714,7 +714,7 @@ class TestConfigFileAndExitCodes:
             expected[f.name] = value
         config = tmp_path / "all.cfg"
         config.write_text("\n".join(lines) + "\n")
-        # stats: train and evaluate reject synthetic together with accounts/tweets/glove/vocab
+        # stats: train and evaluate reject synthetic together with the inputs it builds
         cfg = cli.RunConfig.from_args(cli.parse_args(["stats", "--config", str(config)]))
         for name, value in expected.items():
             got = getattr(cfg, name)
@@ -807,6 +807,39 @@ class TestConfigFileAndExitCodes:
         cfg = cli.RunConfig.from_args(cli.parse_args([*argv, "--config", str(config)]))
         assert cfg.synthetic == 2
 
+    def test_evaluate_synthetic_ignores_config_inputs_it_does_not_read(self, trained, tmp_path):
+        # a config file shared with train names its embedding and vocabulary files
+        config = tmp_path / "run.cfg"
+        config.write_text(f"glove={tmp_path / 'g.txt'}\nvocab={tmp_path / 'v.tsv'}\n")
+        out = tmp_path / "metrics.json"
+        rc = cli.main(["evaluate", "--checkpoint", str(trained[0]), "--synthetic", "2",
+                       "--config", str(config), "--output", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["tp"] + payload["fn"] == 2  # --synthetic 2: two bot accounts
+
+    @pytest.mark.parametrize("command, flags", [
+        ("build-vocab", ["--corpus", "--glove", "--output", "--embed-dim"]),
+        ("train", ["--accounts", "--tweets", "--glove", "--vocab", "--checkpoint",
+                   "--history", "--synthetic", "--hidden", "--layers", "--embed-dim",
+                   "--lr", "--momentum", "--batch-size", "--epochs", "--dropout-start",
+                   "--dropout-end", "--seed", "--max-seq-len", "--granularity"]),
+        ("evaluate", ["--checkpoint", "--accounts", "--tweets", "--output", "--synthetic",
+                      "--seed", "--max-seq-len", "--granularity"]),
+        ("predict", ["--checkpoint", "--tweets", "--output", "--max-seq-len",
+                     "--granularity"]),
+        ("stats", ["--accounts", "--tweets", "--top-k", "--stopwords"]),
+    ])
+    def test_help_lists_every_flag(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in [*flags, "--config", "--no-rt-token", "--output-dir"]:
+            assert f"{flag} " in text, flag
+        if "--hidden" in flags:
+            assert "--hidden HIDDEN recurrent units per direction (default 200)" in text
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["train", "--frobnicate"]) == 1
 
@@ -824,9 +857,14 @@ class TestConfigFileAndExitCodes:
         ["train", "--synthetic", "2", "--accounts", "{acc}", "--embed-dim", "4",
          "--hidden", "2", "--layers", "1", "--epochs", "1"],
         ["evaluate", "--checkpoint", "{ckpt}", "--synthetic", "2", "--tweets", "{twt}"],
+        ["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}", "--embed-dim", "4",
+         "--seed", "1"],
+        ["predict", "--checkpoint", "{ckpt}", "--tweets", "{twt}", "--seed", "1"],
+        ["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--seed", "1"],
     ], ids=["build-vocab-max-seq-len", "build-vocab-hidden", "stats-granularity",
             "stats-max-seq-len", "train-synthetic-glove", "train-synthetic-vocab",
-            "train-synthetic-accounts", "evaluate-synthetic-tweets"])
+            "train-synthetic-accounts", "evaluate-synthetic-tweets", "build-vocab-seed",
+            "predict-seed", "stats-seed"])
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
         paths = TestDataErrorExitCodes._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]
