@@ -41,9 +41,9 @@ for e in history.epochs:
     if e.epoch % 3 == 0 or e.epoch == 1:
         print(f"{e.epoch:5d}  {e.loss:.4f}  {e.accuracy:.3f}  {e.dropout:.3f}")
 
-counts, report = evaluate(model, test_examples)
+report = evaluate(model, test_examples)
 print("\nheld-out metrics:")
-print(report_json(counts, report))
+print(report_json(report))
 
 print("sample posteriors:")
 for ex in test_examples[:3]:

@@ -34,8 +34,6 @@ from .errors import BotlstmError, CheckpointError, DataError, InternalError, Usa
 from .metrics import (
     BOT,
     HUMAN,
-    ConfusionCounts,
-    MetricsReport,
     compute_metrics,
     report_json,
     tally,
@@ -82,7 +80,6 @@ __all__ = [
     "BiLstmLayer",
     "BotlstmError",
     "CheckpointError",
-    "ConfusionCounts",
     "DataError",
     "EmbeddingTable",
     "ForwardTrace",
@@ -91,7 +88,6 @@ __all__ = [
     "InternalError",
     "LabeledSequence",
     "LstmCellParams",
-    "MetricsReport",
     "ModelConfig",
     "ModelParams",
     "OOV_ID",

@@ -271,8 +271,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     else:
         accounts = datasets.load_dataset(cfg.accounts, cfg.tweets)
     examples = cfg.examples(accounts, vocab)
-    counts, report = trainer.evaluate(model, examples)
-    payload = report_json(counts, report)
+    report = trainer.evaluate(model, examples)
+    counted = report["tp"] + report["tn"] + report["fp"] + report["fn"]
+    report["accounts_without_sequences"] = len(accounts) - counted
+    payload = report_json(report)
     with _writing(out):
         out.write_text(payload, encoding="utf-8")
     print(payload, end="")
@@ -293,10 +295,8 @@ def cmd_predict(cfg: RunConfig) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["account_id", "p_bot", "predicted_label", "flag"])
         for acct in accounts:
-            if acct.account_id in scored:
-                p_bot, flag = scored[acct.account_id][1], ""
-            else:
-                p_bot, flag = 0.5, "empty_account"
+            p_bot = scored.get(acct.account_id, 0.5)
+            flag = "" if acct.account_id in scored else "empty_account"
             label = LABEL_NAMES[predicted_label(p_bot)]
             writer.writerow([acct.account_id, f"{p_bot:.6f}", label, flag])
     print(f"wrote {out} ({len(accounts)} accounts)")

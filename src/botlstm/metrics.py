@@ -1,14 +1,13 @@
 """Confusion-matrix bookkeeping and the six evaluation metrics.
 
 The positive class is "bot". Any metric whose denominator is zero is
-reported as 0.0 and named in the report's `degenerate` tuple.
+reported as 0.0 and named in the report's `degenerate_metrics` list.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 HUMAN = 0
 BOT = 1
@@ -22,54 +21,21 @@ def predicted_label(p_bot: float) -> int:
     return BOT if p_bot >= 0.5 else HUMAN
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    tn: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass
-class MetricsReport:
-    precision: float
-    recall: float
-    specificity: float
-    accuracy: float
-    f_measure: float
-    mcc: float
-    degenerate: tuple[str, ...] = ()
-
-
-def tally(predictions, labels) -> ConfusionCounts:
-    """Count TP/TN/FP/FN treating BOT as the positive class."""
+def tally(predictions, labels) -> dict[str, int]:
+    """Count {"tp", "tn", "fp", "fn"} treating BOT as the positive class."""
     if len(predictions) != len(labels):
         raise ValueError(
             f"got {len(predictions)} predictions for {len(labels)} labels"
         )
     if not labels:
         raise ValueError("cannot tally an empty prediction list")
-    c = ConfusionCounts()
+    counts = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     for pred, label in zip(predictions, labels):
         if label == BOT:
-            if pred == BOT:
-                c.tp += 1
-            else:
-                c.fn += 1
+            counts["tp" if pred == BOT else "fn"] += 1
         else:
-            if pred == BOT:
-                c.fp += 1
-            else:
-                c.tn += 1
-    return c
+            counts["fp" if pred == BOT else "tn"] += 1
+    return counts
 
 
 def _ratio(num: float, den: float, name: str, degenerate: list[str]) -> float:
@@ -79,48 +45,43 @@ def _ratio(num: float, den: float, name: str, degenerate: list[str]) -> float:
     return num / den
 
 
-def compute_metrics(c: ConfusionCounts) -> MetricsReport:
-    """Evaluate precision/recall/specificity/accuracy/F/MCC from counts."""
-    if c.total == 0:
+def compute_metrics(*, tp: int, tn: int, fp: int, fn: int) -> dict:
+    """The metrics.json dict for these counts: the six metrics, the counts,
+    then `degenerate_metrics`, the metrics reported as 0.0 for a zero
+    denominator."""
+    if min(tp, tn, fp, fn) < 0:
+        raise ValueError("confusion counts must be non-negative")
+    total = tp + tn + fp + fn
+    if total == 0:
         raise ValueError("cannot compute metrics for zero evaluated accounts")
     degenerate: list[str] = []
-    precision = _ratio(c.tp, c.tp + c.fp, "precision", degenerate)
-    recall = _ratio(c.tp, c.tp + c.fn, "recall", degenerate)
-    specificity = _ratio(c.tn, c.tn + c.fp, "specificity", degenerate)
-    accuracy = (c.tp + c.tn) / c.total
+    precision = _ratio(tp, tp + fp, "precision", degenerate)
+    recall = _ratio(tp, tp + fn, "recall", degenerate)
+    specificity = _ratio(tn, tn + fp, "specificity", degenerate)
     f_measure = _ratio(
         2.0 * precision * recall, precision + recall, "f_measure", degenerate
     )
-    mcc_den_sq = (c.tp + c.fn) * (c.tp + c.fp) * (c.tn + c.fp) * (c.tn + c.fn)
+    mcc_den_sq = (tp + fn) * (tp + fp) * (tn + fp) * (tn + fn)
     if mcc_den_sq == 0:
         degenerate.append("mcc")
         mcc = 0.0
     else:
-        mcc = (c.tp * c.tn - c.fp * c.fn) / math.sqrt(mcc_den_sq)
-    return MetricsReport(
-        precision=precision,
-        recall=recall,
-        specificity=specificity,
-        accuracy=accuracy,
-        f_measure=f_measure,
-        mcc=mcc,
-        degenerate=tuple(degenerate),
-    )
-
-
-def report_json(counts: ConfusionCounts, report: MetricsReport) -> str:
-    """Serialize a report plus its counts as a deterministic JSON object."""
-    payload = {
-        "precision": report.precision,
-        "recall": report.recall,
-        "specificity": report.specificity,
-        "accuracy": report.accuracy,
-        "f_measure": report.f_measure,
-        "mcc": report.mcc,
-        "tp": counts.tp,
-        "tn": counts.tn,
-        "fp": counts.fp,
-        "fn": counts.fn,
-        "degenerate_metrics": list(report.degenerate),
+        mcc = (tp * tn - fp * fn) / math.sqrt(mcc_den_sq)
+    return {
+        "precision": precision,
+        "recall": recall,
+        "specificity": specificity,
+        "accuracy": (tp + tn) / total,
+        "f_measure": f_measure,
+        "mcc": mcc,
+        "tp": tp,
+        "tn": tn,
+        "fp": fp,
+        "fn": fn,
+        "degenerate_metrics": degenerate,
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def report_json(report: dict) -> str:
+    """Serialize a metrics report as a deterministic JSON object."""
+    return json.dumps(report, indent=2) + "\n"

@@ -29,9 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InternalError
-from .metrics import (
-    BOT, ConfusionCounts, MetricsReport, compute_metrics, predicted_label, tally,
-)
+from .metrics import BOT, compute_metrics, predicted_label, tally
 from .nn_core import ModelParams, backward_batch, forward_batch
 from .text_pipeline import OOV_ID
 # Not used here: re-imported only so that bench/spans.install finds these
@@ -84,8 +82,8 @@ class EpochStats:
     accuracy: float
     dropout: float
     seconds: float
-    clamped: int = 0
-    seq_per_s: float = 0.0
+    clamped: int
+    seq_per_s: float
 
 
 @dataclass
@@ -236,11 +234,10 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
     return model, history
 
 
-def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, float]]:
+def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
     """Mean bot probability per account, keyed by account id.
 
-    Accounts keep their first-appearance order; the returned values are
-    (label, mean p_bot) pairs.
+    Accounts keep their first-appearance order.
 
     Sequences are scored CHUNK at a time in stable length order, so a
     chunk's scan runs to a length its sequences share and little of it is
@@ -262,25 +259,23 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, tuple[int, f
         p_bot[idx] = forward_batch(model, seqs).probabilities[: len(idx), BOT]
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    labels: dict[str, int] = {}
     for ex, p in zip(dataset, p_bot.tolist()):
         sums[ex.account_id] = sums.get(ex.account_id, 0.0) + p
         counts[ex.account_id] = counts.get(ex.account_id, 0) + 1
-        labels[ex.account_id] = ex.label
-    return {
-        acct: (labels[acct], sums[acct] / counts[acct]) for acct in sums
-    }
+    return {acct: sums[acct] / counts[acct] for acct in sums}
 
 
-def evaluate(model: ModelParams, dataset) -> tuple[ConfusionCounts, MetricsReport]:
-    """Score per account: mean bot probability, labelled by `predicted_label` (ties -> bot)."""
-    per_account = account_probabilities(model, dataset)
+def evaluate(model: ModelParams, dataset) -> dict:
+    """The metrics.json dict (see `compute_metrics`) over the dataset's accounts.
+
+    Each account is labelled by `predicted_label` of its mean bot
+    probability (ties -> bot) and judged against its examples' label.
+    """
+    labels = {ex.account_id: ex.label for ex in dataset}
     predictions = []
-    labels = []
-    for acct, (label, p_bot) in per_account.items():
+    for acct, p_bot in account_probabilities(model, dataset).items():
         if p_bot == 0.5:
             log.warning("account %s scored exactly 0.5; predicting bot", acct)
         predictions.append(predicted_label(p_bot))
-        labels.append(label)
-    counts = tally(predictions, labels)
-    return counts, compute_metrics(counts)
+    # both dicts hold the accounts in first-appearance order
+    return compute_metrics(**tally(predictions, list(labels.values())))

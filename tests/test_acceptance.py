@@ -32,7 +32,7 @@ from botlstm.datasets import (
     synthetic,
 )
 from botlstm.embeddings import TRAINABLE_ROWS
-from botlstm.metrics import BOT, HUMAN, ConfusionCounts, compute_metrics
+from botlstm.metrics import BOT, HUMAN, compute_metrics
 from botlstm.nn_core import (
     ModelConfig,
     backward,
@@ -115,17 +115,17 @@ def test_criterion_3_metrics_oracle():
         total = tp + tn + fp + fn
         if total == 0:
             continue
-        r = compute_metrics(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
+        r = compute_metrics(tp=tp, tn=tn, fp=fp, fn=fn)
 
         def frac(num, den):
             return float(Fraction(num, den)) if den else 0.0
 
         precision = frac(tp, tp + fp)
         recall = frac(tp, tp + fn)
-        assert abs(r.precision - precision) <= 1e-12
-        assert abs(r.recall - recall) <= 1e-12
-        assert abs(r.specificity - frac(tn, tn + fp)) <= 1e-12
-        assert abs(r.accuracy - frac(tp + tn, total)) <= 1e-12
+        assert abs(r["precision"] - precision) <= 1e-12
+        assert abs(r["recall"] - recall) <= 1e-12
+        assert abs(r["specificity"] - frac(tn, tn + fp)) <= 1e-12
+        assert abs(r["accuracy"] - frac(tp + tn, total)) <= 1e-12
         if precision + recall:
             f = float(
                 2 * Fraction(tp, tp + fp) * Fraction(tp, tp + fn)
@@ -133,20 +133,20 @@ def test_criterion_3_metrics_oracle():
             )
         else:
             f = 0.0
-        assert abs(r.f_measure - f) <= 1e-12
+        assert abs(r["f_measure"] - f) <= 1e-12
         den_sq = (tp + fn) * (tp + fp) * (tn + fp) * (tn + fn)
         if den_sq:
             mcc = float((tp * tn - fp * fn) / mpmath.sqrt(den_sq))
         else:
             mcc = 0.0
-        assert abs(r.mcc - mcc) <= 1e-12
+        assert abs(r["mcc"] - mcc) <= 1e-12
         checked += 1
     assert checked == 11**4 - 1
 
     # boundary cases hit exactly
-    assert compute_metrics(ConfusionCounts(tp=5, tn=5)).mcc == 1.0
-    assert compute_metrics(ConfusionCounts(fp=5, fn=5)).mcc == -1.0
-    assert compute_metrics(ConfusionCounts(tp=5, tn=5, fp=5, fn=5)).mcc == 0.0
+    assert compute_metrics(tp=5, tn=5, fp=0, fn=0)["mcc"] == 1.0
+    assert compute_metrics(tp=0, tn=0, fp=5, fn=5)["mcc"] == -1.0
+    assert compute_metrics(tp=5, tn=5, fp=5, fn=5)["mcc"] == 0.0
     _report("criterion 3", f"{checked} confusion matrices, tolerance 1e-12")
 
 
@@ -166,7 +166,7 @@ def test_criterion_4_desk_scale_learning():
     )
     cfg = TrainingConfig(seed=7)  # lr .01, momentum .9, batch 64, 30 epochs,
     model, history = train(model, train_ex, cfg)  # dropout .5 -> .1
-    counts, report = evaluate(model, test_ex)
+    report = evaluate(model, test_ex)
     elapsed = time.perf_counter() - tic
 
     url_rule_correct = sum(
@@ -174,11 +174,11 @@ def test_criterion_4_desk_scale_learning():
         == (a.label == BOT)
         for a in test_accts
     )
-    assert report.accuracy >= 0.95, f"held-out accuracy {report.accuracy}"
+    assert report["accuracy"] >= 0.95, f"held-out accuracy {report['accuracy']}"
     assert elapsed < 600.0, f"desk-scale run took {elapsed:.0f}s"
     _report(
         "criterion 4",
-        f"held-out accuracy {report.accuracy:.3f} "
+        f"held-out accuracy {report['accuracy']:.3f} "
         f"(trivial link rule {url_rule_correct / len(test_accts):.3f}), "
         f"{elapsed:.0f}s",
     )

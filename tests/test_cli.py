@@ -282,6 +282,44 @@ class TestEvaluate:
         payload = json.loads(out.read_text())
         assert abs(payload["mcc"]) <= 0.2
 
+    def test_reports_accounts_without_sequences(self, trained, tmp_path):
+        accounts = [
+            Account("h1", 0, ["love you haha", "thank friend lol"]),
+            Account("b1", 1, ["check awesome sale http://t.co/a"]),
+            Account("ghost", 1, []),  # no tweets: nothing to score
+            Account("pun", 0, ["!!!"]),  # punctuation only, still a sequence to score
+        ]
+        acc, twt = write_dataset_files(accounts, tmp_path)
+        out = tmp_path / "metrics.json"
+        rc = cli.main(["evaluate", "--checkpoint", str(trained[0]), "--accounts", str(acc),
+                       "--tweets", str(twt), "--output", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["tp"] + payload["tn"] + payload["fp"] + payload["fn"] == 3
+        assert payload["accounts_without_sequences"] == 1
+        assert list(payload)[-1] == "accounts_without_sequences"
+
+    def test_each_traced_stage_runs_once(self, trained, tmp_path, monkeypatch):
+        # the benchmark's trace mode times these three by wrapping these names
+        calls = {}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(cli.trainer, "tally")
+        counting(cli.trainer, "compute_metrics")
+        counting(cli, "report_json")
+        rc = cli.main(["evaluate", "--checkpoint", str(trained[0]), "--synthetic", "2",
+                       "--output", str(tmp_path / "metrics.json")])
+        assert rc == 0
+        assert calls == {"tally": 1, "compute_metrics": 1, "report_json": 1}
+
     def test_corrupt_checkpoint(self, trained, tmp_path, capsys):
         ckpt, _ = trained
         broken = tmp_path / "broken.ckpt"
