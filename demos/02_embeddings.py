@@ -47,7 +47,7 @@ for i, surface in enumerate(vocab.surfaces):
 
 print("\n== embedding a sequence ==")
 ids = encode(tokenize("love zzqx <nothing> deal"), vocab)
-matrix = embed_sequence(table, ids)
+matrix = embed_sequence(table.vectors, ids)
 print(f"  ids {ids} -> matrix {matrix.shape}")
 print("  row 1 and row 2 are both the shared OOV vector:",
       bool(np.array_equal(matrix[1], matrix[2])))

@@ -17,9 +17,9 @@ config = ModelConfig(vocab_size=9, embed_dim=4, hidden=3, layers=2)
 model = init_params(config, rng_seed=1)
 
 # shake every tensor (init leaves peepholes/biases structured)
-for _, tensor in model.named_tensors():
+for tensor in model.tensors.values():
     tensor += rng.uniform(-0.3, 0.3, tensor.shape)
-model.embedding.vectors[0] = 0.0  # PAD stays zero
+model.tensors["embedding.vectors"][0] = 0.0  # PAD stays zero
 
 ids = [6, 1, 0, 7, 8]  # a word, the OOV row, a PAD step, two words
 label = 1

@@ -40,9 +40,7 @@ from .metrics import (
 )
 from .nn_core import (
     BatchTrace,
-    BiLstmLayer,
     ForwardTrace,
-    LstmCellParams,
     ModelConfig,
     ModelParams,
     backward,
@@ -77,7 +75,6 @@ __all__ = [
     "Account",
     "BOT",
     "BatchTrace",
-    "BiLstmLayer",
     "BotlstmError",
     "CheckpointError",
     "DataError",
@@ -87,7 +84,6 @@ __all__ = [
     "HUMAN",
     "InternalError",
     "LabeledSequence",
-    "LstmCellParams",
     "ModelConfig",
     "ModelParams",
     "OOV_ID",

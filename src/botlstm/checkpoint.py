@@ -8,13 +8,13 @@ Layout (all integers little-endian uint32, floats little-endian float32):
     payload:
       vocabulary block: vocab_size entries, each u32 byte length +
         UTF-8 surface, in id order
-      tensor block: raw C-order float32 tensors, in the order of
-        ModelParams.named_tensors(), with the shapes of
-        ModelConfig.tensor_shapes():
+      tensor block: raw C-order float32 tensors, in the order, and with
+        the names and shapes, of ModelConfig.tensor_shapes(), which
+        ModelParams.tensors follows:
           embedding.vectors [vocab_size, embed_dim]
           for each layer 0..L-1, for direction fwd then bwd, the cell's
-          gate-fused blocks (nn_core.LstmCellParams), with d_in = embed_dim
-          on layer 0 and 2*hidden above:
+          gate-fused blocks layers.{l}.{fwd|bwd}.{U|W|V|b}, with
+          d_in = embed_dim on layer 0 and 2*hidden above:
             U [4*hidden, d_in]    gate blocks i, f, c, o
             W [4*hidden, hidden]  gate blocks i, f, c, o
             V [3*hidden]          peephole blocks i, f, o
@@ -24,7 +24,8 @@ Layout (all integers little-endian uint32, floats little-endian float32):
     checksum u32  CRC-32 of the payload bytes
 
 Parameters are saved at float32 precision, so save -> load -> save is
-byte-identical. A finite value beyond float32's range is refused before
+byte-identical. A model whose tensors' names, order or shapes differ from
+this layout, or a finite value beyond float32's range, is refused before
 the file is opened, and a tensor block holding a NaN or an infinity is
 rejected on load. The checksum does not cover the header, so the loader
 walks the header's tensor shapes only as far as the payload reaches: a
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from itertools import zip_longest
 
 import numpy as np
 
@@ -51,15 +53,22 @@ _LENGTH = struct.Struct("<I")
 
 
 def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
-    if len(vocab) != model.embedding.vocab_size:
+    try:
+        cfg = model.config()
+    except KeyError as exc:
+        raise ValueError(f"model has no tensor {exc.args[0]}") from exc
+    if len(vocab) != cfg.vocab_size:
         raise ValueError("vocabulary size does not match the embedding table")
     parts: list[bytes] = []
     for surface in vocab.surfaces:
         raw = surface.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-    cfg = model.config()
-    for (name, arr), shape in zip(model.named_tensors(), cfg.tensor_shapes()):
+    for (name, arr), (expected, shape) in zip_longest(
+        model.tensors.items(), cfg.tensor_shapes(), fillvalue=(None, None)
+    ):
+        if name != expected:
+            raise ValueError(f"expected tensor {expected}, found {name}")
         if arr.shape != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
         with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
@@ -118,15 +127,15 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     except ValueError as exc:  # bad UTF-8 or a malformed vocabulary
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
-    tensors = []
-    for shape in config.tensor_shapes():  # stops at the first tensor past the payload
+    tensors = {}
+    for name, shape in config.tensor_shapes():  # stops at the first tensor past the payload
         count = math.prod(shape)
         if offset + 4 * count > len(payload):
             raise CheckpointError("corrupt checkpoint: truncated payload")
-        tensors.append(np.frombuffer(payload, "<f4", count, offset).reshape(shape))
+        tensors[name] = np.frombuffer(payload, "<f4", count, offset).reshape(shape)
         offset += 4 * count
     if offset != len(payload):
         raise CheckpointError("corrupt checkpoint: trailing bytes in payload")
-    if not all(np.isfinite(t).all() for t in tensors):
+    if not all(np.isfinite(t).all() for t in tensors.values()):
         raise CheckpointError("corrupt checkpoint: non-finite parameter values")
-    return ModelParams.from_tensors([t.astype(np.float64) for t in tensors]), vocab
+    return ModelParams({name: t.astype(np.float64) for name, t in tensors.items()}), vocab

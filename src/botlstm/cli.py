@@ -206,8 +206,8 @@ def cmd_build_vocab(cfg: RunConfig) -> int:
     tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
     vocab, _, _ = _corpus_vocabulary(cfg, tokenized)
     if len(vocab) == len(text_pipeline.RESERVED_TOKENS):
-        print("warning: corpus/embedding intersection is empty; "
-              "vocabulary holds only the reserved tokens", file=sys.stderr)
+        log.warning("corpus/embedding intersection is empty; "
+                    "vocabulary holds only the reserved tokens")
     with _writing(out):
         vocab.save(out)
     total = sum(map(len, tokenized))

@@ -205,11 +205,11 @@ def build_table(
     return EmbeddingTable(vectors=vectors)
 
 
-def embed_sequence(table: EmbeddingTable, ids) -> np.ndarray:
-    """Stack the table rows for a token-id sequence into [len, dim]."""
+def embed_sequence(vectors: np.ndarray, ids) -> np.ndarray:
+    """Gather the rows of a [vocab_size, dim] table for token ids: [*ids.shape, dim]."""
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
+    if idx.size and (idx.min() < 0 or idx.max() >= len(vectors)):
         raise ValueError(
-            f"token id out of range for vocabulary of size {table.vocab_size}"
+            f"token id out of range for vocabulary of size {len(vectors)}"
         )
-    return table.vectors[idx]
+    return vectors[idx]

@@ -13,11 +13,13 @@ vectors. The output gate peeps at the *current* cell state. Bias vectors
 are an addition to the classic peephole formulation; the forget bias is
 initialized to 1.0 so gradients flow early in training.
 
-Each cell stores its weights as four gate-fused blocks, and only these
-(`LstmCellParams`): U, W and b stack the gates i, f, c, o; V stacks the
-peepholes i, f, o. Model tensors are named `layers.{l}.{fwd|bwd}.{U|W|V|b}`
-in gradients, optimizer state and checkpoint order alike. Their shapes are
-stated once, in `ModelConfig.tensor_shapes()`.
+The model is one ordered dict of named arrays (`ModelParams.tensors`), and
+gradients, optimizer state and the checkpoint use the same names in the
+same order. Their names, order and shapes are stated once, in
+`ModelConfig.tensor_shapes()`. Each cell stores its weights as four
+gate-fused blocks, `layers.{l}.{fwd|bwd}.{U|W|V|b}`: U, W and b stack the
+gates i, f, c, o; V stacks the peepholes i, f, o. `_cell` picks one cell's
+blocks out of the parameter or the gradient dict.
 
 Sequences run in batches: B token-id sequences, right-padded with <PAD>
 to the longest length T, form a [T, B] grid. Each of the L stacked
@@ -75,28 +77,15 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass
-class LstmCellParams:
-    """Weights of one direction of one layer, stored as gate-fused blocks.
+def _cell(d: dict[str, np.ndarray], li: int, direction: str) -> dict[str, np.ndarray]:
+    """Layer li's `direction` cell, {U, W, V, b}, from a name-keyed dict (not copied).
 
     U [4H, D_in] and W [4H, H] stack the input and recurrent maps, and
     b [4H] the biases, of the gates in the order i, f, c, o (H rows each).
     V [3H] holds the diagonal peephole weights of i, f, o; the candidate
-    has no peephole.
+    has no peephole. `d` is the parameter dict or a gradient dict.
     """
-
-    U: np.ndarray
-    W: np.ndarray
-    V: np.ndarray
-    b: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[1]
-
-    def named_tensors(self):
-        """(name, block) pairs in storage (checkpoint) order."""
-        yield from (("U", self.U), ("W", self.W), ("V", self.V), ("b", self.b))
+    return {t: d[f"layers.{li}.{direction}.{t}"] for t in "UWVb"}
 
 
 def _gates(pre, V, c_prev, H):
@@ -115,15 +104,16 @@ def _gates(pre, V, c_prev, H):
     return o * tc, c, i, f, g, o, tc
 
 
-def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray):
-    """Scan one cell left to right over X [T, B, D_in] from zero state.
+def _direction_pass(p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray):
+    """Scan cell `p` ({U, W, V, b}) left to right over X [T, B, D_in] from zero state.
 
     Returns the state tracks h and c [T, B, H]; the gates are not kept.
     Steps where `ran` [T, B] is False carry the state through unchanged.
     """
     T, B, D = X.shape
-    H = p.hidden_size
-    XU = (X.reshape(T * B, D) @ p.U.T).reshape(T, B, 4 * H)
+    U, W, V, b = p["U"], p["W"], p["V"], p["b"]
+    H = W.shape[1]
+    XU = (X.reshape(T * B, D) @ U.T).reshape(T, B, 4 * H)
     h = np.empty((T, B, H))
     c = np.empty((T, B, H))
     h_prev = np.zeros((B, H))
@@ -131,7 +121,7 @@ def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray):
     # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        h_t, c_t, *_ = _gates(XU[t] + h_prev @ p.W.T + p.b, p.V, c_prev, H)
+        h_t, c_t, *_ = _gates(XU[t] + h_prev @ W.T + b, V, c_prev, H)
         if all_ran[t]:
             h[t], c[t] = h_t, c_t
         else:
@@ -142,12 +132,12 @@ def _direction_pass(p: LstmCellParams, X: np.ndarray, ran: np.ndarray):
     return h, c
 
 
-def _direction_backward(p: LstmCellParams, h, c, ran, X, dh_out, grads):
-    """BPTT through one scan.
+def _direction_backward(p: dict[str, np.ndarray], h, c, ran, X, dh_out, grads):
+    """BPTT through one scan of cell `p` ({U, W, V, b}).
 
     h, c and `ran` are the scan's tracks and step mask, X [T, B, D_in] its
     input and `dh_out` the loss gradient w.r.t. h, all in scan order. Adds
-    the cell's gradients into `grads` (keyed U, W, V, b) in place and
+    the cell's gradients into `grads` (keyed like `p`) in place and
     returns the input gradient [T, B, D_in] in scan order.
 
     One GEMM over the T*B rows rebuilds every step's gate pre-activations
@@ -157,18 +147,19 @@ def _direction_backward(p: LstmCellParams, h, c, ran, X, dh_out, grads):
     """
     T, B, H = h.shape
     D = X.shape[2]
+    U, W, V = p["U"], p["W"], p["V"]
     X = X.reshape(T * B, D)  # one copy when X is a reversed view
-    da = (X @ p.U.T).reshape(T, B, 4 * H)
-    da[1:] += (h[:-1].reshape(-1, H) @ p.W.T).reshape(T - 1, B, 4 * H)  # h_{-1} = 0
-    da += p.b
-    V_i, V_f, V_o = p.V[:H], p.V[H : 2 * H], p.V[2 * H :]
+    da = (X @ U.T).reshape(T, B, 4 * H)
+    da[1:] += (h[:-1].reshape(-1, H) @ W.T).reshape(T - 1, B, 4 * H)  # h_{-1} = 0
+    da += p["b"]
+    V_i, V_f, V_o = V[:H], V[H : 2 * H], V[2 * H :]
 
     zero = np.zeros((B, H))
     dh_rec = dc_rec = zero
     for t in range(T - 1, -1, -1):
         c_prev = c[t - 1] if t > 0 else zero
         row = da[t]
-        _, _, i, f, g, o, tc = _gates(row, p.V, c_prev, H)
+        _, _, i, f, g, o, tc = _gates(row, V, c_prev, H)
         dh = dh_out[t] + dh_rec
         do = dh * tc
         da_o = np.multiply(do * o, 1.0 - o, out=row[:, 3 * H :])
@@ -179,7 +170,7 @@ def _direction_backward(p: LstmCellParams, h, c, ran, X, dh_out, grads):
         # where the state was carried, gradients pass straight through to step t-1
         row[~ran[t]] = 0.0
         r = ran[t, :, None]
-        dh_rec = np.where(r, row @ p.W, dh)
+        dh_rec = np.where(r, row @ W, dh)
         dc_rec = np.where(r, dc * f + V_i * da_i + V_f * da_f, dc_rec)
 
     da2 = da.reshape(T * B, 4 * H)
@@ -190,13 +181,7 @@ def _direction_backward(p: LstmCellParams, h, c, ran, X, dh_out, grads):
     gV[H : 2 * H] += (da[1:, :, H : 2 * H] * c[:-1]).sum(axis=(0, 1))
     gV[2 * H :] += (da[..., 3 * H :] * c).sum(axis=(0, 1))
     grads["b"] += da2.sum(axis=0)
-    return (da2 @ p.U).reshape(T, B, D)
-
-
-@dataclass
-class BiLstmLayer:
-    fwd: LstmCellParams
-    bwd: LstmCellParams
+    return (da2 @ U).reshape(T, B, D)
 
 
 @dataclass
@@ -212,54 +197,46 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
 
     def tensor_shapes(self):
-        """Each tensor's shape, in `ModelParams.named_tensors()` order (a generator).
+        """Each tensor's (name, shape), in storage (checkpoint) order (a generator).
 
         The embedding [V, D]; per layer, fwd then bwd, a cell's U [4H, D_in],
         W [4H, H], V [3H] and b [4H], with D_in = D on layer 0 and 2H (both
         directions' outputs) above; the softmax W [2, 2H] and b [2].
         """
         H = self.hidden
-        yield (self.vocab_size, self.embed_dim)
+        yield "embedding.vectors", (self.vocab_size, self.embed_dim)
         for li in range(self.layers):
             d_in = self.embed_dim if li == 0 else 2 * H
-            yield from ((4 * H, d_in), (4 * H, H), (3 * H,), (4 * H,)) * 2  # fwd, bwd
-        yield from ((N_CLASSES, 2 * H), (N_CLASSES,))
+            for direction in ("fwd", "bwd"):
+                for t, shape in zip("UWVb", ((4 * H, d_in), (4 * H, H), (3 * H,), (4 * H,))):
+                    yield f"layers.{li}.{direction}.{t}", shape
+        yield "softmax.W", (N_CLASSES, 2 * H)
+        yield "softmax.b", (N_CLASSES,)
 
 
 @dataclass
 class ModelParams:
-    """Every weight of the classifier, embedding table included."""
+    """Every weight of the classifier, embedding table included.
 
-    embedding: EmbeddingTable
-    layers: list[BiLstmLayer]
-    softmax_W: np.ndarray
-    softmax_b: np.ndarray
+    `tensors` maps each name of `ModelConfig.tensor_shapes()` to its array,
+    in that order.
+    """
 
-    @classmethod
-    def from_tensors(cls, tensors) -> "ModelParams":
-        """The model whose `named_tensors()` are `tensors`, in that order and not copied."""
-        vectors, *blocks, softmax_W, softmax_b = tensors
-        cells = [LstmCellParams(*blocks[k : k + 4]) for k in range(0, len(blocks), 4)]
-        layers = [BiLstmLayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
-        return cls(EmbeddingTable(vectors=vectors), layers, softmax_W, softmax_b)
+    tensors: dict[str, np.ndarray]
 
     @property
     def hidden(self) -> int:
-        return self.layers[0].fwd.hidden_size
+        return self.tensors["layers.0.fwd.W"].shape[1]
 
-    def named_tensors(self):
-        """(name, tensor) pairs in the canonical (checkpoint) order."""
-        yield "embedding.vectors", self.embedding.vectors
-        for idx, layer in enumerate(self.layers):
-            for dname, cell in (("fwd", layer.fwd), ("bwd", layer.bwd)):
-                for tname, arr in cell.named_tensors():
-                    yield f"layers.{idx}.{dname}.{tname}", arr
-        yield "softmax.W", self.softmax_W
-        yield "softmax.b", self.softmax_b
+    @property
+    def layers(self) -> list[tuple[dict[str, np.ndarray], dict[str, np.ndarray]]]:
+        """Per layer, its (fwd, bwd) cells (see `_cell`)."""
+        n = sum(name.endswith(".fwd.U") for name in self.tensors)
+        return [(_cell(self.tensors, li, "fwd"), _cell(self.tensors, li, "bwd")) for li in range(n)]
 
     def trainable_tensors(self):
-        """named_tensors() with the embedding cut to vectors[TRAINABLE_ROWS] (a view)."""
-        for name, tensor in self.named_tensors():
+        """`tensors.items()` with the embedding cut to vectors[TRAINABLE_ROWS] (a view)."""
+        for name, tensor in self.tensors.items():
             yield name, tensor[TRAINABLE_ROWS] if name == "embedding.vectors" else tensor
 
     def zero_grads(self) -> dict[str, np.ndarray]:
@@ -267,12 +244,8 @@ class ModelParams:
         return {name: np.zeros_like(t) for name, t in self.trainable_tensors()}
 
     def config(self) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=self.embedding.vocab_size,
-            embed_dim=self.embedding.dim,
-            hidden=self.hidden,
-            layers=len(self.layers),
-        )
+        vocab_size, embed_dim = self.tensors["embedding.vectors"].shape
+        return ModelConfig(vocab_size, embed_dim, self.hidden, len(self.layers))
 
 
 @dataclass
@@ -350,11 +323,11 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
 
     scale = 1.0 / (1.0 - dropout_rate)
     active = ids != PAD_ID
-    x = embed_sequence(model.embedding, ids)
+    x = embed_sequence(model.tensors["embedding.vectors"], ids)
     tracks = []
-    for li, layer in enumerate(model.layers):
-        tracks.append((_direction_pass(layer.fwd, x, active),
-                       _direction_pass(layer.bwd, x[::-1], active[::-1])))
+    for li, (fwd, bwd) in enumerate(model.layers):
+        tracks.append((_direction_pass(fwd, x, active),
+                       _direction_pass(bwd, x[::-1], active[::-1])))
         x = _layer_output(tracks, keep, li, scale)
 
     H = model.hidden
@@ -366,7 +339,9 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
         keep=keep,
         dropout_scale=scale,
         classifier_input=classifier_input,
-        probabilities=stable_softmax(classifier_input @ model.softmax_W.T + model.softmax_b),
+        probabilities=stable_softmax(
+            classifier_input @ model.tensors["softmax.W"].T + model.tensors["softmax.b"]
+        ),
     )
 
 
@@ -385,7 +360,8 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     labels = np.asarray(labels)
     if labels.shape != trace.lengths.shape or not np.isin(labels, (0, 1)).all():
         raise ValueError(f"label must be 0 or 1, one per sequence, got {labels!r}")
-    if len(trace.tracks) != len(model.layers):
+    layers = model.layers
+    if len(trace.tracks) != len(layers):
         raise ValueError("trace does not match model depth")
     H = model.hidden
     T, B = trace.ids.shape
@@ -397,7 +373,7 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     dlogits[cols, labels] -= 1.0
     grads["softmax.W"] += dlogits.T @ trace.classifier_input
     grads["softmax.b"] += dlogits.sum(axis=0)
-    dclf = dlogits @ model.softmax_W
+    dclf = dlogits @ model.tensors["softmax.W"]
 
     dY = np.zeros((T, B, 2 * H))
     dY[trace.lengths - 1, cols, :H] = dclf[:, :H]
@@ -405,21 +381,18 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
 
     scale = trace.dropout_scale
     ran = trace.ids != PAD_ID
-    for li in range(len(model.layers) - 1, -1, -1):
+    for li in range(len(layers) - 1, -1, -1):
         if trace.keep is not None:  # dY becomes the gradient before dropout
             dY *= trace.keep[li]
             dY *= scale
         X = (
-            embed_sequence(model.embedding, trace.ids) if li == 0
+            embed_sequence(model.tensors["embedding.vectors"], trace.ids) if li == 0
             else _layer_output(trace.tracks, trace.keep, li - 1, scale)
         )
-        layer = model.layers[li]
-        fwd, bwd = trace.tracks[li]
-        dXf = _direction_backward(
-            layer.fwd, *fwd, ran, X, dY[..., :H], _cell_grads(grads, li, "fwd")
-        )
+        (fwd, bwd), (fwd_hc, bwd_hc) = layers[li], trace.tracks[li]
+        dXf = _direction_backward(fwd, *fwd_hc, ran, X, dY[..., :H], _cell(grads, li, "fwd"))
         dXb = _direction_backward(
-            layer.bwd, *bwd, ran[::-1], X[::-1], dY[::-1, :, H:], _cell_grads(grads, li, "bwd")
+            bwd, *bwd_hc, ran[::-1], X[::-1], dY[::-1, :, H:], _cell(grads, li, "bwd")
         )
         dY = dXf + dXb[::-1]
 
@@ -427,10 +400,6 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     rows = trace.ids - TRAINABLE_ROWS.start
     hit = (rows >= 0) & (rows < grads["embedding.vectors"].shape[0])
     np.add.at(grads["embedding.vectors"], rows[hit], dY[hit])
-
-
-def _cell_grads(grads, li: int, direction: str) -> dict[str, np.ndarray]:
-    return {t: grads[f"layers.{li}.{direction}.{t}"] for t in "UWVb"}
 
 
 def backward(model: ModelParams, trace: ForwardTrace, label: int):
@@ -462,11 +431,11 @@ def init_params(
     peepholes start at zero, biases at zero except the forget bias at 1.0.
     When no embedding table is supplied, a random one is created with the
     usual trainable rows (OOV + meme tokens) and a zero PAD row. The draws
-    run in `named_tensors()` order.
+    run in `tensors` order.
     """
     rng = np.random.default_rng(rng_seed)
     shapes = config.tensor_shapes()
-    table_shape = next(shapes)
+    table_name, table_shape = next(shapes)
     if embedding is None:
         vectors = rng.uniform(-TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, table_shape)
         vectors[PAD_ID] = 0.0
@@ -475,12 +444,12 @@ def init_params(
     else:
         raise ValueError("embedding table does not match the configured vocab/dim")
 
-    model = ModelParams.from_tensors([vectors, *(np.zeros(shape) for shape in shapes)])
+    model = ModelParams({table_name: vectors, **{name: np.zeros(shape) for name, shape in shapes}})
     H = config.hidden
-    for layer in model.layers:
-        for cell in (layer.fwd, layer.bwd):
-            _glorot(rng, cell.U, blocks=4)
-            _glorot(rng, cell.W, blocks=4)
-            cell.b[H : 2 * H] = 1.0  # forget gate
-    _glorot(rng, model.softmax_W)
+    for cells in model.layers:
+        for cell in cells:
+            _glorot(rng, cell["U"], blocks=4)
+            _glorot(rng, cell["W"], blocks=4)
+            cell["b"][H : 2 * H] = 1.0  # forget gate
+    _glorot(rng, model.tensors["softmax.W"])
     return model

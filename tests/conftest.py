@@ -5,38 +5,32 @@ import math
 import numpy as np
 
 from botlstm.datasets import Account, save_dataset
-from botlstm.nn_core import (
-    LstmCellParams,
-    ModelConfig,
-    ModelParams,
-    _gates,
-    forward_batch,
-)
+from botlstm.nn_core import ModelConfig, ModelParams, _gates, forward_batch
 from botlstm.trainer import nll_loss
 
 
 def cell_shapes(hidden, d_in):
-    """A cell's (U, W, V, b) shapes: layer 0's fwd cell in `ModelConfig.tensor_shapes()`."""
-    return list(ModelConfig(1, d_in, hidden, 1).tensor_shapes())[1:5]
+    """A cell's {U, W, V, b} shapes: layer 0's fwd cell in `ModelConfig.tensor_shapes()`."""
+    layer0_fwd = list(ModelConfig(1, d_in, hidden, 1).tensor_shapes())[1:5]
+    return {name[-1]: shape for name, shape in layer0_fwd}
 
 
 def random_cell(rng, hidden, d_in, scale=0.5):
-    return LstmCellParams(*(rng.uniform(-scale, scale, s) for s in cell_shapes(hidden, d_in)))
+    return {t: rng.uniform(-scale, scale, s) for t, s in cell_shapes(hidden, d_in).items()}
 
 
 def cell_step(p, x, h_prev, c_prev):
     """One step of cell `p`: the (h, c, i, f, g, o, tc) of `nn_core._gates`."""
-    return _gates(p.U @ x + h_prev @ p.W.T + p.b, p.V, c_prev, p.hidden_size)
+    return _gates(p["U"] @ x + h_prev @ p["W"].T + p["b"], p["V"], c_prev, p["W"].shape[1])
 
 
 def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):
     """Model with every tensor (peepholes and biases included) randomized."""
-    table_shape, *shapes = ModelConfig(vocab_size, dim, hidden, layers).tensor_shapes()
-    model = ModelParams.from_tensors(
-        [rng.uniform(-0.8, 0.8, table_shape)] + [rng.uniform(-scale, scale, s) for s in shapes]
-    )
-    model.embedding.vectors[0] = 0.0
-    return model
+    (table, table_shape), *shapes = ModelConfig(vocab_size, dim, hidden, layers).tensor_shapes()
+    tensors = {table: rng.uniform(-0.8, 0.8, table_shape)}
+    tensors.update((name, rng.uniform(-scale, scale, s)) for name, s in shapes)
+    tensors[table][0] = 0.0
+    return ModelParams(tensors)
 
 
 def model_loss(model, ids, label, rate=0.0, seed=None):
@@ -98,7 +92,7 @@ def scalar_cell(params):
     The oracle's order u_i..u_o, w_i..w_o, v_i, v_f, v_o, b_i..b_o is the
     block order U, W, V, b.
     """
-    return LstmCellParams(
+    return dict(
         U=params[0:4].reshape(4, 1), W=params[4:8].reshape(4, 1),
         V=params[8:11], b=params[11:15],
     )

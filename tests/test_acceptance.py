@@ -262,12 +262,12 @@ def test_criterion_8_pipeline_invariants():
         rng_seed=9,
         embedding=table,
     )
-    fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
-    before = model.embedding.vectors[fixed].copy()
+    fixed = np.delete(np.arange(model.config().vocab_size), TRAINABLE_ROWS)
+    before = model.tensors["embedding.vectors"][fixed].copy()
     dataset = examples[:20]
     cfg = TrainingConfig(epochs=10, batch_size=2, seed=9)  # 10 steps x 10 epochs
     model, _ = train(model, dataset, cfg)
-    assert np.array_equal(model.embedding.vectors[fixed], before)
+    assert np.array_equal(model.tensors["embedding.vectors"][fixed], before)
 
     # softmax normalization drift
     probe = random_model(np.random.default_rng(3), 9, 4, 3, 2)

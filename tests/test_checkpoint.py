@@ -39,8 +39,9 @@ class TestRoundTrip:
         save_checkpoint(path, model, vocab)
         a, _ = load_checkpoint(path)
         b, _ = load_checkpoint(path)
-        for (name, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
-            assert np.array_equal(ta, tb), name
+        assert list(a.tensors) == list(b.tensors)
+        for name, ta in a.tensors.items():
+            assert np.array_equal(ta, b.tensors[name]), name
 
     def test_vocab_preserved(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
@@ -54,16 +55,24 @@ class TestRoundTrip:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, vocab)
         loaded, _ = load_checkpoint(path)
-        for (name, orig), (_, got) in zip(
-            model.named_tensors(), loaded.named_tensors()
-        ):
+        assert list(loaded.tensors) == list(model.tensors)
+        for name, orig in model.tensors.items():
             np.testing.assert_array_equal(
-                got, orig.astype(np.float32).astype(np.float64), err_msg=name
+                loaded.tensors[name], orig.astype(np.float32).astype(np.float64), err_msg=name
             )
 
     def test_tensor_block_follows_documented_layout(self, tmp_path, model_and_vocab):
-        # parse the file at the offsets the module docstring gives, so an
-        # order change made alike in save and load still fails here
+        # parse the file at the offsets the module docstring gives, in the
+        # names written out below, so an order change made alike in save,
+        # load and ModelConfig.tensor_shapes() still fails here
+        names = [
+            "embedding.vectors",
+            "layers.0.fwd.U", "layers.0.fwd.W", "layers.0.fwd.V", "layers.0.fwd.b",
+            "layers.0.bwd.U", "layers.0.bwd.W", "layers.0.bwd.V", "layers.0.bwd.b",
+            "layers.1.fwd.U", "layers.1.fwd.W", "layers.1.fwd.V", "layers.1.fwd.b",
+            "layers.1.bwd.U", "layers.1.bwd.W", "layers.1.bwd.V", "layers.1.bwd.b",
+            "softmax.W", "softmax.b",
+        ]
         model, vocab = model_and_vocab
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, vocab)
@@ -72,15 +81,11 @@ class TestRoundTrip:
         for _ in range(len(vocab)):
             (length,) = struct.unpack_from("<I", blob, offset)
             offset += 4 + length
-        expected = [model.embedding.vectors]
-        for layer in model.layers:
-            for cell in (layer.fwd, layer.bwd):
-                expected += [cell.U, cell.W, cell.V, cell.b]
-        expected += [model.softmax_W, model.softmax_b]
-        for k, tensor in enumerate(expected):
+        for name in names:
+            tensor = model.tensors[name]
             stored = np.frombuffer(blob, dtype="<f4", count=tensor.size, offset=offset)
             np.testing.assert_array_equal(
-                stored.reshape(tensor.shape), tensor.astype(np.float32), err_msg=str(k)
+                stored.reshape(tensor.shape), tensor.astype(np.float32), err_msg=name
             )
             offset += 4 * tensor.size
         assert offset == len(blob) - 4  # only the checksum follows
@@ -128,7 +133,7 @@ class TestCorruption:
     ])
     def test_non_finite_tensor_rejected(self, tmp_path, model_and_vocab, tensor, value):
         model, vocab = model_and_vocab
-        dict(model.named_tensors())[tensor][1, 0] = value  # saved with a valid checksum
+        model.tensors[tensor][1, 0] = value  # saved with a valid checksum
         path = self._saved(tmp_path, (model, vocab))
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
@@ -210,17 +215,48 @@ class TestSaveGuards:
         with pytest.raises(ValueError, match="vocabulary size"):
             save_checkpoint(tmp_path / "m.ckpt", model, short)
 
+    @pytest.mark.parametrize("edit, message", [
+        ("drop layers.1.bwd.V", r"model has no tensor layers\.1\.bwd\.V"),
+        ("drop embedding.vectors", r"model has no tensor embedding\.vectors"),
+        ("drop softmax.b", r"expected tensor softmax\.b, found None"),
+        ("rename layers.0.fwd.b", r"model has no tensor layers\.0\.fwd\.b"),
+        ("rename softmax.W", r"expected tensor softmax\.W, found softmax\.w"),
+        ("move softmax.W", r"expected tensor softmax\.W, found softmax\.b"),
+        ("add extra", r"expected tensor None, found extra"),
+    ])
+    def test_tensor_names_must_follow_the_layout(
+        self, tmp_path, model_and_vocab, edit, message
+    ):
+        # a missing, extra, renamed or moved key would shift every later
+        # tensor in the file
+        model, vocab = model_and_vocab
+        verb, name = edit.split()
+        tensors = model.tensors
+        if verb == "drop":
+            del tensors[name]
+        elif verb == "rename":
+            model.tensors = {
+                (k[:-1] + k[-1].swapcase() if k == name else k): t for k, t in tensors.items()
+            }
+        elif verb == "move":
+            tensors[name] = tensors.pop(name)
+        else:
+            tensors[name] = np.zeros(2)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_wrong_layer_input_size_names_the_tensor(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
-        cell = model.layers[1].fwd
-        cell.U = np.zeros((cell.U.shape[0], cell.U.shape[1] + 1))
+        U = model.tensors["layers.1.fwd.U"]
+        model.tensors["layers.1.fwd.U"] = np.zeros((U.shape[0], U.shape[1] + 1))
         with pytest.raises(ValueError, match=r"tensor layers\.1\.fwd\.U has shape"):
             save_checkpoint(tmp_path / "m.ckpt", model, vocab)
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_float32_overflow_names_the_tensor_before_opening(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
-        model.layers[0].bwd.W[2, 1] = 1e39  # finite in float64, inf in float32
+        model.tensors["layers.0.bwd.W"][2, 1] = 1e39  # finite in float64, inf in float32
         with pytest.raises(InternalError, match=r"tensor layers\.0\.bwd\.W overflows") as exc:
             save_checkpoint(tmp_path / "m.ckpt", model, vocab)
         assert exc.value.module == "checkpoint"

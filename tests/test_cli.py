@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import os
 import weakref
 
@@ -65,7 +66,7 @@ class TestBuildVocab:
         assert f"vocabulary size: {len(vocab)}" in printed
         assert out.exists()
 
-    def test_empty_corpus_reserved_only(self, tmp_path, capsys):
+    def test_empty_corpus_reserved_only(self, tmp_path, caplog):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("")
         glove = self._toy_glove(tmp_path, ["love"])
@@ -75,8 +76,10 @@ class TestBuildVocab:
             "--embed-dim", "4", "--output", str(out),
         ])
         assert rc == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err.lower()
+        # logged, like every other warning, so the log level governs it
+        [record] = [r for r in caplog.records if "intersection is empty" in r.getMessage()]
+        assert (record.name, record.levelno) == ("botlstm.cli", logging.WARNING)
+        assert "vocabulary holds only the reserved tokens" in record.getMessage()
         assert len(out.read_text().splitlines()) == 6
 
     def test_word_holding_nbsp_does_not_fail_the_file(self, tmp_path, capsys):
@@ -343,8 +346,8 @@ class TestPredict:
             rng_seed=0,
             embedding=table,
         )
-        model.softmax_W[:] = 0.0
-        model.softmax_b[:] = 0.0
+        model.tensors["softmax.W"][:] = 0.0
+        model.tensors["softmax.b"][:] = 0.0
         path = tmp_path / "zero.ckpt"
         save_checkpoint(path, model, vocab)
         return path
@@ -521,7 +524,7 @@ class TestDataErrorExitCodes:
                                         layers=1), rng_seed=0, embedding=table)
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, model, vocab)
-        model.softmax_W[0, 0] = np.nan
+        model.tensors["softmax.W"][0, 0] = np.nan
         nan_ckpt = tmp_path / "nan.ckpt"
         save_checkpoint(nan_ckpt, model, vocab)
         short_ckpt = tmp_path / "short.ckpt"

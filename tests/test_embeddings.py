@@ -372,31 +372,31 @@ class TestEmbedSequence:
         return build_table(vocab, ["cat"], np.array([[7.0, 8.0]]), rng_seed=1)
 
     def test_oov_selects_shared_vector(self, table):
-        out = embed_sequence(table, [OOV_ID])
+        out = embed_sequence(table.vectors, [OOV_ID])
         np.testing.assert_array_equal(out[0], table.vectors[OOV_ID])
 
     def test_pad_rows_zero(self, table):
-        out = embed_sequence(table, [PAD_ID, PAD_ID])
+        out = embed_sequence(table.vectors, [PAD_ID, PAD_ID])
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def test_composition(self, table):
-        out = embed_sequence(table, [6, OOV_ID])
+        out = embed_sequence(table.vectors, [6, OOV_ID])
         np.testing.assert_array_equal(out[0], [7.0, 8.0])
         np.testing.assert_array_equal(out[1], table.vectors[OOV_ID])
 
     def test_length_and_finite(self, table):
         ids = [0, 1, 2, 3, 4, 5, 6]
-        out = embed_sequence(table, ids)
+        out = embed_sequence(table.vectors, ids)
         assert out.shape == (len(ids), table.dim)
         assert np.isfinite(out).all()
 
     def test_out_of_range_rejected(self, table):
         with pytest.raises(ValueError, match="out of range"):
-            embed_sequence(table, [table.vocab_size])
+            embed_sequence(table.vectors, [table.vocab_size])
         with pytest.raises(ValueError, match="out of range"):
-            embed_sequence(table, [-1])
+            embed_sequence(table.vectors, [-1])
 
     def test_rows_are_copies(self, table):
-        out = embed_sequence(table, [6])
+        out = embed_sequence(table.vectors, [6])
         out[0, 0] = 123.0
         assert table.vectors[6, 0] == 7.0

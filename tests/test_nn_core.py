@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,10 +15,9 @@ from conftest import (
 
 from botlstm.embeddings import TRAINABLE_INIT_RANGE, TRAINABLE_ROWS, EmbeddingTable
 from botlstm.nn_core import (
-    BiLstmLayer,
-    LstmCellParams,
     ModelConfig,
     ModelParams,
+    _cell,
     _direction_pass,
     backward,
     backward_batch,
@@ -35,18 +32,35 @@ from botlstm.trainer import CHUNK
 
 
 def zero_cell(hidden, d_in):
-    return LstmCellParams(*(np.zeros(s) for s in cell_shapes(hidden, d_in)))
+    return {t: np.zeros(s) for t, s in cell_shapes(hidden, d_in).items()}
 
 
 class TestCellParams:
     def test_fields_are_the_four_blocks(self):
         p = random_cell(np.random.default_rng(3), 3, 2)
-        assert [f.name for f in dataclasses.fields(p)] == ["U", "W", "V", "b"]
-        assert [name for name, _ in p.named_tensors()] == ["U", "W", "V", "b"]
-        assert (p.U.shape, p.W.shape, p.V.shape, p.b.shape) == (
+        assert list(p) == ["U", "W", "V", "b"]
+        assert (p["U"].shape, p["W"].shape, p["V"].shape, p["b"].shape) == (
             (12, 2), (12, 3), (9,), (12,)
         )
-        assert p.hidden_size == 3
+
+    def test_cell_picks_the_named_blocks_of_params_and_grads(self):
+        model = random_model(np.random.default_rng(3), 9, 2, 3, 2)
+        for d in (model.tensors, model.zero_grads()):
+            cell = _cell(d, 1, "bwd")
+            assert list(cell) == ["U", "W", "V", "b"]
+            for t, block in cell.items():
+                assert block is d[f"layers.1.bwd.{t}"]  # not copied
+        assert _cell(model.tensors, 1, "bwd")["U"].shape == (12, 6)
+
+    def test_layers_are_the_fwd_bwd_cells_in_order(self):
+        model = random_model(np.random.default_rng(4), 9, 2, 3, 3)
+        assert len(model.layers) == 3
+        for li, cells in enumerate(model.layers):
+            for cell, direction in zip(cells, ("fwd", "bwd")):
+                for t, block in cell.items():
+                    assert block is model.tensors[f"layers.{li}.{direction}.{t}"]
+        assert model.hidden == 3
+        assert model.config() == ModelConfig(9, 2, 3, 3)
 
 
 class TestCellForward:
@@ -62,7 +76,7 @@ class TestCellForward:
     def test_saturated_gates_preserve_cell(self):
         # bias 100 is a saturation surrogate: gates pin to ~1
         p = zero_cell(1, 1)
-        p.b[[0, 1, 3]] = 100.0  # gates i, f, o
+        p["b"][[0, 1, 3]] = 100.0  # gates i, f, o
         h, c, *_ = cell_step(p, np.zeros(1), np.zeros(1), np.array([3.0]))
         np.testing.assert_allclose(c, [3.0], atol=1e-12)
         np.testing.assert_allclose(h, [np.tanh(3.0)], atol=1e-12)
@@ -87,13 +101,13 @@ class TestCellForward:
         rng = np.random.default_rng(3)
         H, D = 4, 3
         p = zero_cell(H, D)
-        U_c = p.U[2 * H : 3 * H]
-        W_c = p.W[2 * H : 3 * H]
+        U_c = p["U"][2 * H : 3 * H]
+        W_c = p["W"][2 * H : 3 * H]
         U_c[:] = rng.uniform(-1, 1, (H, D))
         W_c[:] = rng.uniform(-1, 1, (H, H))
-        p.b[:H] = 100.0  # i
-        p.b[H : 2 * H] = -100.0  # f
-        p.b[3 * H :] = 100.0  # o
+        p["b"][:H] = 100.0  # i
+        p["b"][H : 2 * H] = -100.0  # f
+        p["b"][3 * H :] = 100.0  # o
         for _ in range(50):
             x = rng.standard_normal(D)
             h_prev = rng.standard_normal(H)
@@ -148,8 +162,8 @@ class TestBilstmForward:
             assert np.all(trace.probabilities < 1.0)
 
     def test_zero_softmax_uniform(self, model):
-        model.softmax_W[:] = 0.0
-        model.softmax_b[:] = 0.0
+        model.tensors["softmax.W"][:] = 0.0
+        model.tensors["softmax.b"][:] = 0.0
         trace = bilstm_forward(model, [6, 7, 8])
         np.testing.assert_array_equal(trace.probabilities, [0.5, 0.5])
 
@@ -188,29 +202,18 @@ class TestBilstmForward:
         def swap_cols(arr):
             return np.concatenate((arr[:, H:], arr[:, :H]), axis=1)
 
-        swapped_layers = []
-        for li, layer in enumerate(model.layers):
-            fwd, bwd = layer.bwd, layer.fwd
-            if li > 0:
-                fwd = LstmCellParams(
-                    **{
-                        name: swap_cols(arr) if name == "U" else arr.copy()
-                        for name, arr in fwd.named_tensors()
-                    }
-                )
-                bwd = LstmCellParams(
-                    **{
-                        name: swap_cols(arr) if name == "U" else arr.copy()
-                        for name, arr in bwd.named_tensors()
-                    }
-                )
-            swapped_layers.append(BiLstmLayer(fwd=fwd, bwd=bwd))
-        swapped = ModelParams(
-            embedding=model.embedding,
-            layers=swapped_layers,
-            softmax_W=swap_cols(model.softmax_W),
-            softmax_b=model.softmax_b,
-        )
+        swapped = {}
+        for name, arr in model.tensors.items():
+            if name.startswith("layers."):
+                _, li, direction, t = name.split(".")
+                other = "bwd" if direction == "fwd" else "fwd"
+                arr = model.tensors[f"layers.{li}.{other}.{t}"]
+                if t == "U" and li != "0":
+                    arr = swap_cols(arr)
+            elif name == "softmax.W":
+                arr = swap_cols(arr)
+            swapped[name] = arr
+        swapped = ModelParams(swapped)
 
         orig = bilstm_forward(model, ids)
         mirror = bilstm_forward(swapped, list(reversed(ids)))
@@ -259,7 +262,7 @@ class TestBackwardBasics:
         grads = backward(model, trace, label=1)
         shapes = {name: t.shape for name, t in model.trainable_tensors()}
         assert {name: g.shape for name, g in grads.items()} == shapes
-        assert shapes["embedding.vectors"] == (5, model.embedding.dim)
+        assert shapes["embedding.vectors"] == (5, model.config().embed_dim)
 
     def test_pad_positions_send_no_embedding_gradient(self, model):
         trace = bilstm_forward(model, [0, 6, 0, 7, 0])
@@ -400,8 +403,9 @@ class TestInitParams:
         cfg = ModelConfig(vocab_size=10, embed_dim=4, hidden=5, layers=2)
         a = init_params(cfg, rng_seed=7)
         b = init_params(cfg, rng_seed=7)
-        for (name_a, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
-            np.testing.assert_array_equal(ta, tb, err_msg=name_a)
+        assert list(a.tensors) == list(b.tensors)
+        for name, ta in a.tensors.items():
+            np.testing.assert_array_equal(ta, b.tensors[name], err_msg=name)
 
     def test_matches_per_gate_draw_sequence(self):
         # the draws of the per-gate layout, in its order: embedding, then per
@@ -427,39 +431,39 @@ class TestInitParams:
                 )
         expected["softmax.W"] = glorot(2, 10)
         expected["softmax.b"] = np.zeros(2)
-        got = dict(model.named_tensors())
+        got = model.tensors
         assert list(got) == list(expected)
         for name, tensor in expected.items():
             np.testing.assert_array_equal(got[name], tensor, err_msg=name)
 
     def test_forget_bias_one(self):
         model = init_params(ModelConfig(10, 4, 5, 2), rng_seed=0)
-        for layer in model.layers:
-            for cell in (layer.fwd, layer.bwd):
-                np.testing.assert_array_equal(cell.b[5:10], np.ones(5))  # forget
-                np.testing.assert_array_equal(cell.b[:5], np.zeros(5))
-                np.testing.assert_array_equal(cell.b[10:], np.zeros(10))
-                np.testing.assert_array_equal(cell.V, np.zeros(15))
+        for cells in model.layers:
+            for cell in cells:
+                np.testing.assert_array_equal(cell["b"][5:10], np.ones(5))  # forget
+                np.testing.assert_array_equal(cell["b"][:5], np.zeros(5))
+                np.testing.assert_array_equal(cell["b"][10:], np.zeros(10))
+                np.testing.assert_array_equal(cell["V"], np.zeros(15))
 
     def test_glorot_bounds(self):
         model = init_params(ModelConfig(10, 4, 5, 3), rng_seed=1)
-        for li, layer in enumerate(model.layers):
+        for li, cells in enumerate(model.layers):
             d_in = 4 if li == 0 else 10
             u_limit = np.sqrt(6.0 / (d_in + 5))
             w_limit = np.sqrt(6.0 / 10)
-            for cell in (layer.fwd, layer.bwd):
-                assert cell.U.shape == (20, d_in) and cell.W.shape == (20, 5)
-                assert np.max(np.abs(cell.U)) <= u_limit
-                assert np.max(np.abs(cell.W)) <= w_limit
+            for cell in cells:
+                assert cell["U"].shape == (20, d_in) and cell["W"].shape == (20, 5)
+                assert np.max(np.abs(cell["U"])) <= u_limit
+                assert np.max(np.abs(cell["W"])) <= w_limit
         s_limit = np.sqrt(6.0 / (10 + 2))
-        assert np.max(np.abs(model.softmax_W)) <= s_limit
-        np.testing.assert_array_equal(model.softmax_b, np.zeros(2))
+        assert np.max(np.abs(model.tensors["softmax.W"])) <= s_limit
+        np.testing.assert_array_equal(model.tensors["softmax.b"], np.zeros(2))
 
     def test_layer_input_dims(self):
         model = init_params(ModelConfig(10, 4, 5, 3), rng_seed=0)
-        assert model.layers[0].fwd.U.shape[1] == 4
-        assert model.layers[1].fwd.U.shape[1] == 10
-        assert model.layers[2].bwd.U.shape[1] == 10
+        assert model.tensors["layers.0.fwd.U"].shape[1] == 4
+        assert model.tensors["layers.1.fwd.U"].shape[1] == 10
+        assert model.tensors["layers.2.bwd.U"].shape[1] == 10
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -475,7 +479,7 @@ class TestInitParams:
 
     def test_pad_row_zero_in_random_table(self):
         model = init_params(ModelConfig(10, 4, 5, 1), rng_seed=0)
-        np.testing.assert_array_equal(model.embedding.vectors[0], np.zeros(4))
+        np.testing.assert_array_equal(model.tensors["embedding.vectors"][0], np.zeros(4))
         assert range(10)[TRAINABLE_ROWS] == range(1, 6)
 
 

@@ -115,29 +115,29 @@ class TestSgdMomentumStep:
     def test_zero_momentum_is_plain_sgd(self, model):
         grads = self._zero_grads(model)
         grads["softmax.b"] = np.array([1.0, -2.0])
-        before = model.softmax_b.copy()
+        before = model.tensors["softmax.b"].copy()
         sgd_momentum_step(model, grads, {}, lr=0.1, momentum=0.0)
-        np.testing.assert_allclose(model.softmax_b, before - 0.1 * grads["softmax.b"])
+        np.testing.assert_allclose(model.tensors["softmax.b"], before - 0.1 * grads["softmax.b"])
 
     def test_zero_gradient_fixed_point(self, model):
-        before = {name: t.copy() for name, t in model.named_tensors()}
+        before = {name: t.copy() for name, t in model.tensors.items()}
         sgd_momentum_step(model, self._zero_grads(model), {}, lr=0.1, momentum=0.9)
-        for name, t in model.named_tensors():
+        for name, t in model.tensors.items():
             np.testing.assert_array_equal(t, before[name])
 
     def test_two_step_momentum_trace(self, model):
         # scalar g=1 twice at mu=0.9, lr=0.01: shifts of -0.01 then -0.019
         velocity = {}
-        start = model.softmax_b[0]
+        start = model.tensors["softmax.b"][0]
         grads = self._zero_grads(model)
         grads["softmax.b"][0] = 1.0
         sgd_momentum_step(model, grads, velocity, lr=0.01, momentum=0.9)
-        np.testing.assert_allclose(model.softmax_b[0], start - 0.01, atol=1e-15)
+        np.testing.assert_allclose(model.tensors["softmax.b"][0], start - 0.01, atol=1e-15)
         grads = self._zero_grads(model)
         grads["softmax.b"][0] = 1.0
         sgd_momentum_step(model, grads, velocity, lr=0.01, momentum=0.9)
         np.testing.assert_allclose(
-            model.softmax_b[0], start - 0.01 - 0.019, atol=1e-15
+            model.tensors["softmax.b"][0], start - 0.01 - 0.019, atol=1e-15
         )
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -156,17 +156,17 @@ class TestSgdMomentumStep:
 
     def test_step_to_largest_float32_accepted(self, model):
         grads = self._zero_grads(model)
-        grads["softmax.b"][0] = model.softmax_b[0] - FLOAT32_MAX
+        grads["softmax.b"][0] = model.tensors["softmax.b"][0] - FLOAT32_MAX
         sgd_momentum_step(model, grads, {}, lr=1.0, momentum=0.0)
-        assert model.softmax_b[0] == FLOAT32_MAX
+        assert model.tensors["softmax.b"][0] == FLOAT32_MAX
 
     def test_fixed_embedding_rows_untouched(self, model):
-        fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
-        before = model.embedding.vectors[fixed].copy()
+        fixed = np.delete(np.arange(model.config().vocab_size), TRAINABLE_ROWS)
+        before = model.tensors["embedding.vectors"][fixed].copy()
         grads = self._zero_grads(model)
         grads["embedding.vectors"][:] = 1.0  # every trainable row moves
         sgd_momentum_step(model, grads, {}, lr=0.5, momentum=0.0)
-        np.testing.assert_array_equal(model.embedding.vectors[fixed], before)
+        np.testing.assert_array_equal(model.tensors["embedding.vectors"][fixed], before)
 
     def test_gradient_step_direction(self, model):
         rng = np.random.default_rng(3)
@@ -283,10 +283,8 @@ class TestTrain:
             cfg = TrainingConfig(epochs=2, batch_size=4, seed=9)
             model, history = train(model, examples, cfg)
             results.append((model, history))
-        for (name, a), (_, b) in zip(
-            results[0][0].named_tensors(), results[1][0].named_tensors()
-        ):
-            np.testing.assert_array_equal(a, b, err_msg=name)
+        for name, a in results[0][0].tensors.items():
+            np.testing.assert_array_equal(a, results[1][0].tensors[name], err_msg=name)
         assert [e.loss for e in results[0][1].epochs] == [
             e.loss for e in results[1][1].epochs
         ]
@@ -327,11 +325,11 @@ class TestTrain:
 
     def test_fixed_rows_bitwise_stable(self):
         model, examples, _, _ = _toy_setup()
-        fixed = np.delete(np.arange(model.embedding.vocab_size), TRAINABLE_ROWS)
-        before = model.embedding.vectors[fixed].copy()
+        fixed = np.delete(np.arange(model.config().vocab_size), TRAINABLE_ROWS)
+        before = model.tensors["embedding.vectors"][fixed].copy()
         cfg = TrainingConfig(epochs=3, batch_size=4, seed=1)
         model, _ = train(model, examples, cfg)
-        assert np.array_equal(model.embedding.vectors[fixed], before)
+        assert np.array_equal(model.tensors["embedding.vectors"][fixed], before)
 
     @staticmethod
     def _one_step_and_hand_reduction(make_set, batch_size):
@@ -372,8 +370,10 @@ class TestTrain:
             model, by_hand = self._one_step_and_hand_reduction(make_set, batch_size)
             # the trainer sums in length-ordered chunks over a [T, B] batch,
             # so the order of its float additions differs from this loop
-            for (name, a), (_, b) in zip(model.named_tensors(), by_hand.named_tensors()):
-                np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=f"{set_name}: {name}")
+            for name, a in model.tensors.items():
+                np.testing.assert_allclose(
+                    a, by_hand.tensors[name], rtol=1e-12, err_msg=f"{set_name}: {name}"
+                )
 
     def test_one_step_matches_hand_reduction(self):
         self._assert_step_matches_hand_reduction(6)
@@ -468,8 +468,8 @@ class TestTrain:
 class TestEvaluate:
     def test_degenerate_all_bot_predictor(self):
         model, examples, _, _ = _toy_setup()
-        model.softmax_W[:] = 0.0
-        model.softmax_b[:] = 0.0  # p=[.5,.5] everywhere; ties resolve to bot
+        model.tensors["softmax.W"][:] = 0.0
+        model.tensors["softmax.b"][:] = 0.0  # p=[.5,.5] everywhere; ties resolve to bot
         report = evaluate(model, examples)
         assert report["accuracy"] == 0.5
         assert report["recall"] == 1.0
@@ -565,7 +565,7 @@ class TestEvaluate:
             rng_seed=0, embedding=table,
         )
         rng = np.random.default_rng(0)
-        for _, tensor in model.named_tensors():
+        for tensor in model.tensors.values():
             tensor[...] = np.finfo(np.float32).max * rng.choice([-1.0, 1.0], tensor.shape)
         path = tmp_path / "extreme.ckpt"
         save_checkpoint(path, model, vocab)
