@@ -15,6 +15,8 @@ from botlstm import ModelConfig, backward, bilstm_forward, init_params, nll_loss
 rng = np.random.default_rng(42)
 config = ModelConfig(vocab_size=9, embed_dim=4, hidden=3, layers=2)
 model = init_params(config, rng_seed=1)
+# init gives float32; central differences at eps 1e-4 need float64
+model.tensors = {name: t.astype(np.float64) for name, t in model.tensors.items()}
 
 # shake every tensor (init leaves peepholes/biases structured)
 for tensor in model.tensors.values():

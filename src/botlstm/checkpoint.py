@@ -109,7 +109,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
-    payload = blob[_HEADER.size : -4]
+    payload = memoryview(blob)[_HEADER.size : -4]  # not a copy of the tensor bytes
     (stored_crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != stored_crc:
         raise CheckpointError("corrupt checkpoint: checksum mismatch")
@@ -120,7 +120,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         for _ in range(vocab_size):
             (length,) = _LENGTH.unpack_from(payload, offset)
             offset += 4 + length
-            surfaces.append(payload[offset - length : offset].decode("utf-8"))
+            surfaces.append(str(payload[offset - length : offset], "utf-8"))
         vocab = Vocabulary(surfaces)
     except struct.error as exc:  # a length field runs past the payload
         raise CheckpointError("corrupt checkpoint: truncated payload") from exc
@@ -138,4 +138,5 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         raise CheckpointError("corrupt checkpoint: trailing bytes in payload")
     if not all(np.isfinite(t).all() for t in tensors.values()):
         raise CheckpointError("corrupt checkpoint: non-finite parameter values")
+    # scoring stays float64 for now: ROADMAP item 4a drops this upcast, after item 1a
     return ModelParams({name: t.astype(np.float64) for name, t in tensors.items()}), vocab

@@ -29,7 +29,7 @@ TRAINABLE_INIT_RANGE = 0.05
 
 @dataclass
 class EmbeddingTable:
-    """Dense token vectors, [vocab_size, dim] float64.
+    """Dense token vectors, [vocab_size, dim] float32.
 
     Row OOV_ID is the shared vector for all out-of-vocabulary words; only
     TRAINABLE_ROWS ever change.
@@ -172,13 +172,18 @@ def build_table(
     and meme rows are seeded uniform(+-0.05) and trainable; PAD is zero
     and frozen. Every non-reserved vocabulary word must appear in
     `word_list` (the vocabulary is an intersection by construction).
+    The table is float32: each pretrained value and each draw is rounded
+    to float32, and a pretrained value beyond float32's range is refused.
     """
-    raw_matrix = np.asarray(raw_matrix, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+        raw_matrix = np.asarray(raw_matrix, dtype=np.float32)
     if raw_matrix.ndim != 2 or raw_matrix.shape[1] < 1:
         raise ValueError("raw_matrix must be [n_words, dim] with dim >= 1")
     if not np.isfinite(raw_matrix).all():
         raise DataError(
-            "embedding matrix contains non-finite values", module="embeddings"
+            "embedding matrix contains non-finite values or values beyond "
+            "float32's range",
+            module="embeddings",
         )
     dim = raw_matrix.shape[1]
     index: dict[str, int] = {}
@@ -186,7 +191,7 @@ def build_table(
         index.setdefault(w, i)
 
     rng = np.random.default_rng(rng_seed)
-    vectors = np.zeros((len(vocab), dim), dtype=np.float64)
+    vectors = np.zeros((len(vocab), dim), dtype=np.float32)
     trainable = vectors[TRAINABLE_ROWS]
     trainable[:] = rng.uniform(
         -TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, trainable.shape

@@ -38,12 +38,17 @@ an affine map and a max-subtracted softmax.
 no-ops in both directions: states pass through unchanged, so padding
 injects no signal and receives no gradient.
 
-All math is float64. `forward_batch` hands `backward_batch` plain arrays
-(`BatchTrace`): each scan's h and c tracks and the keep-masks. BPTT
-rebuilds the gate pre-activations of all T*B steps from the tracks with
-one GEMM, and each layer's input from the layer below. The equations
-above are written once, in `_gates`, which the scan and BPTT's
-recomputation both call. `forward_batch` is the only place dropout is drawn.
+The math runs in the tensors' dtype: every array the scan, BPTT and the
+classifier make takes the dtype of its input. `init_params` and
+`build_table` give float32, so training runs in float32, and a loaded
+checkpoint is upcast to float64 for scoring.
+
+`forward_batch` hands `backward_batch` plain arrays (`BatchTrace`): each
+scan's h and c tracks and the keep-masks. BPTT rebuilds the gate
+pre-activations of all T*B steps from the tracks with one GEMM, and each
+layer's input from the layer below. The equations above are written
+once, in `_gates`, which the scan and BPTT's recomputation both call.
+`forward_batch` is the only place dropout is drawn.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
 their one-sequence, dropout-free case and take no options.
 """
@@ -114,10 +119,10 @@ def _direction_pass(p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray):
     U, W, V, b = p["U"], p["W"], p["V"], p["b"]
     H = W.shape[1]
     XU = (X.reshape(T * B, D) @ U.T).reshape(T, B, 4 * H)
-    h = np.empty((T, B, H))
-    c = np.empty((T, B, H))
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
+    h = np.empty((T, B, H), dtype=X.dtype)
+    c = np.empty((T, B, H), dtype=X.dtype)
+    h_prev = np.zeros((B, H), dtype=X.dtype)
+    c_prev = np.zeros((B, H), dtype=X.dtype)
     # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
@@ -154,7 +159,7 @@ def _direction_backward(p: dict[str, np.ndarray], h, c, ran, X, dh_out, grads):
     da += p["b"]
     V_i, V_f, V_o = V[:H], V[H : 2 * H], V[2 * H :]
 
-    zero = np.zeros((B, H))
+    zero = np.zeros((B, H), dtype=h.dtype)
     dh_rec = dc_rec = zero
     for t in range(T - 1, -1, -1):
         c_prev = c[t - 1] if t > 0 else zero
@@ -375,7 +380,7 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     grads["softmax.b"] += dlogits.sum(axis=0)
     dclf = dlogits @ model.tensors["softmax.W"]
 
-    dY = np.zeros((T, B, 2 * H))
+    dY = np.zeros((T, B, 2 * H), dtype=dclf.dtype)
     dY[trace.lengths - 1, cols, :H] = dclf[:, :H]
     dY[0, :, H:] = dclf[:, H:]
 
@@ -432,19 +437,29 @@ def init_params(
     When no embedding table is supplied, a random one is created with the
     usual trainable rows (OOV + meme tokens) and a zero PAD row. The draws
     run in `tensors` order.
+
+    Every tensor is float32: each draw is made in float64 and rounded, so
+    the model holds the values its checkpoint would. A supplied float32
+    table is stored as is, so the model shares its array; any other is
+    stored as a float32 copy.
     """
     rng = np.random.default_rng(rng_seed)
     shapes = config.tensor_shapes()
     table_name, table_shape = next(shapes)
     if embedding is None:
-        vectors = rng.uniform(-TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, table_shape)
+        vectors = rng.uniform(
+            -TRAINABLE_INIT_RANGE, TRAINABLE_INIT_RANGE, table_shape
+        ).astype(np.float32)
         vectors[PAD_ID] = 0.0
     elif embedding.vectors.shape == table_shape:
-        vectors = embedding.vectors
+        vectors = np.asarray(embedding.vectors, dtype=np.float32)
     else:
         raise ValueError("embedding table does not match the configured vocab/dim")
 
-    model = ModelParams({table_name: vectors, **{name: np.zeros(shape) for name, shape in shapes}})
+    model = ModelParams({
+        table_name: vectors,
+        **{name: np.zeros(shape, dtype=np.float32) for name, shape in shapes},
+    })
     H = config.hidden
     for cells in model.layers:
         for cell in cells:

@@ -142,9 +142,10 @@ def sgd_momentum_step(
         if v is None:
             v = np.zeros_like(tensor)
             velocity[name] = v
-        v *= momentum
-        v -= lr * g
-        tensor += v
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+            v *= momentum
+            v -= lr * g
+            tensor += v
         # NaN fails both comparisons
         if not (-FLOAT32_MAX <= tensor.min() and tensor.max() <= FLOAT32_MAX):
             if not np.isfinite(g).all():

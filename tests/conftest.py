@@ -33,6 +33,11 @@ def random_model(rng, vocab_size, dim, hidden, layers, scale=0.5):
     return ModelParams(tensors)
 
 
+def cast_model(model, dtype):
+    """A copy of `model` with every tensor cast to `dtype`."""
+    return ModelParams({name: t.astype(dtype) for name, t in model.tensors.items()})
+
+
 def model_loss(model, ids, label, rate=0.0, seed=None):
     """-log p(label) for one sequence, under the dropout `seed` draws at `rate`."""
     trace = forward_batch(model, [ids], rate, [seed])

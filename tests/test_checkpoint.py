@@ -256,7 +256,9 @@ class TestSaveGuards:
 
     def test_float32_overflow_names_the_tensor_before_opening(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
-        model.tensors["layers.0.bwd.W"][2, 1] = 1e39  # finite in float64, inf in float32
+        W = model.tensors["layers.0.bwd.W"].astype(np.float64)  # init gives float32
+        W[2, 1] = 1e39  # finite in float64, inf in float32
+        model.tensors["layers.0.bwd.W"] = W
         with pytest.raises(InternalError, match=r"tensor layers\.0\.bwd\.W overflows") as exc:
             save_checkpoint(tmp_path / "m.ckpt", model, vocab)
         assert exc.value.module == "checkpoint"

@@ -517,6 +517,8 @@ class TestDataErrorExitCodes:
         words = sorted({w for a in small_accounts() for t in a.tweets for w in t.split()})
         glove = tmp_path / "glove.txt"
         write_glove(glove, words, np.random.default_rng(0).standard_normal((len(words), 4)))
+        huge_glove = tmp_path / "huge_glove.txt"
+        write_glove(huge_glove, words, np.full((len(words), 4), 1e39))  # beyond float32
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("love you\n", encoding="utf-8")
         _, vocab, table = synthetic(seed=1, n_per_class=1, embed_dim=4)
@@ -544,7 +546,8 @@ class TestDataErrorExitCodes:
         header_only.write_text("account_id,tweet_text\n")
         zero_bytes = tmp_path / "zero_bytes.csv"
         zero_bytes.write_bytes(b"")
-        return {"acc": acc, "twt": twt, "glove": glove, "corpus": corpus, "ckpt": ckpt,
+        return {"acc": acc, "twt": twt, "glove": glove, "huge_glove": huge_glove,
+                "corpus": corpus, "ckpt": ckpt,
                 "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
                 "missing": tmp_path / "missing.tsv", "vocab": vocab_file,
                 "bad_header": bad_header, "header_only": header_only,
@@ -584,12 +587,14 @@ class TestDataErrorExitCodes:
          "embeddings:"),
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
           "--vocab", "{vocab}", "--embed-dim", "5"], "embeddings:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{huge_glove}",
+          "--embed-dim", "4", "--hidden", "2", "--layers", "1"], "embeddings:"),
     ], ids=["missing-vocab", "latin1-vocab", "superscript-vocab-id", "latin1-tweets",
             "latin1-predict-tweets", "latin1-corpus", "latin1-glove", "nan-checkpoint",
             "truncated-checkpoint", "train-bad-header", "evaluate-bad-header",
             "predict-bad-header", "stats-bad-header", "train-header-only", "evaluate-header-only",
             "stats-header-only", "stats-zero-bytes", "predict-zero-bytes",
-            "build-vocab-glove-dim", "train-glove-dim"])
+            "build-vocab-glove-dim", "train-glove-dim", "train-glove-beyond-float32"])
     def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):
         paths = self._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]

@@ -334,6 +334,7 @@ class TestBuildTable:
         words = ["cat", "dog"]
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
         table = build_table(vocab, words, matrix, rng_seed=0)
+        assert table.vectors.dtype == np.float32
         np.testing.assert_array_equal(table.vectors[vocab.id_of("cat")], [1.0, 2.0])
         assert vocab.id_of("cat") not in range(len(vocab))[TRAINABLE_ROWS]
 
@@ -362,6 +363,11 @@ class TestBuildTable:
     def test_non_finite_vectors_rejected(self, vocab):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(DataError, match="non-finite"):
+            build_table(vocab, ["cat", "dog"], bad, rng_seed=0)
+
+    def test_value_beyond_float32_rejected(self, vocab):
+        bad = np.array([[1.0, -1e39], [0.0, 1.0]])  # finite in float64
+        with pytest.raises(DataError, match="beyond float32's range"):
             build_table(vocab, ["cat", "dog"], bad, rng_seed=0)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cast_model,
     cell_shapes,
     cell_step,
     fd_tensor_gradient,
@@ -434,7 +435,8 @@ class TestInitParams:
         got = model.tensors
         assert list(got) == list(expected)
         for name, tensor in expected.items():
-            np.testing.assert_array_equal(got[name], tensor, err_msg=name)
+            assert got[name].dtype == np.float32, name
+            np.testing.assert_array_equal(got[name], tensor.astype(np.float32), err_msg=name)
 
     def test_forget_bias_one(self):
         model = init_params(ModelConfig(10, 4, 5, 2), rng_seed=0)
@@ -477,10 +479,45 @@ class TestInitParams:
         with pytest.raises(ValueError, match="does not match the configured vocab/dim"):
             init_params(ModelConfig(10, 4, 5, 1), rng_seed=0, embedding=table)
 
+    def test_float64_table_gives_a_float32_model(self):
+        table = EmbeddingTable(vectors=np.zeros((10, 4)))
+        model = init_params(ModelConfig(10, 4, 5, 2), rng_seed=0, embedding=table)
+        for name, tensor in model.tensors.items():
+            assert tensor.dtype == np.float32, name
+
     def test_pad_row_zero_in_random_table(self):
         model = init_params(ModelConfig(10, 4, 5, 1), rng_seed=0)
         np.testing.assert_array_equal(model.tensors["embedding.vectors"][0], np.zeros(4))
         assert range(10)[TRAINABLE_ROWS] == range(1, 6)
+
+
+class TestDtype:
+    """The math runs in the dtype of the model's tensors."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float32_gradients_match_float64(self, seed):
+        rng = np.random.default_rng(seed)
+        m32 = cast_model(random_model(rng, 9, 4, 3, 2), np.float32)
+        m64 = cast_model(m32, np.float64)
+        seqs = [rng.integers(1, 9, size=k) for k in (7, 4, 1)]
+        seqs[0][3] = PAD_ID
+        labels = [1, 0, 1]
+        seeds = rng.integers(0, np.iinfo(np.int64).max, size=3)
+
+        def run(model):
+            trace = forward_batch(model, seqs, 0.3, seeds)
+            grads = model.zero_grads()
+            backward_batch(model, trace, labels, grads)
+            return trace, grads
+
+        (_, g64), (trace, g32) = run(m64), run(m32)
+        for tracks in trace.tracks:
+            for h, c in tracks:
+                assert h.dtype == c.dtype == np.float32
+        assert trace.probabilities.dtype == np.float32
+        for name, g in g32.items():
+            assert g.dtype == np.float32, name
+            assert max_rel_err(g64[name], g, floor=1e-2) <= 1e-4, name
 
 
 class TestNumericHelpers:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import cast_model, random_model
 
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import LabeledSequence, make_examples, synthetic
@@ -336,15 +336,17 @@ class TestTrain:
         """(trained, by_hand) models after one step on the first batch_size examples.
 
         `make_set()` returns a fresh (model, examples) pair, the same each call.
+        Both run on a float64 copy of its model, so that their difference is
+        the order of the additions alone.
         """
         model, examples = make_set()
         batch = examples[:batch_size]
         cfg = TrainingConfig(epochs=1, batch_size=len(batch), seed=4)
-        model, _ = train(model, batch, cfg)
+        model, _ = train(cast_model(model, np.float64), batch, cfg)
 
         # the same step by hand: per-example gradients under each example's
         # own dropout seed, summed in shuffled order, meaned, one momentum step
-        by_hand = make_set()[0]
+        by_hand = cast_model(make_set()[0], np.float64)
         rng = np.random.default_rng(cfg.seed)
         order = rng.permutation(len(batch))
         seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch))
