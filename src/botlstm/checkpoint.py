@@ -26,11 +26,17 @@ Layout (all integers little-endian uint32, floats little-endian float32):
 Parameters are saved at float32 precision, so save -> load -> save is
 byte-identical. A model whose tensors' names, order or shapes differ from
 this layout, or a finite value beyond float32's range, is refused before
-the file is opened, and a tensor block holding a NaN or an infinity is
-rejected on load. The checksum does not cover the header, so the loader
-walks the header's tensor shapes only as far as the payload reaches: a
-header that implies more tensor bytes than the file holds is rejected
-before anything is allocated for them.
+the file is opened. The save then streams each tensor's bytes straight
+from the model's arrays (a float32 copy only of a tensor that is not
+already C-order little-endian float32) and keeps a running CRC, so it
+allocates no copy of the model.
+
+The loader checks the header before it reads the payload, so a file that
+is not a checkpoint is refused unread. A tensor block holding a NaN or an
+infinity is rejected on load. The checksum does not cover the header, so
+the loader walks the header's tensor shapes only as far as the payload
+reaches: a header that implies more tensor bytes than the file holds is
+rejected before anything is allocated for them.
 """
 
 from __future__ import annotations
@@ -59,11 +65,11 @@ def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
         raise ValueError(f"model has no tensor {exc.args[0]}") from exc
     if len(vocab) != cfg.vocab_size:
         raise ValueError("vocabulary size does not match the embedding table")
-    parts: list[bytes] = []
+    vocab_block = bytearray()  # a bytes object per word traced ~26x the block's size
     for surface in vocab.surfaces:
         raw = surface.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
+        vocab_block += struct.pack("<I", len(raw)) + raw
+    blocks: list[np.ndarray] = []
     for (name, arr), (expected, shape) in zip_longest(
         model.tensors.items(), cfg.tensor_shapes(), fillvalue=(None, None)
     ):
@@ -72,32 +78,30 @@ def save_checkpoint(path, model: ModelParams, vocab: Vocabulary) -> None:
         if arr.shape != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
         with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
-            block = np.ascontiguousarray(arr, dtype="<f4")
-        if (np.isinf(block) & np.isfinite(arr)).any():
+            block = np.ascontiguousarray(arr, dtype="<f4")  # arr itself when C-order <f4
+        # a dtype that casts to float32 safely cannot overflow it
+        if not np.can_cast(arr.dtype, "<f4") and (np.isinf(block) & np.isfinite(arr)).any():
             raise InternalError(f"tensor {name} overflows float32", module="checkpoint")
-        parts.append(block.tobytes())
-    payload = b"".join(parts)
+        blocks.append(block)
     header = _HEADER.pack(
         MAGIC, VERSION, cfg.vocab_size, cfg.embed_dim, cfg.hidden, cfg.layers, N_CLASSES
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.write(vocab_block)
+        crc = zlib.crc32(vocab_block)
+        for block in blocks:  # straight from the tensors' memory, no bytes copy
+            view = memoryview(block).cast("B")
+            fh.write(view)
+            crc = zlib.crc32(view, crc)
+        fh.write(struct.pack("<I", crc))
 
 
-def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-
-    if len(blob) < _HEADER.size + 4:
+def _read_header(head: bytes) -> ModelConfig:
+    """Check the header's fields; the payload is not read yet."""
+    if len(head) < _HEADER.size:
         raise CheckpointError("corrupt checkpoint: truncated header")
-    magic, version, vocab_size, embed_dim, hidden, layers, classes = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
+    magic, version, vocab_size, embed_dim, hidden, layers, classes = _HEADER.unpack(head)
     if magic != MAGIC:
         raise CheckpointError("corrupt checkpoint: bad magic")
     if version != VERSION:
@@ -105,19 +109,32 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     if classes != N_CLASSES:
         raise CheckpointError(f"unsupported class count {classes}")
     try:
-        config = ModelConfig(vocab_size, embed_dim, hidden, layers)
+        return ModelConfig(vocab_size, embed_dim, hidden, layers)
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
-    payload = memoryview(blob)[_HEADER.size : -4]  # not a copy of the tensor bytes
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
+
+def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
+    try:
+        # unbuffered: a buffered read() after the header copies the payload to
+        # join it to the buffer's leftover
+        with open(path, "rb", buffering=0) as fh:
+            config = _read_header(fh.read(_HEADER.size))  # a wrong file is refused unread
+            rest = fh.readall()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if len(rest) < 4:
+        raise CheckpointError("corrupt checkpoint: truncated header")
+
+    payload = memoryview(rest)[:-4]  # not a copy of the tensor bytes
+    (stored_crc,) = struct.unpack("<I", rest[-4:])
     if zlib.crc32(payload) != stored_crc:
         raise CheckpointError("corrupt checkpoint: checksum mismatch")
 
     surfaces = []
     offset = 0
     try:
-        for _ in range(vocab_size):
+        for _ in range(config.vocab_size):
             (length,) = _LENGTH.unpack_from(payload, offset)
             offset += 4 + length
             surfaces.append(str(payload[offset - length : offset], "utf-8"))

@@ -123,10 +123,11 @@ def _direction_pass(p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray):
     c = np.empty((T, B, H), dtype=X.dtype)
     h_prev = np.zeros((B, H), dtype=X.dtype)
     c_prev = np.zeros((B, H), dtype=X.dtype)
+    WT = np.ascontiguousarray(W.T)  # OpenBLAS is slower on the transposed view at small B
     # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        h_t, c_t, *_ = _gates(XU[t] + h_prev @ W.T + b, V, c_prev, H)
+        h_t, c_t, *_ = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
         if all_ran[t]:
             h[t], c[t] = h_t, c_t
         else:

@@ -23,6 +23,17 @@ def model_and_vocab():
     return model, vocab
 
 
+def _traced_peak(call):
+    """Peak bytes tracemalloc sees allocated while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestRoundTrip:
     def test_save_load_save_identical_bytes(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
@@ -89,6 +100,42 @@ class TestRoundTrip:
             )
             offset += 4 * tensor.size
         assert offset == len(blob) - 4  # only the checksum follows
+
+    @pytest.mark.parametrize("layout", [
+        "float64", "big-endian", "fortran-order", "negative-stride",
+    ])
+    def test_tensor_layout_does_not_change_the_bytes(self, tmp_path, model_and_vocab, layout):
+        # each tensor is written from a C-order little-endian float32 array,
+        # whatever the dtype, byte order or strides the model holds it in
+        model, vocab = model_and_vocab
+        save_checkpoint(tmp_path / "c.ckpt", model, vocab)  # init gives C-order float32
+        tensors = model.tensors
+        if layout == "float64":
+            tensors = {name: t.astype(np.float64) for name, t in tensors.items()}
+        elif layout == "big-endian":
+            tensors["softmax.W"] = tensors["softmax.W"].astype(">f4")
+        elif layout == "fortran-order":
+            tensors["embedding.vectors"] = np.asfortranarray(tensors["embedding.vectors"])
+        else:
+            tensors["layers.1.bwd.U"] = tensors["layers.1.bwd.U"][::-1, ::-1].copy()[::-1, ::-1]
+            assert tensors["layers.1.bwd.U"].strides[0] < 0
+        model.tensors = tensors
+        save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+        assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "c.ckpt").read_bytes()
+
+    def test_saving_allocates_no_copy_of_the_model(self, tmp_path):
+        # the file is streamed from the tensors' own memory, and a float32
+        # model needs no overflow check; the largest tensor is over a quarter
+        # of the model, so a copy of any one tensor fails too
+        _, vocab, _ = synthetic(seed=2, n_per_class=2)
+        model = init_params(ModelConfig(len(vocab), 4096, hidden=16, layers=1), rng_seed=1)
+        tensor_bytes = sum(t.nbytes for t in model.tensors.values())
+        assert max(t.nbytes for t in model.tensors.values()) > 0.25 * tensor_bytes > 2**19
+        peak = _traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", model, vocab))
+        assert peak < 0.25 * tensor_bytes, (peak, tensor_bytes)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for name, tensor in model.tensors.items():
+            np.testing.assert_array_equal(loaded.tensors[name], tensor, err_msg=name)
 
     def test_shapes_preserved(self, tmp_path, model_and_vocab):
         model, vocab = model_and_vocab
@@ -195,6 +242,20 @@ class TestCorruption:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_wrong_file_refused_from_its_header(self, tmp_path):
+        # a GloVe file passed as --checkpoint is refused without being read whole
+        path = tmp_path / "glove.txt"
+        row = "the " + " ".join(["0.123456"] * 200) + "\n"
+        path.write_text(row * 3000)
+        assert path.stat().st_size > 4 * 2**20
+
+        def refuse():
+            with pytest.raises(CheckpointError, match="bad magic"):
+                load_checkpoint(path)
+
+        peak = _traced_peak(refuse)
         assert peak < 2**20, peak
 
     def test_header_only(self, tmp_path):
