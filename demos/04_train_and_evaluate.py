@@ -34,12 +34,12 @@ model = init_params(
     embedding=table,
 )
 config = TrainingConfig(epochs=15, seed=7)  # shorter run for a demo
-model, history = train(model, train_examples, config)
+history = train(model, train_examples, config)
 
 print("\nepoch  loss    acc    dropout")
-for e in history.epochs:
-    if e.epoch % 3 == 0 or e.epoch == 1:
-        print(f"{e.epoch:5d}  {e.loss:.4f}  {e.accuracy:.3f}  {e.dropout:.3f}")
+for e in history:
+    if e["epoch"] % 3 == 0 or e["epoch"] == 1:
+        print(f"{e['epoch']:5d}  {e['loss']:.4f}  {e['accuracy']:.3f}  {e['dropout']:.3f}")
 
 report = evaluate(model, test_examples)
 print("\nheld-out metrics:")

@@ -7,7 +7,6 @@ three stacked bidirectional peephole-LSTM layers -> softmax over
 """
 
 from .corpus_stats import (
-    FrequencyTable,
     STOPWORDS,
     compare_tables,
     token_frequencies,
@@ -60,7 +59,6 @@ from .text_pipeline import (
     tokenize,
 )
 from .trainer import (
-    TrainHistory,
     TrainingConfig,
     dropout_schedule,
     evaluate,
@@ -80,7 +78,6 @@ __all__ = [
     "DataError",
     "EmbeddingTable",
     "ForwardTrace",
-    "FrequencyTable",
     "HUMAN",
     "InternalError",
     "LabeledSequence",
@@ -90,7 +87,6 @@ __all__ = [
     "PAD_ID",
     "RESERVED_TOKENS",
     "STOPWORDS",
-    "TrainHistory",
     "TrainingConfig",
     "UsageError",
     "Vocabulary",

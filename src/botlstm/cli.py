@@ -184,6 +184,19 @@ def _writing(path):
         raise DataError(f"cannot write {path}: {exc.strerror or exc}", module="cli") from exc
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write `header`, then `rows`, each row ended by the csv module's default "\\r\\n"."""
+    with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+#: history.csv's columns, which key `trainer.train`'s epoch rows, and their formats.
+_HISTORY_FORMATS = {"epoch": "d", "loss": ".10g", "accuracy": ".10g", "dropout": ".10g",
+                    "seconds": ".6f", "clamped": "d", "seq_per_s": ".6g"}
+
+
 #: --config keys and their value types: every RunConfig field but `command`,
 #: an `X | None` field taking an X.
 _CONFIG_TYPES = {
@@ -250,15 +263,16 @@ def cmd_train(cfg: RunConfig) -> int:
         hidden=cfg.hidden, layers=cfg.layers,
     )
     model = init_params(model_config, rng_seed=cfg.seed, embedding=table)
-    model, history = trainer.train(model, examples, cfg)
+    del table  # the model holds its own copy; training keeps one [V, D] table
+    history = trainer.train(model, examples, cfg)
 
     with _writing(ckpt_path):
         ckpt.save_checkpoint(ckpt_path, model, vocab)
-    with _writing(history_path):
-        history.to_csv(history_path)
-    last = history.epochs[-1]
-    print(f"trained {len(examples)} sequences for {len(history.epochs)} epochs")
-    print(f"final train loss {last.loss:.6f}, accuracy {last.accuracy:.4f}")
+    _write_csv(history_path, list(_HISTORY_FORMATS),
+               ([format(e[k], f) for k, f in _HISTORY_FORMATS.items()] for e in history))
+    last = history[-1]
+    print(f"trained {len(examples)} sequences for {len(history)} epochs")
+    print(f"final train loss {last['loss']:.6f}, accuracy {last['accuracy']:.4f}")
     print(f"wrote {ckpt_path} and {history_path}")
     return 0
 
@@ -312,20 +326,21 @@ def cmd_stats(cfg: RunConfig) -> int:
         raise DataError("stats needs at least one account of each class",
                         module="cli")
     # every check runs before the first write, so a failed run leaves no file
-    tables = {}
+    tables = []
     for name, group in (("human", humans), ("bot", bots)):
-        tables[name] = corpus_stats.token_frequencies(
+        entries, total = corpus_stats.token_frequencies(
             group, top_k=cfg.top_k,
             drop_stopwords=cfg.stopwords, map_rt=cfg.rt_token,
         )
-        if not tables[name].entries:
+        if not entries:
             raise DataError(f"no {name} tokens to count", module="cli")
-    payload = {"a": "human", "b": "bot",
-               **corpus_stats.compare_tables(tables["human"], tables["bot"])}
-    for table, path in zip(tables.values(), table_paths):
-        with _writing(path):
-            table.to_csv(path)
-        print(f"wrote {path} ({table.total_retained} retained tokens)")
+        tables.append((entries, total))
+    (human, _), (bot, _) = tables
+    payload = {"a": "human", "b": "bot", **corpus_stats.compare_tables(human, bot)}
+    for (entries, total), path in zip(tables, table_paths):
+        _write_csv(path, ["token", "count", "relative_frequency"],
+                   ([token, count, f"{rel:.10g}"] for token, count, rel in entries))
+        print(f"wrote {path} ({total} retained tokens)")
     with _writing(report_path):
         report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {report_path}")

@@ -8,10 +8,8 @@ just the returned top-k slice.
 
 from __future__ import annotations
 
-import csv
 import string
 from collections import Counter
-from dataclasses import dataclass
 
 from .datasets import Account
 from .text_pipeline import SPECIAL_TOKENS, tokenize
@@ -38,32 +36,19 @@ def _is_punctuation(token: str) -> bool:
     return all(ch in _PUNCT_CHARS for ch in token)
 
 
-@dataclass
-class FrequencyTable:
-    """Top-k token counts, sorted by count descending then lexicographic.
-
-    `entries` rows are (token, count, relative_frequency) where the
-    relative frequency denominator is `total_retained`.
-    """
-
-    entries: list[tuple[str, int, float]]
-    total_retained: int
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["token", "count", "relative_frequency"])
-            for token, count, rel in self.entries:
-                writer.writerow([token, count, f"{rel:.10g}"])
-
-
 def token_frequencies(
     accounts: list[Account],
     top_k: int,
     drop_stopwords: bool = False,
     map_rt: bool = True,
-) -> FrequencyTable:
-    """Count tokens over every tweet of `accounts` and keep the top_k."""
+) -> tuple[list[tuple[str, int, float]], int]:
+    """Count tokens over every tweet of `accounts` and keep the top_k.
+
+    Returns (entries, total_retained). `entries` rows are (token, count,
+    relative_frequency), sorted by count descending then lexicographic;
+    the relative frequency's denominator is `total_retained`, the count
+    of every retained token.
+    """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     counts: Counter[str] = Counter()
@@ -78,21 +63,21 @@ def token_frequencies(
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     entries = [(tok, n, n / total) for tok, n in ordered[:top_k]]
-    return FrequencyTable(entries=entries, total_retained=total)
+    return entries, total
 
 
-def compare_tables(a: FrequencyTable, b: FrequencyTable) -> dict:
-    """How two tables differ within their top-k entries, as a JSON-ready dict.
+def compare_tables(a: list[tuple], b: list[tuple]) -> dict:
+    """How two `token_frequencies` entry lists differ, as a JSON-ready dict.
 
     "only_in_a" and "only_in_b" list the tokens in one table only, in
     rank order. "rank_deltas" maps each shared token to rank_in_b -
     rank_in_a using 1-based ranks, so a positive delta means the token
     sits lower in b.
     """
-    if not a.entries or not b.entries:
+    if not a or not b:
         raise ValueError("cannot compare empty frequency tables")
-    a_rank = {tok: r for r, (tok, _, _) in enumerate(a.entries, start=1)}
-    b_rank = {tok: r for r, (tok, _, _) in enumerate(b.entries, start=1)}
+    a_rank = {tok: r for r, (tok, _, _) in enumerate(a, start=1)}
+    b_rank = {tok: r for r, (tok, _, _) in enumerate(b, start=1)}
     return {
         "only_in_a": [tok for tok in a_rank if tok not in b_rank],
         "only_in_b": [tok for tok in b_rank if tok not in a_rank],

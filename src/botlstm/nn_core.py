@@ -440,9 +440,9 @@ def init_params(
     run in `tensors` order.
 
     Every tensor is float32: each draw is made in float64 and rounded, so
-    the model holds the values its checkpoint would. A supplied float32
-    table is stored as is, so the model shares its array; any other is
-    stored as a float32 copy.
+    the model holds the values its checkpoint would. A supplied table is
+    stored as a float32 copy, so training a model moves no other model's
+    trainable rows and leaves the table as it was.
     """
     rng = np.random.default_rng(rng_seed)
     shapes = config.tensor_shapes()
@@ -453,7 +453,7 @@ def init_params(
         ).astype(np.float32)
         vectors[PAD_ID] = 0.0
     elif embedding.vectors.shape == table_shape:
-        vectors = np.asarray(embedding.vectors, dtype=np.float32)
+        vectors = np.array(embedding.vectors, dtype=np.float32)
     else:
         raise ValueError("embedding table does not match the configured vocab/dim")
 

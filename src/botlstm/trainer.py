@@ -20,11 +20,10 @@ parameters in their last bits. Scoring sorts the whole dataset (see
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,34 +72,6 @@ class TrainingConfig:
             raise ValueError("need 0 <= dropout_end <= dropout_start < 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    loss: float
-    accuracy: float
-    dropout: float
-    seconds: float
-    clamped: int
-    seq_per_s: float
-
-
-@dataclass
-class TrainHistory:
-    epochs: list[EpochStats] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "accuracy", "dropout", "seconds",
-                             "clamped", "seq_per_s"])
-            for e in self.epochs:
-                writer.writerow(
-                    [e.epoch, f"{e.loss:.10g}", f"{e.accuracy:.10g}",
-                     f"{e.dropout:.10g}", f"{e.seconds:.6f}", e.clamped,
-                     f"{e.seq_per_s:.6g}"]
-                )
 
 
 def nll_loss(probabilities, label: int) -> float:
@@ -173,8 +144,8 @@ def batch_indices(order, batch_size: int):
         yield order[start : start + batch_size]
 
 
-def train(model: ModelParams, dataset, cfg: TrainingConfig):
-    """Train `model` on a list of LabeledSequence for cfg.epochs epochs.
+def train(model: ModelParams, dataset, cfg: TrainingConfig) -> list[dict]:
+    """Train `model` in place on a list of LabeledSequence for cfg.epochs epochs.
 
     Each epoch reshuffles with the seeded generator, walks batches of
     cfg.batch_size (last batch may be short), and applies one momentum
@@ -182,13 +153,15 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
     seed in shuffled order and keeps it when the batch is cut into CHUNK
     columns in stable length order; its (loss, clamped, correct) is
     written back to its batch position and tallied in shuffled order.
-    Returns (model, TrainHistory).
+    Returns the history: one dict per epoch, keyed by the history CSV's
+    columns in order (epoch, loss, accuracy, dropout, seconds, clamped,
+    seq_per_s).
     """
     if not dataset:
         raise DataError("training dataset is empty", module="trainer")
     rng = np.random.default_rng(cfg.seed)
     velocity: dict[str, np.ndarray] = {}
-    history = TrainHistory()
+    history = []
 
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
@@ -221,18 +194,16 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig):
         if n_clamped:
             log.warning("epoch %d: %d clamped zero-probability losses", epoch, n_clamped)
         seconds = time.perf_counter() - tic
-        history.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                loss=loss_sum / len(dataset),
-                accuracy=n_correct / len(dataset),
-                dropout=rate,
-                seconds=seconds,
-                clamped=n_clamped,
-                seq_per_s=len(dataset) / seconds,
-            )
-        )
-    return model, history
+        history.append({
+            "epoch": epoch,
+            "loss": loss_sum / len(dataset),
+            "accuracy": n_correct / len(dataset),
+            "dropout": rate,
+            "seconds": seconds,
+            "clamped": n_clamped,
+            "seq_per_s": len(dataset) / seconds,
+        })
+    return history
 
 
 def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:

@@ -165,7 +165,7 @@ def test_criterion_4_desk_scale_learning():
         embedding=table,
     )
     cfg = TrainingConfig(seed=7)  # lr .01, momentum .9, batch 64, 30 epochs,
-    model, history = train(model, train_ex, cfg)  # dropout .5 -> .1
+    train(model, train_ex, cfg)  # dropout .5 -> .1
     report = evaluate(model, test_ex)
     elapsed = time.perf_counter() - tic
 
@@ -266,7 +266,7 @@ def test_criterion_8_pipeline_invariants():
     before = model.tensors["embedding.vectors"][fixed].copy()
     dataset = examples[:20]
     cfg = TrainingConfig(epochs=10, batch_size=2, seed=9)  # 10 steps x 10 epochs
-    model, _ = train(model, dataset, cfg)
+    train(model, dataset, cfg)
     assert np.array_equal(model.tensors["embedding.vectors"][fixed], before)
 
     # softmax normalization drift

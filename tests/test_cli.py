@@ -121,7 +121,9 @@ class TestTrain:
         ])
         assert rc == 0
         rows = history.read_text().splitlines()
+        assert rows[0] == "epoch,loss,accuracy,dropout,seconds,clamped,seq_per_s"
         assert len(rows) == 2  # header + one epoch
+        assert rows[1].startswith("1,")
 
     def test_history_rows_match_epochs(self, trained):
         _, history = trained
@@ -157,21 +159,29 @@ class TestTrain:
         assert loaded_vocab == vocab
 
     def test_embedding_file_freed_before_training(self, tmp_path, monkeypatch):
+        """Neither the parsed rows nor the table the model copies outlive init_params."""
         acc, twt, glove, _ = self._csv_inputs(tmp_path)
-        load_glove, train = cli.embeddings.load_glove, cli.trainer.train
-        matrices = []
+        load_glove, build_table = cli.embeddings.load_glove, cli.embeddings.build_table
+        train = cli.trainer.train
+        arrays = []
         alive_at_train = []
 
         def tracked_load(*args, **kwargs):
             words, matrix = load_glove(*args, **kwargs)
-            matrices.append(weakref.ref(matrix))
+            arrays.append(weakref.ref(matrix))
             return words, matrix
 
+        def tracked_table(*args, **kwargs):
+            table = build_table(*args, **kwargs)
+            arrays.append(weakref.ref(table.vectors))
+            return table
+
         def checked_train(*args, **kwargs):
-            alive_at_train.append(matrices[0]() is not None)
+            alive_at_train.append([ref() is not None for ref in arrays])
             return train(*args, **kwargs)
 
         monkeypatch.setattr(cli.embeddings, "load_glove", tracked_load)
+        monkeypatch.setattr(cli.embeddings, "build_table", tracked_table)
         monkeypatch.setattr(cli.trainer, "train", checked_train)
         rc = cli.main([
             "train", "--accounts", str(acc), "--tweets", str(twt),
@@ -179,7 +189,7 @@ class TestTrain:
             "--layers", "1", "--epochs", "1", "--output-dir", str(tmp_path / "out"),
         ])
         assert rc == 0
-        assert alive_at_train == [False]
+        assert alive_at_train == [[False, False]]
 
     @pytest.mark.parametrize("nan_row, vocab_flag, expected_rc", [
         ("unused", False, 0), ("vocabulary", False, 2), ("vocabulary", True, 2),
@@ -504,6 +514,25 @@ class TestStats:
             tokens = [r["token"] for r in csv.DictReader(fh)]
         assert "love" in tokens[:12]
         assert "thank" in tokens[:12]
+
+
+def test_output_line_endings(trained, tmp_path):
+    """history.csv and the frequency CSVs end each row in \\r\\n, predictions.csv in \\n."""
+    ckpt, history = trained
+    accounts, _, _ = synthetic(seed=6, n_per_class=2)
+    acc, twt = write_dataset_files(accounts, tmp_path)
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--tweets", str(twt),
+                     "--output-dir", str(tmp_path)]) == 0
+    assert cli.main(["stats", "--accounts", str(acc), "--tweets", str(twt),
+                     "--output-dir", str(tmp_path)]) == 0
+    for path, end in ((history, b"\r\n"),
+                      (tmp_path / "human_frequencies.csv", b"\r\n"),
+                      (tmp_path / "bot_frequencies.csv", b"\r\n"),
+                      (tmp_path / "predictions.csv", b"\n")):
+        data = path.read_bytes()
+        rows = data.decode().splitlines()
+        assert len(rows) > 1, path.name
+        assert data == b"".join(row.encode() + end for row in rows), path.name
 
 
 class TestDataErrorExitCodes:

@@ -9,12 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 04_train_and_evaluate.py trains for most of a minute; acceptance
-# criterion 4 already runs the same desk-scale training.
 DEMOS = [
     "01_tokenize_and_vocabulary.py",
     "02_embeddings.py",
     "03_gradient_check.py",
+    "04_train_and_evaluate.py",
     "05_cli_pipeline.py",
 ]
 
