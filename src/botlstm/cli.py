@@ -184,10 +184,10 @@ def _writing(path):
         raise DataError(f"cannot write {path}: {exc.strerror or exc}", module="cli") from exc
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write `header`, then `rows`, each row ended by the csv module's default "\\r\\n"."""
+def _write_csv(path: Path, header, rows, lineterminator="\r\n") -> None:
+    """Write `header`, then `rows`, each row ended by `lineterminator`."""
     with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -305,14 +305,14 @@ def cmd_predict(cfg: RunConfig) -> int:
     ]
     examples = cfg.examples(accounts, vocab)
     scored = trainer.account_probabilities(model, examples) if examples else {}
-    with _writing(out), open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["account_id", "p_bot", "predicted_label", "flag"])
-        for acct in accounts:
-            p_bot = scored.get(acct.account_id, 0.5)
-            flag = "" if acct.account_id in scored else "empty_account"
-            label = LABEL_NAMES[predicted_label(p_bot)]
-            writer.writerow([acct.account_id, f"{p_bot:.6f}", label, flag])
+
+    def row(account_id):
+        p_bot = scored.get(account_id, 0.5)
+        flag = "" if account_id in scored else "empty_account"
+        return [account_id, f"{p_bot:.6f}", LABEL_NAMES[predicted_label(p_bot)], flag]
+
+    _write_csv(out, ["account_id", "p_bot", "predicted_label", "flag"],
+               (row(acct.account_id) for acct in accounts), lineterminator="\n")
     print(f"wrote {out} ({len(accounts)} accounts)")
     return 0
 
@@ -335,8 +335,8 @@ def cmd_stats(cfg: RunConfig) -> int:
         if not entries:
             raise DataError(f"no {name} tokens to count", module="cli")
         tables.append((entries, total))
-    (human, _), (bot, _) = tables
-    payload = {"a": "human", "b": "bot", **corpus_stats.compare_tables(human, bot)}
+    payload = {"a": "human", "b": "bot",
+               **corpus_stats.compare_tables(tables[0][0], tables[1][0])}
     for (entries, total), path in zip(tables, table_paths):
         _write_csv(path, ["token", "count", "relative_frequency"],
                    ([token, count, f"{rel:.10g}"] for token, count, rel in entries))

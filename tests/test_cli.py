@@ -111,9 +111,17 @@ class TestBuildVocab:
 
 
 class TestTrain:
-    def test_single_epoch_history(self, tmp_path):
+    def test_single_epoch_history(self, tmp_path, monkeypatch):
         ckpt = tmp_path / "m.ckpt"
         history = tmp_path / "h.csv"
+        returned = []
+        train = cli.trainer.train
+
+        def keep_history(*args):
+            returned.append(train(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli.trainer, "train", keep_history)
         rc = cli.main([
             "train", "--synthetic", "3", "--seed", "1", "--hidden", "4",
             "--layers", "1", "--embed-dim", "8", "--epochs", "1",
@@ -124,6 +132,11 @@ class TestTrain:
         assert rows[0] == "epoch,loss,accuracy,dropout,seconds,clamped,seq_per_s"
         assert len(rows) == 2  # header + one epoch
         assert rows[1].startswith("1,")
+        ((epoch,),) = returned
+        with open(history, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["epoch"] == str(epoch["epoch"])
+        assert row["clamped"] == str(epoch["clamped"])
 
     def test_history_rows_match_epochs(self, trained):
         _, history = trained
