@@ -54,6 +54,8 @@ def _load_config_file(path: str) -> dict:
             raise UsageError(f"{path}: unknown config key {key!r} on line {n}")
         typ = _CONFIG_TYPES[key]
         try:
+            if "\x00" in raw:  # no file name holds one
+                raise ValueError(raw)
             if typ is bool:
                 if raw.lower() not in ("true", "false"):
                     raise ValueError(raw)
@@ -93,6 +95,8 @@ class RunConfig(trainer.TrainingConfig):
     output: str | None = None
     top_k: int = 50
     stopwords: bool = False
+    #: the --config file read, which no output may name
+    config: str | None = None
 
     def __post_init__(self):
         """Reject an out-of-range value of any field, whichever command runs."""
@@ -137,13 +141,14 @@ class RunConfig(trainer.TrainingConfig):
         """The files this command writes, in its `writes` order, checked before it reads.
 
         Each is its flag's value, or its default name in --output-dir. First,
-        an output that names a file the command reads, or another of its
-        outputs, is a UsageError naming both flags. Paths are compared
-        resolved, and by `os.path.samefile` when both exist, so a hard link
-        or a symlink is caught too. Then --output-dir is made if a path lies
-        in it and it is missing; a path whose directory is missing or cannot
-        be made is a DataError. Before all of that, an unset required input
-        (its `reads`) is a UsageError naming every such flag.
+        an output that names a file the command reads (the --config file
+        too), or another of its outputs, is a UsageError naming both flags.
+        Paths are compared resolved, and by `os.path.samefile` when both
+        exist, so a hard link or a symlink is caught too. Then --output-dir
+        is made if a path lies in it and it is missing; a path whose
+        directory is missing or cannot be made is a DataError. Before all of
+        that, an unset required input (its `reads`) is a UsageError naming
+        every such flag.
         """
         command = _COMMANDS[self.command]
         built = command.built()
@@ -157,7 +162,7 @@ class RunConfig(trainer.TrainingConfig):
         paths = [Path(v) if v else Path(self.output_dir) / name for _, v, name in writes]
         files = [(f"--{f or 'output-dir'}", path) for (f, _, _), path in zip(writes, paths)]
         files += [(f"--{flag}", Path(getattr(self, flag)))
-                  for flag in command.reads if getattr(self, flag)]
+                  for flag in (*command.reads, "config") if getattr(self, flag)]
         for k, (flag, path) in enumerate(files[: len(paths)]):
             for other, other_path in files[k + 1 :]:
                 try:
@@ -197,11 +202,12 @@ _HISTORY_FORMATS = {"epoch": "d", "loss": ".10g", "accuracy": ".10g", "dropout":
                     "seconds": ".6f", "clamped": "d", "seq_per_s": ".6g"}
 
 
-#: --config keys and their value types: every RunConfig field but `command`,
-#: an `X | None` field taking an X.
+#: --config keys and their value types: every RunConfig field but `command`
+#: and `config`, an `X | None` field taking an X.
 _CONFIG_TYPES = {
     name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
-    for name, hint in typing.get_type_hints(RunConfig).items() if name != "command"
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if name not in ("command", "config")
 }
 
 
@@ -427,7 +433,8 @@ def _add_flag(p: argparse.ArgumentParser, name: str, writes: str | None) -> None
 def build_parser() -> _Parser:
     parser = _Parser(prog="botlstm",
                      description="Bidirectional-LSTM bot/human tweet classifier")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser,
+                                required=True)
     for name, command in _COMMANDS.items():
         # No argparse defaults: an unset flag is absent from the namespace,
         # and RunConfig.from_args fills it in.
@@ -440,19 +447,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    args = build_parser().parse_args(argv)
-    if args.command is None:
-        raise UsageError("a subcommand is required (see --help)")
-    return args
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = parse_args(argv if argv is not None else sys.argv[1:])
-        cfg = RunConfig.from_args(args)
-        return args.func(cfg)
+        args = build_parser().parse_args(argv)  # None reads sys.argv[1:]
+        return args.func(RunConfig.from_args(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -462,10 +461,7 @@ def main(argv=None) -> int:
     except BotlstmError as exc:
         print(f"{exc.module}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"invalid value: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:  # a fault no module names
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -79,12 +79,12 @@ def tokenize(tweet: str, map_rt: bool = True) -> list[str]:
 
     Splits on Unicode whitespace, detaches boundary punctuation as
     standalone tokens, then normalizes each remaining core. Chunks that
-    are URLs as-is are emitted whole.
+    are URLs as-is become one <URL> token, punctuation and all.
     """
     tokens: list[str] = []
     for chunk in tweet.split():
-        if chunk in SPECIAL_TOKENS or _URL_RE.match(chunk):
-            tokens.append(normalize_token(chunk, map_rt=map_rt))
+        if _URL_RE.match(chunk):
+            tokens.append(URL)
             continue
         lead, core, trail = _detach(chunk)
         tokens.extend(lead)

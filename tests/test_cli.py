@@ -3,7 +3,9 @@ import dataclasses
 import json
 import logging
 import os
+import struct
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from conftest import small_accounts, write_dataset_files
 
 from botlstm import cli
-from botlstm.checkpoint import load_checkpoint, save_checkpoint
+from botlstm.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from botlstm.datasets import Account, synthetic
 from botlstm.embeddings import write_glove
 from botlstm.text_pipeline import OOV_ID, RESERVED_TOKENS, build_vocabulary, encode, tokenize
@@ -23,6 +25,11 @@ TRAIN_FLAGS = [
     "--synthetic", "6", "--seed", "2", "--hidden", "8", "--layers", "1",
     "--embed-dim", "16", "--epochs", "20", "--batch-size", "16",
 ]
+
+
+def _run_config(argv) -> cli.RunConfig:
+    """The settings `cli.main(argv)` would run its command with."""
+    return cli.RunConfig.from_args(cli.build_parser().parse_args(argv))
 
 
 @pytest.fixture(scope="module")
@@ -588,12 +595,36 @@ class TestDataErrorExitCodes:
         header_only.write_text("account_id,tweet_text\n")
         zero_bytes = tmp_path / "zero_bytes.csv"
         zero_bytes.write_bytes(b"")
-        return {"acc": acc, "twt": twt, "glove": glove, "huge_glove": huge_glove,
-                "corpus": corpus, "ckpt": ckpt,
-                "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
-                "missing": tmp_path / "missing.tsv", "vocab": vocab_file,
-                "bad_header": bad_header, "header_only": header_only,
-                "zero_bytes": zero_bytes, "superscript_id": superscript_id}
+        paths = {"acc": acc, "twt": twt, "glove": glove, "huge_glove": huge_glove,
+                 "corpus": corpus, "ckpt": ckpt,
+                 "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
+                 "missing": tmp_path / "missing.tsv", "vocab": vocab_file,
+                 "bad_header": bad_header, "header_only": header_only,
+                 "zero_bytes": zero_bytes, "superscript_id": superscript_id}
+        blob = ckpt.read_bytes()
+        for name, offset, value in (("version", 6, 2), ("classes", 26, 3)):
+            edited = bytearray(blob)
+            struct.pack_into("<I", edited, offset, value)  # the CRC covers the payload only
+            paths[f"{name}_ckpt"] = tmp_path / f"{name}.ckpt"
+            paths[f"{name}_ckpt"].write_bytes(bytes(edited))
+        paths["header_2_bytes_ckpt"] = tmp_path / "header_2_bytes.ckpt"
+        paths["header_2_bytes_ckpt"].write_bytes(blob[:30] + b"\x00\x00")
+        # three words: "", then a length of 100 in an 8-byte payload, under a valid CRC
+        payload = struct.pack("<2I", 0, 100)
+        paths["overrun_ckpt"] = tmp_path / "overrun.ckpt"
+        paths["overrun_ckpt"].write_bytes(struct.pack("<6s6I", MAGIC, VERSION, 3, 4, 2, 1, 2)
+                                          + payload + struct.pack("<I", zlib.crc32(payload)))
+        paths["human_acc"], paths["human_twt"] = write_dataset_files(
+            small_accounts()[:2], tmp_path, prefix="human_")
+        paths["long_field"] = tmp_path / "long_field.csv"
+        paths["long_field"].write_text(f"account_id,tweet_text\nh1,{'a' * 200_000}\n")
+        surfaces = build_vocabulary([w.split() for w in words], set(words)).surfaces
+        for name, entries in (("unreserved", surfaces[1:]),
+                              ("duplicate", [*surfaces, surfaces[-1]])):
+            paths[f"{name}_vocab"] = tmp_path / f"{name}_vocab.tsv"
+            paths[f"{name}_vocab"].write_text(
+                "".join(f"{s}\t{i}\n" for i, s in enumerate(entries)), encoding="utf-8")
+        return paths
 
     @pytest.mark.parametrize("argv, prefix", [
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
@@ -631,19 +662,55 @@ class TestDataErrorExitCodes:
           "--vocab", "{vocab}", "--embed-dim", "5"], "embeddings:"),
         (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{huge_glove}",
           "--embed-dim", "4", "--hidden", "2", "--layers", "1"], "embeddings:"),
+        (["predict", "--checkpoint", "{version_ckpt}", "--tweets", "{twt}"],
+         "checkpoint: unsupported checkpoint version 2"),
+        (["predict", "--checkpoint", "{classes_ckpt}", "--tweets", "{twt}"],
+         "checkpoint: unsupported class count 3"),
+        (["predict", "--checkpoint", "{header_2_bytes_ckpt}", "--tweets", "{twt}"],
+         "checkpoint: corrupt checkpoint: truncated header"),
+        (["predict", "--checkpoint", "{overrun_ckpt}", "--tweets", "{twt}"],
+         "checkpoint: corrupt checkpoint: truncated payload"),
+        (["stats", "--accounts", "{human_acc}", "--tweets", "{human_twt}"],
+         "cli: stats needs at least one account of each class"),
+        (["stats", "--accounts", "{acc}", "--tweets", "{long_field}"],
+         "datasets: {long_field}: CSV error near line 2: field larger than field limit"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--embed-dim", "4", "--vocab", "{unreserved_vocab}"],
+         "text_pipeline: {unreserved_vocab}: vocabulary must start with the reserved tokens"),
+        (["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+          "--embed-dim", "4", "--vocab", "{duplicate_vocab}"],
+         "text_pipeline: {duplicate_vocab}: duplicate surfaces in vocabulary"),
     ], ids=["missing-vocab", "latin1-vocab", "superscript-vocab-id", "latin1-tweets",
             "latin1-predict-tweets", "latin1-corpus", "latin1-glove", "nan-checkpoint",
             "truncated-checkpoint", "train-bad-header", "evaluate-bad-header",
             "predict-bad-header", "stats-bad-header", "train-header-only", "evaluate-header-only",
             "stats-header-only", "stats-zero-bytes", "predict-zero-bytes",
-            "build-vocab-glove-dim", "train-glove-dim", "train-glove-beyond-float32"])
+            "build-vocab-glove-dim", "train-glove-dim", "train-glove-beyond-float32",
+            "checkpoint-version", "checkpoint-classes", "checkpoint-header-then-2-bytes",
+            "checkpoint-vocabulary-overrun", "stats-one-class", "tweets-field-over-limit",
+            "vocab-not-reserved-first", "vocab-duplicate-surface"])
     def test_exit_2_with_module_prefix(self, tmp_path, capsys, argv, prefix):
         paths = self._inputs(tmp_path)
         argv = [a.format(**paths) for a in argv]
-        rc = cli.main([*argv, "--output-dir", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = cli.main([*argv, "--output-dir", str(out)])
         err = capsys.readouterr().err
         assert rc == 2, err
-        assert err.startswith(prefix), err
+        assert err.startswith(prefix.format(**paths)), err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_vocabulary_blank_lines_are_skipped(self, tmp_path):
+        paths = self._inputs(tmp_path)
+        blank_lines = tmp_path / "blank_lines_vocab.tsv"
+        blank_lines.write_text("\n" + paths["vocab"].read_text().replace("\n", "\n\n", 3))
+        for vocab in (paths["vocab"], blank_lines):
+            assert cli.main(["train", "--accounts", str(paths["acc"]), "--tweets",
+                             str(paths["twt"]), "--glove", str(paths["glove"]),
+                             "--vocab", str(vocab), "--embed-dim", "4", "--hidden", "2",
+                             "--layers", "1", "--epochs", "1",
+                             "--output-dir", str(tmp_path / vocab.stem)]) == 0
+        assert ((tmp_path / "blank_lines_vocab" / "model.ckpt").read_bytes()
+                == (tmp_path / "vocab" / "model.ckpt").read_bytes())
 
     @pytest.mark.parametrize("argv, output", [
         (["stats", "--accounts", "{acc}", "--tweets", "{twt}"], "divergence.json"),
@@ -740,16 +807,27 @@ class TestNoOverwrite:
           "--output", "{twt_symlink}", "--output-dir", "{new}"], "--output and --tweets"),
         (["stats", "--accounts", "{acc}", "--tweets", "{in_dir}/human_frequencies.csv",
           "--output-dir", "{in_dir}"], "--output-dir and --tweets"),
+        (["train", "--synthetic", "2", *SMALL_MODEL, "--config", "{cfg}",
+          "--history", "{cfg}", "--output-dir", "{new}"], "--history and --config"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}", "--tweets", "{twt}",
+          "--config", "{cfg}", "--output", "{cfg}", "--output-dir", "{new}"],
+         "--output and --config"),
+        (["stats", "--accounts", "{acc}", "--tweets", "{twt}",
+          "--config", "{in_dir}/bot_frequencies.csv", "--output-dir", "{in_dir}"],
+         "--output-dir and --config"),
     ], ids=["build-vocab", "train-input", "train-hard-link", "evaluate", "predict-symlink",
-            "stats"])
+            "stats", "train-history-config", "evaluate-config", "stats-config"])
     def test_usage_error_leaves_every_file_as_it_was(self, tmp_path, capsys, argv, flags):
         paths = {**TestDataErrorExitCodes._inputs(tmp_path), "new": tmp_path / "new",
                  "ckpt_hard_link": tmp_path / "ckpt_hard_link",
-                 "twt_symlink": tmp_path / "twt_symlink", "in_dir": tmp_path / "in"}
+                 "twt_symlink": tmp_path / "twt_symlink", "in_dir": tmp_path / "in",
+                 "cfg": tmp_path / "run.cfg"}
         os.link(paths["ckpt"], paths["ckpt_hard_link"])
         paths["twt_symlink"].symlink_to(paths["twt"])
         paths["in_dir"].mkdir()
         (paths["in_dir"] / "human_frequencies.csv").write_bytes(paths["twt"].read_bytes())
+        for config in (paths["cfg"], paths["in_dir"] / "bot_frequencies.csv"):
+            config.write_text("# run settings\n", encoding="utf-8")
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         rc = cli.main([a.format(**paths) for a in argv])
         err = capsys.readouterr().err
@@ -762,7 +840,8 @@ class TestNoOverwrite:
 class TestConfigFileAndExitCodes:
     def test_config_file_defaults_and_override(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("epochs=1\nhidden=4\nlayers=1\nembed_dim=8\nseed=3\n")
+        config.write_text("# a comment\nepochs=1\nhidden=4\n\n  \n  # indented\n"
+                          "layers=1\nembed_dim=8\nseed=3\n")
         ckpt = tmp_path / "m.ckpt"
         history = tmp_path / "h.csv"
         rc = cli.main([
@@ -778,7 +857,7 @@ class TestConfigFileAndExitCodes:
     def test_config_file_byte_order_mark_is_dropped(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"\xef\xbb\xbfseed=5\n")
-        cfg = cli.RunConfig.from_args(cli.parse_args(["stats", "--config", str(config)]))
+        cfg = _run_config(["stats", "--config", str(config)])
         assert cfg.seed == 5
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -795,7 +874,7 @@ class TestConfigFileAndExitCodes:
         expected = {}
         lines = []
         for f in dataclasses.fields(cli.RunConfig):
-            if f.name == "command":
+            if f.name in ("command", "config"):  # not settings: no file sets them
                 continue
             raw, value = valid.get(f.name) or samples[f.type.split(" | ")[0]]
             lines.append(f"{f.name}={raw}")
@@ -803,7 +882,7 @@ class TestConfigFileAndExitCodes:
         config = tmp_path / "all.cfg"
         config.write_text("\n".join(lines) + "\n")
         # stats: train and evaluate reject synthetic together with the inputs it builds
-        cfg = cli.RunConfig.from_args(cli.parse_args(["stats", "--config", str(config)]))
+        cfg = _run_config(["stats", "--config", str(config)])
         for name, value in expected.items():
             got = getattr(cfg, name)
             assert got == value and type(got) is type(value), name
@@ -846,12 +925,38 @@ class TestConfigFileAndExitCodes:
         assert rc == 1, err
         assert err.startswith("usage error:") and key in err, err
 
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=1\ntop_k 3\n")
+        assert cli.main(["stats", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"usage error: {config}: line 2 is not key=value\n"
+
     @pytest.mark.parametrize("line", ["epochs=many", "stopwords=maybe", "synthetic=2.5"])
     def test_bad_config_value(self, tmp_path, capsys, line):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
         assert cli.main(["train", "--config", str(config)]) == 1
         assert "bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["stats"], "accounts=a\x00b.csv"),
+        (["train", "--synthetic", "2"], "output_dir=o\x00d"),
+        (["predict", "--tweets", "t.csv"], "checkpoint=m\x00.ckpt"),
+    ], ids=["stats-accounts", "train-output-dir", "predict-checkpoint"])
+    def test_nul_byte_in_config_value_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv, line
+    ):
+        # no file name holds a NUL byte, and no command-line flag can carry one
+        monkeypatch.chdir(tmp_path)  # the default --output-dir
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# run settings\n{line}\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        rc = cli.main([*argv, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        key = line.partition("=")[0]
+        assert err.startswith(f"usage error: {config}: bad value for {key!r} on line 2"), err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("content", [None, "epochs=3 # caf\xe9\n".encode("latin-1")],
                              ids=["missing", "latin1"])
@@ -871,7 +976,7 @@ class TestConfigFileAndExitCodes:
     ])
     def test_unset_flags_take_run_config_defaults(self, command, required):
         argv = [command] + [a for k, v in required.items() for a in (f"--{k}", v)]
-        cfg = cli.RunConfig.from_args(cli.parse_args(argv))
+        cfg = _run_config(argv)
         assert cfg == cli.RunConfig(command=command, **required)
 
     @pytest.mark.parametrize("argv", [
@@ -881,7 +986,7 @@ class TestConfigFileAndExitCodes:
     def test_config_values_reach_every_subcommand(self, tmp_path, argv):
         config = tmp_path / "run.cfg"
         config.write_text("seed=5\nmax_seq_len=9\nrt_token=false\n")
-        cfg = cli.RunConfig.from_args(cli.parse_args([*argv, "--config", str(config)]))
+        cfg = _run_config([*argv, "--config", str(config)])
         assert (cfg.seed, cfg.max_seq_len, cfg.rt_token) == (5, 9, False)
 
     @pytest.mark.parametrize("argv", [
@@ -892,7 +997,7 @@ class TestConfigFileAndExitCodes:
         # a config file shared with train may set synthetic; these commands never read it
         config = tmp_path / "run.cfg"
         config.write_text("synthetic=2\n")
-        cfg = cli.RunConfig.from_args(cli.parse_args([*argv, "--config", str(config)]))
+        cfg = _run_config([*argv, "--config", str(config)])
         assert cfg.synthetic == 2
 
     def test_evaluate_synthetic_ignores_config_inputs_it_does_not_read(self, trained, tmp_path):
@@ -963,6 +1068,8 @@ class TestConfigFileAndExitCodes:
 
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: COMMAND\n")
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["transmogrify"]) == 1
@@ -983,6 +1090,17 @@ class TestConfigFileAndExitCodes:
         ])
         assert rc == 3
         assert "trainer:" in capsys.readouterr().err
+
+    def test_leaked_exception_is_internal_error(self, monkeypatch, tmp_path, capsys):
+        # an exception no module turned into a BotlstmError is a fault here
+        def boom(*args):
+            raise ValueError("embedded null byte")
+
+        monkeypatch.setattr(cli.trainer, "train", boom)
+        rc = cli.main(["train", "--synthetic", "2", "--hidden", "2", "--layers", "1",
+                       "--embed-dim", "4", "--output-dir", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "internal error: embedded null byte\n"
 
     def test_run_config_defaults_match_training_defaults(self):
         from botlstm.trainer import TrainingConfig

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -310,6 +311,18 @@ class TestTrain:
         ]
         for e in history:
             assert e["seq_per_s"] == len(examples) / e["seconds"]
+
+    def test_clamped_losses_are_counted_and_logged(self, caplog):
+        # a bot bias of 200 underflows every human's float32 p(human) to 0
+        model, examples, _, _ = _toy_setup()
+        model.tensors["softmax.b"][:] = [0.0, 200.0]
+        humans = [ex for ex in examples if ex.label == HUMAN]
+        cfg = TrainingConfig(epochs=1, batch_size=len(humans), learning_rate=1e-6, seed=1)
+        with caplog.at_level(logging.WARNING, logger="botlstm.trainer"):
+            history = train(model, humans, cfg)
+        assert history[0]["clamped"] == len(humans)
+        assert history[0]["loss"] == pytest.approx(LOSS_CLAMP)
+        assert f"epoch 1: {len(humans)} clamped zero-probability losses" in caplog.text
 
     def test_fixed_rows_bitwise_stable(self):
         model, examples, _, _ = _toy_setup()
