@@ -264,6 +264,7 @@ def cmd_train(cfg: RunConfig) -> int:
         vocab, table = _glove_vocab_and_table(cfg, accounts)
 
     examples = cfg.examples(accounts, vocab)
+    del accounts  # every tweet's text; training reads only the examples
     model_config = ModelConfig(
         vocab_size=len(vocab), embed_dim=table.dim,
         hidden=cfg.hidden, layers=cfg.layers,

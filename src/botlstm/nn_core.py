@@ -44,10 +44,11 @@ classifier make takes the dtype of its input. `init_params` and
 checkpoint is upcast to float64 for scoring.
 
 `forward_batch` hands `backward_batch` plain arrays (`BatchTrace`): each
-scan's h and c tracks and the keep-masks. BPTT rebuilds the gate
-pre-activations of all T*B steps from the tracks with one GEMM, and each
-layer's input from the layer below. The equations above are written
-once, in `_gates`, which the scan and BPTT's recomputation both call.
+scan's h and c tracks and the keep-masks, and on a training trace (one
+given `seeds`) each step's gate activations i, f, g and o, which the scan
+writes over the input-projection buffer it has just consumed. BPTT reads
+those gates instead of recomputing them, and rebuilds each layer's input
+from the layer below. A scoring trace keeps no gates. The equations above are written once, in `_gates`.
 `forward_batch` is the only place dropout is drawn.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
 their one-sequence, dropout-free case and take no options.
@@ -96,9 +97,8 @@ def _cell(d: dict[str, np.ndarray], li: int, direction: str) -> dict[str, np.nda
 def _gates(pre, V, c_prev, H):
     """(h, c, i, f, g, o, tanh c) from the gate pre-activations pre [..., 4H].
 
-    The module docstring's equations, for one step, [4H] or [B, 4H], in
-    the scan and in BPTT's recomputation. No returned array is a view of
-    `pre`.
+    The module docstring's equations, for one step, [4H] or [B, 4H]. No
+    returned array is a view of `pre`.
     """
     i = sigmoid(pre[..., :H] + V[:H] * c_prev)
     f = sigmoid(pre[..., H : 2 * H] + V[H : 2 * H] * c_prev)
@@ -109,11 +109,15 @@ def _gates(pre, V, c_prev, H):
     return o * tc, c, i, f, g, o, tc
 
 
-def _direction_pass(p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray):
+def _direction_pass(
+    p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray, keep_gates: bool = False
+):
     """Scan cell `p` ({U, W, V, b}) left to right over X [T, B, D_in] from zero state.
 
-    Returns the state tracks h and c [T, B, H]; the gates are not kept.
-    Steps where `ran` [T, B] is False carry the state through unchanged.
+    Returns the state tracks h and c [T, B, H] and, if `keep_gates`, every
+    step's gate activations [i|f|g|o] [T, B, 4H], else None. Steps where
+    `ran` [T, B] is False carry the state through unchanged; their gates
+    are those computed from the carried state.
     """
     T, B, D = X.shape
     U, W, V, b = p["U"], p["W"], p["V"], p["b"]
@@ -127,7 +131,10 @@ def _direction_pass(p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray):
     # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        h_t, c_t, *_ = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
+        h_t, c_t, i, f, g, o, _ = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
+        if keep_gates:  # XU[t] is consumed: its row holds the step's gates from here on
+            row = XU[t]
+            row[:, :H], row[:, H : 2 * H], row[:, 2 * H : 3 * H], row[:, 3 * H :] = i, f, g, o
         if all_ran[t]:
             h[t], c[t] = h_t, c_t
         else:
@@ -135,37 +142,36 @@ def _direction_pass(p: dict[str, np.ndarray], X: np.ndarray, ran: np.ndarray):
             h[t] = np.where(r, h_t, h_prev)
             c[t] = np.where(r, c_t, c_prev)
         h_prev, c_prev = h[t], c[t]
-    return h, c
+    return h, c, XU if keep_gates else None
 
 
-def _direction_backward(p: dict[str, np.ndarray], h, c, ran, X, dh_out, grads):
+def _direction_backward(p: dict[str, np.ndarray], h, c, gates, ran, X, dh_out, grads):
     """BPTT through one scan of cell `p` ({U, W, V, b}).
 
-    h, c and `ran` are the scan's tracks and step mask, X [T, B, D_in] its
-    input and `dh_out` the loss gradient w.r.t. h, all in scan order. Adds
-    the cell's gradients into `grads` (keyed like `p`) in place and
-    returns the input gradient [T, B, D_in] in scan order.
+    h, c, `gates` and `ran` are the scan's tracks, gate activations and
+    step mask, X [T, B, D_in] its input and `dh_out` the loss gradient
+    w.r.t. h, all in scan order. Adds the cell's gradients into `grads`
+    (keyed like `p`) in place and returns the input gradient [T, B, D_in]
+    in scan order.
 
-    One GEMM over the T*B rows rebuilds every step's gate pre-activations
-    from X and the h track. The reverse loop recomputes a step's gates from
-    them and overwrites them with their gradient, so BPTT holds one
-    [T, B, 4H] buffer besides its input.
+    The reverse loop reads each step's i, f, g and o from `gates`, as the
+    scan computed them, and writes their pre-activation gradients into a
+    new [T, B, 4H] buffer, so the trace is left as it was.
     """
     T, B, H = h.shape
     D = X.shape[2]
     U, W, V = p["U"], p["W"], p["V"]
     X = X.reshape(T * B, D)  # one copy when X is a reversed view
-    da = (X @ U.T).reshape(T, B, 4 * H)
-    da[1:] += (h[:-1].reshape(-1, H) @ W.T).reshape(T - 1, B, 4 * H)  # h_{-1} = 0
-    da += p["b"]
+    da = np.empty_like(gates)
     V_i, V_f, V_o = V[:H], V[H : 2 * H], V[2 * H :]
 
     zero = np.zeros((B, H), dtype=h.dtype)
     dh_rec = dc_rec = zero
     for t in range(T - 1, -1, -1):
         c_prev = c[t - 1] if t > 0 else zero
-        row = da[t]
-        _, _, i, f, g, o, tc = _gates(row, V, c_prev, H)
+        row, gates_t = da[t], gates[t]
+        i, f, g, o = (gates_t[:, k * H : (k + 1) * H] for k in range(4))
+        tc = np.tanh(c[t])
         dh = dh_out[t] + dh_rec
         do = dh * tc
         da_o = np.multiply(do * o, 1.0 - o, out=row[:, 3 * H :])
@@ -261,8 +267,12 @@ class BatchTrace:
     #: [T, B] token ids, each column right-padded with PAD.
     ids: np.ndarray
     lengths: np.ndarray
-    #: Per layer, the fwd cell's (h, c) then the bwd cell's, [T, B, H] in scan order.
-    tracks: list[tuple[tuple[np.ndarray, np.ndarray], ...]] = field(repr=False)
+    #: Per layer, the fwd cell's (h, c, gates) then the bwd cell's, in scan
+    #: order: h and c [T, B, H], and the gate activations [i|f|g|o] [T, B, 4H]
+    #: on a training trace (`forward_batch` given `seeds`), else None.
+    tracks: list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]] = field(
+        repr=False
+    )
     #: Inverted-dropout keep-masks [L, T, B, 2H]; kept values are scaled by
     #: `dropout_scale`. None when dropout is not applied.
     keep: np.ndarray | None = field(repr=False)
@@ -288,7 +298,7 @@ class ForwardTrace:
 
 def _layer_output(tracks, keep, li: int, scale: float) -> np.ndarray:
     """Layer li's [->h ; <-h] per position, times its keep-mask: the next layer's input."""
-    (h_fwd, _), (h_bwd, _) = tracks[li]
+    (h_fwd, *_), (h_bwd, *_) = tracks[li]
     out = np.concatenate((h_fwd, h_bwd[::-1]), axis=2)
     if keep is not None:
         out *= keep[li]
@@ -299,9 +309,12 @@ def _layer_output(tracks, keep, li: int, scale: float) -> np.ndarray:
 def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=None) -> BatchTrace:
     """Classify B token-id sequences in one right-padded [T, B] scan.
 
-    With a positive `dropout_rate`, inverted dropout is applied to every
-    layer's output, and `seeds` must hold one seed per sequence: sequence
-    b's L keep-masks [len_b, 2H] are drawn in layer order as
+    `seeds`, one per sequence, marks a training trace: the trace then
+    keeps every step's gates for `backward_batch`, which refuses a trace
+    without them. Scoring passes no seeds and keeps only the h and c
+    tracks. With a positive `dropout_rate`, inverted dropout is applied to
+    every layer's output, and `seeds` is required: sequence b's L
+    keep-masks [len_b, 2H] are drawn in layer order as
     `rng.random((len_b, 2H)) >= dropout_rate` from
     `np.random.default_rng(seeds[b])`, so they do not depend on the rest
     of the batch.
@@ -317,10 +330,13 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
     for b, s in enumerate(seqs):
         ids[: s.size, b] = s
 
+    training = seeds is not None
+    if training and len(seeds) != B:
+        raise ValueError(f"need one seed per sequence, got {len(seeds)} for {B}")
+    if dropout_rate > 0.0 and not training:
+        raise ValueError("dropout needs one seed per sequence")
     keep = None
     if dropout_rate > 0.0:
-        if seeds is None or len(seeds) != B:
-            raise ValueError("dropout needs one seed per sequence")
         keep = np.zeros((len(model.layers), T, B, 2 * model.hidden), dtype=bool)
         for b, (seed, n) in enumerate(zip(seeds, lengths)):
             rng = np.random.default_rng(int(seed))
@@ -332,8 +348,8 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
     x = embed_sequence(model.tensors["embedding.vectors"], ids)
     tracks = []
     for li, (fwd, bwd) in enumerate(model.layers):
-        tracks.append((_direction_pass(fwd, x, active),
-                       _direction_pass(bwd, x[::-1], active[::-1])))
+        tracks.append((_direction_pass(fwd, x, active, training),
+                       _direction_pass(bwd, x[::-1], active[::-1], training)))
         x = _layer_output(tracks, keep, li, scale)
 
     H = model.hidden
@@ -352,20 +368,27 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
 
 
 def bilstm_forward(model: ModelParams, ids) -> ForwardTrace:
-    """Classify one token-id sequence, without dropout: `forward_batch` at B=1."""
-    return ForwardTrace(forward_batch(model, [ids]))
+    """Classify one token-id sequence, without dropout: `forward_batch` at B=1.
+
+    The trace keeps its gates (seed 0, which rate 0 never draws from), so
+    `backward` can differentiate it.
+    """
+    return ForwardTrace(forward_batch(model, [ids], 0.0, [0]))
 
 
 def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None:
     """Add the gradients of sum_b -log p_b(labels[b]) into `grads`, in place.
 
+    `trace` must be a training trace (`forward_batch` given `seeds`).
     `grads` is keyed and shaped like `ModelParams.trainable_tensors()` (see
     `ModelParams.zero_grads`), so the embedding entry is [5, D] whatever V.
-    PAD steps contribute nothing.
+    PAD steps contribute nothing. The trace is not modified.
     """
     labels = np.asarray(labels)
     if labels.shape != trace.lengths.shape or not np.isin(labels, (0, 1)).all():
         raise ValueError(f"label must be 0 or 1, one per sequence, got {labels!r}")
+    if trace.tracks[0][0][2] is None:
+        raise ValueError("trace keeps no gates: pass seeds to forward_batch to train")
     layers = model.layers
     if len(trace.tracks) != len(layers):
         raise ValueError("trace does not match model depth")
@@ -395,10 +418,10 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
             embed_sequence(model.tensors["embedding.vectors"], trace.ids) if li == 0
             else _layer_output(trace.tracks, trace.keep, li - 1, scale)
         )
-        (fwd, bwd), (fwd_hc, bwd_hc) = layers[li], trace.tracks[li]
-        dXf = _direction_backward(fwd, *fwd_hc, ran, X, dY[..., :H], _cell(grads, li, "fwd"))
+        (fwd, bwd), (fwd_scan, bwd_scan) = layers[li], trace.tracks[li]
+        dXf = _direction_backward(fwd, *fwd_scan, ran, X, dY[..., :H], _cell(grads, li, "fwd"))
         dXb = _direction_backward(
-            bwd, *bwd_hc, ran[::-1], X[::-1], dY[::-1, :, H:], _cell(grads, li, "bwd")
+            bwd, *bwd_scan, ran[::-1], X[::-1], dY[::-1, :, H:], _cell(grads, li, "bwd")
         )
         dY = dXf + dXb[::-1]
 

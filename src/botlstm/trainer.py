@@ -39,7 +39,8 @@ from .nn_core import backward, bilstm_forward  # noqa: F401
 log = logging.getLogger(__name__)
 
 #: Sequences per batched forward/backward call. It bounds what a training
-#: step or a scoring pass holds live: one chunk's state tracks.
+#: step or a scoring pass holds live: one chunk's state tracks, and in
+#: training its gates.
 CHUNK = 16
 
 #: Largest finite float32; a parameter beyond it cannot be checkpointed.
@@ -220,7 +221,9 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
     scored. Each account's sum then adds its probabilities in dataset
     order. Training sorts the same way, but within each mini-batch (see
     `train`); its chunks are not filled up, since a short last chunk is
-    as wide in any order.
+    as wide in any order. A non-finite probability, which a model with
+    finite but huge float32 weights can give, is a DataError naming the
+    first account (in dataset order) that scored one.
     """
     if not dataset:
         raise DataError("evaluation dataset is empty", module="trainer")
@@ -229,6 +232,9 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
     for idx in batch_indices(by_length, CHUNK):
         seqs = [dataset[i].ids for i in idx] + [[OOV_ID]] * (CHUNK - len(idx))
         p_bot[idx] = forward_batch(model, seqs).probabilities[: len(idx), BOT]
+    if not np.isfinite(p_bot).all():
+        bad = dataset[np.flatnonzero(~np.isfinite(p_bot))[0]].account_id
+        raise DataError(f"account {bad} scored a non-finite bot probability", module="trainer")
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for ex, p in zip(dataset, p_bot.tolist()):

@@ -179,12 +179,19 @@ class TestTrain:
         assert loaded_vocab == vocab
 
     def test_embedding_file_freed_before_training(self, tmp_path, monkeypatch):
-        """Neither the parsed rows nor the table the model copies outlive init_params."""
+        """No parsed GloVe row, embedding table or account (tweet text) outlives init_params."""
         acc, twt, glove, _ = self._csv_inputs(tmp_path)
         load_glove, build_table = cli.embeddings.load_glove, cli.embeddings.build_table
+        load_dataset = cli.datasets.load_dataset
         train = cli.trainer.train
         arrays = []
+        accounts = []
         alive_at_train = []
+
+        def tracked_dataset(*args, **kwargs):
+            loaded = load_dataset(*args, **kwargs)
+            accounts.extend(weakref.ref(acct) for acct in loaded)
+            return loaded
 
         def tracked_load(*args, **kwargs):
             words, matrix = load_glove(*args, **kwargs)
@@ -197,9 +204,10 @@ class TestTrain:
             return table
 
         def checked_train(*args, **kwargs):
-            alive_at_train.append([ref() is not None for ref in arrays])
+            alive_at_train.append([ref() is not None for ref in arrays + accounts])
             return train(*args, **kwargs)
 
+        monkeypatch.setattr(cli.datasets, "load_dataset", tracked_dataset)
         monkeypatch.setattr(cli.embeddings, "load_glove", tracked_load)
         monkeypatch.setattr(cli.embeddings, "build_table", tracked_table)
         monkeypatch.setattr(cli.trainer, "train", checked_train)
@@ -209,7 +217,7 @@ class TestTrain:
             "--layers", "1", "--epochs", "1", "--output-dir", str(tmp_path / "out"),
         ])
         assert rc == 0
-        assert alive_at_train == [[False, False]]
+        assert accounts and alive_at_train == [[False] * (2 + len(accounts))]
 
     @pytest.mark.parametrize("nan_row, vocab_flag, expected_rc", [
         ("unused", False, 0), ("vocabulary", False, 2), ("vocabulary", True, 2),

@@ -14,12 +14,16 @@ from conftest import (
     scalar_cell_oracle,
 )
 
-from botlstm.embeddings import TRAINABLE_INIT_RANGE, TRAINABLE_ROWS, EmbeddingTable
+from botlstm.embeddings import (
+    TRAINABLE_INIT_RANGE, TRAINABLE_ROWS, EmbeddingTable, embed_sequence,
+)
 from botlstm.nn_core import (
     ModelConfig,
     ModelParams,
     _cell,
     _direction_pass,
+    _gates,
+    _layer_output,
     backward,
     backward_batch,
     bilstm_forward,
@@ -376,6 +380,47 @@ class TestBatchedPath:
                 assert np.array_equal(keep[: len(s), b], drawn)
                 assert not keep[len(s) :, b].any()
 
+    def test_training_trace_keeps_the_scans_gates(self, case):
+        # each step's [i|f|g|o] is, bitwise, what _gates gives from the layer's
+        # input and the h and c tracks, summed the way the scan sums them
+        model, seqs, _, seeds = case
+        trace = forward_batch(model, seqs, self.RATE, seeds)
+        H = model.hidden
+        ran = trace.ids != PAD_ID
+        x = embed_sequence(model.tensors["embedding.vectors"], trace.ids)
+        for li, cells in enumerate(model.layers):
+            scans = zip(cells, trace.tracks[li], (x, x[::-1]), (ran, ran[::-1]))
+            for p, (h, c, gates), X, r in scans:
+                T, B, D = X.shape
+                assert gates.shape == (T, B, 4 * H)
+                XU = (X.reshape(T * B, D) @ p["U"].T).reshape(T, B, 4 * H)
+                WT = np.ascontiguousarray(p["W"].T)
+                zero = np.zeros((B, H))
+                for t in range(T):
+                    h_prev, c_prev = (h[t - 1], c[t - 1]) if t else (zero, zero)
+                    _, _, *ifgo, _ = _gates(XU[t] + h_prev @ WT + p["b"], p["V"], c_prev, H)
+                    expected = np.concatenate(ifgo, axis=1)
+                    assert gates[t][r[t]].tobytes() == expected[r[t]].tobytes(), (li, t)
+            x = _layer_output(trace.tracks, trace.keep, li, trace.dropout_scale)
+
+    def test_backward_leaves_the_trace_as_it_was(self, case):
+        model, seqs, labels, seeds = case
+        trace = forward_batch(model, seqs[:CHUNK], self.RATE, seeds[:CHUNK])
+
+        def trace_bytes():
+            return [a.tobytes() for scans in trace.tracks for scan in scans for a in scan]
+
+        before = trace_bytes()
+        backward_batch(model, trace, labels[:CHUNK], model.zero_grads())
+        assert trace_bytes() == before
+
+    def test_scoring_trace_keeps_no_gates_and_is_refused(self, case):
+        model, seqs, _, _ = case
+        trace = forward_batch(model, seqs)
+        assert all(gates is None for scans in trace.tracks for _, _, gates in scans)
+        with pytest.raises(ValueError, match="pass seeds"):
+            backward_batch(model, trace, [0] * len(seqs), model.zero_grads())
+
     def test_labels_checked(self, case):
         model, seqs, _, _ = case
         trace = forward_batch(model, seqs[:3])
@@ -397,6 +442,13 @@ class TestBatchedPath:
             forward_batch(model, seqs[:3], self.RATE)
         with pytest.raises(ValueError, match="seed"):
             forward_batch(model, seqs[:3], self.RATE, seeds[:2])
+
+    def test_seed_count_checked_without_dropout(self, case):
+        model, seqs, _, seeds = case
+        with pytest.raises(ValueError, match="one seed per sequence"):
+            forward_batch(model, seqs[:3], 0.0, seeds[:2])
+        with pytest.raises(ValueError, match="one seed per sequence"):
+            forward_batch(model, seqs[:3], 0.0, seeds[:4])
 
 
 class TestInitParams:
@@ -512,8 +564,8 @@ class TestDtype:
 
         (_, g64), (trace, g32) = run(m64), run(m32)
         for tracks in trace.tracks:
-            for h, c in tracks:
-                assert h.dtype == c.dtype == np.float32
+            for h, c, gates in tracks:
+                assert h.dtype == c.dtype == gates.dtype == np.float32
         assert trace.probabilities.dtype == np.float32
         for name, g in g32.items():
             assert g.dtype == np.float32, name

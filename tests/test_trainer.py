@@ -15,7 +15,7 @@ from botlstm.metrics import BOT, HUMAN, predicted_label
 from botlstm.nn_core import (
     ModelConfig, backward, backward_batch, bilstm_forward, forward_batch, init_params,
 )
-from botlstm.text_pipeline import OOV_ID
+from botlstm.text_pipeline import OOV_ID, PAD_ID
 from botlstm.trainer import (
     CHUNK,
     FLOAT32_MAX,
@@ -461,9 +461,10 @@ class TestTrain:
 
     def test_step_memory_is_bounded_by_the_chunk(self):
         # a step holds the gradient sum and the velocity (2x the trainable
-        # bytes) plus one chunk's state tracks and BPTT temporaries: 4.3x in
-        # all at this shape, where chunks of 32 measured 7.5x and the whole
-        # batch of 64 at once 14x
+        # bytes) plus one chunk's state tracks, gates and BPTT temporaries:
+        # 5.2x in all at this shape (3.45x when BPTT rebuilt the gates). With
+        # the rebuild, chunks of 32 measured 7.5x and the whole batch of 64
+        # at once 14x
         rng = np.random.default_rng(0)
         model = init_params(ModelConfig(vocab_size=500, embed_dim=64, hidden=64, layers=3),
                             rng_seed=0)
@@ -520,6 +521,23 @@ class TestEvaluate:
         model, _, _, _ = _toy_setup()
         with pytest.raises(DataError):
             evaluate(model, [])
+
+    def test_non_finite_probability_refused(self):
+        # finite float32 weights whose pre-activations overflow to inf - inf
+        model = init_params(ModelConfig(vocab_size=10, embed_dim=8, hidden=6, layers=1),
+                            rng_seed=0)
+        model.tensors["embedding.vectors"][:] = 1.0
+        model.tensors["layers.0.fwd.U"][:] = 3e38
+        model.tensors["layers.0.fwd.W"][:] = -3e38
+        # a's one step is PAD, so its state stays zero and its score finite;
+        # b comes before c in the dataset but after it in length order
+        data = [LabeledSequence("a", 0, [PAD_ID]), LabeledSequence("b", 1, [6, 7, 8]),
+                LabeledSequence("c", 0, [6])]
+        for score in (account_probabilities, evaluate):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DataError, match="account b scored a non-finite") as err:
+                    score(model, data)
+            assert err.value.module == "trainer"
 
     def test_scores_match_per_sequence_reference(self):
         model, data = _shuffled_lengths_set()
