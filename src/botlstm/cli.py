@@ -38,7 +38,9 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+        # universal newlines, then "\n" alone: splitlines() also breaks at
+        # U+2028, \f and other characters a file name may hold
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for n, line in enumerate(lines, start=1):
@@ -144,9 +146,10 @@ class RunConfig(trainer.TrainingConfig):
         an output that names a file the command reads (the --config file
         too), or another of its outputs, is a UsageError naming both flags.
         Paths are compared resolved, and by `os.path.samefile` when both
-        exist, so a hard link or a symlink is caught too. Then --output-dir
-        is made if a path lies in it and it is missing; a path whose
-        directory is missing or cannot be made is a DataError. Before all of
+        exist, so a hard link or a symlink is caught too. Then a path that
+        is an existing directory is a DataError. Then --output-dir is made
+        if a path lies in it and it is missing; a path whose directory is
+        missing or cannot be made is a DataError. Before all of
         that, an unset required input (its `reads`) is a UsageError naming
         every such flag.
         """
@@ -171,6 +174,9 @@ class RunConfig(trainer.TrainingConfig):
                     same = path.resolve() == other_path.resolve()
                 if same:
                     raise UsageError(f"{flag} and {other} name the same file")
+        for path in paths:
+            if path.is_dir():
+                raise DataError(f"cannot write {path}: Is a directory", module="cli")
         for (_, explicit, _), path in zip(writes, paths):
             if not explicit:
                 with _writing(self.output_dir):

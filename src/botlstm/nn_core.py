@@ -48,7 +48,10 @@ scan's h and c tracks and the keep-masks, and on a training trace (one
 given `seeds`) each step's gate activations i, f, g and o, which the scan
 writes over the input-projection buffer it has just consumed. BPTT reads
 those gates instead of recomputing them, and rebuilds each layer's input
-from the layer below. A scoring trace keeps no gates. The equations above are written once, in `_gates`.
+from the layer below. A scoring trace keeps no gates. `backward_batch`
+spends its trace: it takes each layer's tracks off as BPTT reaches them,
+so a trace serves one `backward_batch`. The equations above are written
+once, in `_gates`.
 `forward_batch` is the only place dropout is drawn.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
 their one-sequence, dropout-free case and take no options.
@@ -156,7 +159,7 @@ def _direction_backward(p: dict[str, np.ndarray], h, c, gates, ran, X, dh_out, g
 
     The reverse loop reads each step's i, f, g and o from `gates`, as the
     scan computed them, and writes their pre-activation gradients into a
-    new [T, B, 4H] buffer, so the trace is left as it was.
+    new [T, B, 4H] buffer; it writes to none of the scan's arrays.
     """
     T, B, H = h.shape
     D = X.shape[2]
@@ -270,6 +273,7 @@ class BatchTrace:
     #: Per layer, the fwd cell's (h, c, gates) then the bwd cell's, in scan
     #: order: h and c [T, B, H], and the gate activations [i|f|g|o] [T, B, 4H]
     #: on a training trace (`forward_batch` given `seeds`), else None.
+    #: `backward_batch` empties the list.
     tracks: list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]] = field(
         repr=False
     )
@@ -382,11 +386,17 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
     `trace` must be a training trace (`forward_batch` given `seeds`).
     `grads` is keyed and shaped like `ModelParams.trainable_tensors()` (see
     `ModelParams.zero_grads`), so the embedding entry is [5, D] whatever V.
-    PAD steps contribute nothing. The trace is not modified.
+    PAD steps contribute nothing. The trace is spent: BPTT takes each
+    layer's tracks off it as it reaches them, so a step holds no layer's
+    gates past its BPTT, and a second call on the trace is a ValueError
+    raised before any gradient is added. Its ids, lengths, keep-masks,
+    classifier input and probabilities stay as they were.
     """
     labels = np.asarray(labels)
     if labels.shape != trace.lengths.shape or not np.isin(labels, (0, 1)).all():
         raise ValueError(f"label must be 0 or 1, one per sequence, got {labels!r}")
+    if not trace.tracks:
+        raise ValueError("trace is spent: each backward_batch needs a forward_batch of its own")
     if trace.tracks[0][0][2] is None:
         raise ValueError("trace keeps no gates: pass seeds to forward_batch to train")
     layers = model.layers
@@ -418,8 +428,9 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
             embed_sequence(model.tensors["embedding.vectors"], trace.ids) if li == 0
             else _layer_output(trace.tracks, trace.keep, li - 1, scale)
         )
-        (fwd, bwd), (fwd_scan, bwd_scan) = layers[li], trace.tracks[li]
+        (fwd, bwd), (fwd_scan, bwd_scan) = layers[li], trace.tracks.pop()
         dXf = _direction_backward(fwd, *fwd_scan, ran, X, dY[..., :H], _cell(grads, li, "fwd"))
+        del fwd_scan
         dXb = _direction_backward(
             bwd, *bwd_scan, ran[::-1], X[::-1], dY[::-1, :, H:], _cell(grads, li, "bwd")
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, InternalError
 from .metrics import BOT, compute_metrics, predicted_label, tally
-from .nn_core import ModelParams, backward_batch, forward_batch
+from .nn_core import N_CLASSES, ModelParams, backward_batch, forward_batch
 from .text_pipeline import OOV_ID
 # Not used here: re-imported only so that bench/spans.install finds these
 # names on this module to wrap, until the tracer wraps the batched entry
@@ -125,20 +125,6 @@ def sgd_momentum_step(
             raise InternalError(f"step leaves {name} beyond float32's range", module="trainer")
 
 
-def _chunk_pass(model, chunk, rate: float, seeds, grad_sum):
-    """Forward+backward for a few examples, adding their gradients into grad_sum.
-
-    Returns each example's (loss, clamped, correct), in chunk order.
-    """
-    labels = [ex.label for ex in chunk]
-    trace = forward_batch(model, [ex.ids for ex in chunk], rate, seeds)
-    backward_batch(model, trace, labels, grad_sum)
-    return [
-        (nll_loss(p, label), bool(p[label] <= 0.0), predicted_label(p[BOT]) == label)
-        for p, label in zip(trace.probabilities, labels)
-    ]
-
-
 def batch_indices(order, batch_size: int):
     """Split a sequence into consecutive batches (last may be short)."""
     for start in range(0, len(order), batch_size):
@@ -152,8 +138,8 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig) -> list[dict]:
     cfg.batch_size (last batch may be short), and applies one momentum
     step per batch on the mean gradient. Each example draws its dropout
     seed in shuffled order and keeps it when the batch is cut into CHUNK
-    columns in stable length order; its (loss, clamped, correct) is
-    written back to its batch position and tallied in shuffled order.
+    columns in stable length order; its probability row is written back to
+    its batch position, and the rows are tallied in shuffled order.
     Returns the history: one dict per epoch, keyed by the history CSV's
     columns in order (epoch, loss, accuracy, dropout, seconds, clamped,
     seq_per_s).
@@ -168,26 +154,22 @@ def train(model: ModelParams, dataset, cfg: TrainingConfig) -> list[dict]:
         tic = time.perf_counter()
         rate = dropout_schedule(epoch, cfg)
         order = rng.permutation(len(dataset))
-        loss_sum = 0.0
-        n_correct = 0
-        n_clamped = 0
+        loss_sum, n_correct, n_clamped = 0.0, 0, 0
         for batch_ids in batch_indices(order, cfg.batch_size):
             seeds = rng.integers(0, np.iinfo(np.int64).max, size=len(batch_ids))
-            by_length = np.argsort(
-                [len(dataset[i].ids) for i in batch_ids], kind="stable"
-            )
-            outcomes = [None] * len(batch_ids)
+            batch = [dataset[i] for i in batch_ids]
+            labels = np.array([ex.label for ex in batch])
+            probabilities = np.empty((len(batch), N_CLASSES))
             grad_sum = model.zero_grads()
+            by_length = np.argsort([len(ex.ids) for ex in batch], kind="stable")
             for pos in batch_indices(by_length, CHUNK):
-                chunk = [dataset[i] for i in batch_ids[pos]]
-                for k, outcome in zip(
-                    pos, _chunk_pass(model, chunk, rate, seeds[pos], grad_sum)
-                ):
-                    outcomes[k] = outcome
-            for loss, clamped, correct in outcomes:  # shuffled order
-                loss_sum += loss
-                n_clamped += clamped
-                n_correct += correct
+                trace = forward_batch(model, [batch[k].ids for k in pos], rate, seeds[pos])
+                backward_batch(model, trace, labels[pos], grad_sum)
+                probabilities[pos] = trace.probabilities
+            for p, label in zip(probabilities.tolist(), labels.tolist()):  # shuffled order
+                loss_sum += nll_loss(p, label)
+                n_clamped += p[label] <= 0.0
+                n_correct += predicted_label(p[BOT]) == label
             scale = 1.0 / len(batch_ids)
             for g in grad_sum.values():
                 g *= scale

@@ -756,18 +756,27 @@ class TestDataErrorExitCodes:
           "--output", "{nodir}/vocab.tsv"], "{nodir}/vocab.tsv"),
         (["stats", "--accounts", "{acc}", "--tweets", "{twt}", "--output-dir", "{file}"],
          "{file}"),
+        (["train", "--synthetic", "2", "--hidden", "2", "--layers", "1", "--embed-dim", "4",
+          "--checkpoint", "{dir}/m.ckpt", "--history", "{dir}/hdir"],
+         "{dir}/hdir: Is a directory"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}", "--tweets", "{twt}",
+          "--output", "{dir}/hdir"], "{dir}/hdir: Is a directory"),
     ], ids=["train", "train-output-dir-is-file", "evaluate", "predict", "build-vocab",
-            "stats"])
+            "stats", "train-history-is-dir", "evaluate-output-is-dir"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, argv, target):
         entered = []
         monkeypatch.setattr(cli.trainer, "train", lambda *args: entered.append(args))
+        monkeypatch.setattr(cli.trainer, "evaluate", lambda *args: entered.append(args))
         paths = {**self._inputs(tmp_path), "nodir": tmp_path / "missing_dir",
-                 "file": tmp_path / "corpus.txt"}
+                 "file": tmp_path / "corpus.txt", "dir": tmp_path / "out"}
+        (paths["dir"] / "hdir").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
         rc = cli.main([a.format(**paths) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith(f"cli: cannot write {target.format(**paths)}"), err
         assert not entered
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_stats_without_bot_tokens_writes_no_file(self, tmp_path, capsys):
         # the human table has tokens; the bot's only token is a URL, dropped
@@ -938,6 +947,14 @@ class TestConfigFileAndExitCodes:
         config.write_text("seed=1\ntop_k 3\n")
         assert cli.main(["stats", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"usage error: {config}: line 2 is not key=value\n"
+
+    def test_config_value_may_hold_line_separator_characters(self, tmp_path):
+        # only a line ending ends a line: U+2028 and \f are file-name characters
+        config = tmp_path / "run.cfg"
+        config.write_text("tweets=t3/a\u2028b.csv\r\naccounts=a\fb.csv\rseed=4\n",
+                          encoding="utf-8", newline="")
+        cfg = _run_config(["stats", "--config", str(config)])
+        assert (cfg.tweets, cfg.accounts, cfg.seed) == ("t3/a\u2028b.csv", "a\fb.csv", 4)
 
     @pytest.mark.parametrize("line", ["epochs=many", "stopwords=maybe", "synthetic=2.5"])
     def test_bad_config_value(self, tmp_path, capsys, line):

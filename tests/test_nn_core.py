@@ -254,11 +254,17 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(grads["softmax.b"], expected)
 
     def test_accumulation_linearity(self, model):
-        trace = bilstm_forward(model, [6, 1, 7])
-        g1 = backward(model, trace, label=1)
-        g2 = backward(model, trace, label=1)
-        for name in g1:
-            np.testing.assert_array_equal(g1[name] + g2[name], 2.0 * g1[name])
+        # a trace serves one backward: two runs under the same seed add up
+        # to twice one run's gradients
+        def run(grads):
+            backward_batch(model, forward_batch(model, [[6, 1, 7]], 0.3, [5]), [1], grads)
+
+        once, twice = model.zero_grads(), model.zero_grads()
+        run(once)
+        run(twice)
+        run(twice)
+        for name in once:
+            np.testing.assert_array_equal(twice[name], 2.0 * once[name])
 
     def test_fixed_embedding_rows_get_zero_gradient(self, model):
         # frozen rows have no gradient entry at all: the dict is keyed and
@@ -403,16 +409,19 @@ class TestBatchedPath:
                     assert gates[t][r[t]].tobytes() == expected[r[t]].tobytes(), (li, t)
             x = _layer_output(trace.tracks, trace.keep, li, trace.dropout_scale)
 
-    def test_backward_leaves_the_trace_as_it_was(self, case):
+    def test_backward_spends_the_trace(self, case):
+        # a second backward is refused before it adds any gradient, and the
+        # trace keeps its probabilities through both calls
         model, seqs, labels, seeds = case
         trace = forward_batch(model, seqs[:CHUNK], self.RATE, seeds[:CHUNK])
-
-        def trace_bytes():
-            return [a.tobytes() for scans in trace.tracks for scan in scans for a in scan]
-
-        before = trace_bytes()
+        probabilities = trace.probabilities.tobytes()
         backward_batch(model, trace, labels[:CHUNK], model.zero_grads())
-        assert trace_bytes() == before
+        assert trace.tracks == []
+        grads = model.zero_grads()
+        with pytest.raises(ValueError, match="spent"):
+            backward_batch(model, trace, labels[:CHUNK], grads)
+        assert not any(g.any() for g in grads.values())
+        assert trace.probabilities.tobytes() == probabilities
 
     def test_scoring_trace_keeps_no_gates_and_is_refused(self, case):
         model, seqs, _, _ = case
@@ -558,14 +567,13 @@ class TestDtype:
 
         def run(model):
             trace = forward_batch(model, seqs, 0.3, seeds)
+            dtypes = {a.dtype for scans in trace.tracks for scan in scans for a in scan}
             grads = model.zero_grads()
-            backward_batch(model, trace, labels, grads)
-            return trace, grads
+            backward_batch(model, trace, labels, grads)  # spends the tracks
+            return trace, dtypes, grads
 
-        (_, g64), (trace, g32) = run(m64), run(m32)
-        for tracks in trace.tracks:
-            for h, c, gates in tracks:
-                assert h.dtype == c.dtype == gates.dtype == np.float32
+        (_, _, g64), (trace, dtypes, g32) = run(m64), run(m32)
+        assert dtypes == {np.dtype(np.float32)}
         assert trace.probabilities.dtype == np.float32
         for name, g in g32.items():
             assert g.dtype == np.float32, name

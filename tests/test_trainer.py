@@ -460,16 +460,15 @@ class TestTrain:
         assert epoch["accuracy"] == n_correct / len(data)
 
     def test_step_memory_is_bounded_by_the_chunk(self):
-        # a step holds the gradient sum and the velocity (2x the trainable
-        # bytes) plus one chunk's state tracks, gates and BPTT temporaries:
-        # 5.2x in all at this shape (3.45x when BPTT rebuilt the gates). With
-        # the rebuild, chunks of 32 measured 7.5x and the whole batch of 64
-        # at once 14x
+        # the second batch's step holds the gradient sum and the velocity,
+        # made at the first batch's step (2x the trainable bytes), plus one
+        # chunk's state tracks, gates and BPTT temporaries: 5.7x in all at
+        # this shape, since BPTT frees each layer's tracks as it leaves them
         rng = np.random.default_rng(0)
         model = init_params(ModelConfig(vocab_size=500, embed_dim=64, hidden=64, layers=3),
                             rng_seed=0)
         data = [LabeledSequence(f"a{i}", i % 2, rng.integers(1, 500, size=20).tolist())
-                for i in range(64)]
+                for i in range(128)]
         trainable = sum(t.nbytes for _, t in model.trainable_tensors())
         tracemalloc.start()
         try:
