@@ -43,15 +43,14 @@ classifier make takes the dtype of its input. `init_params` and
 `build_table` give float32, so training runs in float32, and a loaded
 checkpoint is upcast to float64 for scoring.
 
-`forward_batch` hands `backward_batch` plain arrays (`BatchTrace`): each
-scan's h and c tracks and the keep-masks, and on a training trace (one
-given `seeds`) each step's gate activations i, f, g and o, which the scan
-writes over the input-projection buffer it has just consumed. BPTT reads
-those gates instead of recomputing them, and rebuilds each layer's input
-from the layer below. A scoring trace keeps no gates. `backward_batch`
-spends its trace: it takes each layer's tracks off as BPTT reaches them,
-so a trace serves one `backward_batch`. The equations above are written
-once, in `_gates`.
+`forward_batch` hands `backward_batch` plain arrays (`BatchTrace`): the
+keep-masks and, on a training trace (one given `seeds`), each scan's h
+and c tracks and every step's gates i, f, g and o, written over the
+input-projection buffer the scan has just consumed. BPTT reads those
+gates instead of recomputing them, and rebuilds each layer's input from
+the layer below; it takes each layer's tracks off the trace as it reaches
+them, so a trace serves one `backward_batch`. A scoring trace keeps no
+tracks. The equations above are written once, in `_gates`, and
 `forward_batch` is the only place dropout is drawn.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
 their one-sequence, dropout-free case and take no options.
@@ -98,7 +97,7 @@ def _cell(d: dict[str, np.ndarray], li: int, direction: str) -> dict[str, np.nda
 
 
 def _gates(pre, V, c_prev, H):
-    """(h, c, i, f, g, o, tanh c) from the gate pre-activations pre [..., 4H].
+    """(h, c, i, f, g, o) from the gate pre-activations pre [..., 4H].
 
     The module docstring's equations, for one step, [4H] or [B, 4H]. No
     returned array is a view of `pre`.
@@ -108,8 +107,7 @@ def _gates(pre, V, c_prev, H):
     g = np.tanh(pre[..., 2 * H : 3 * H])
     c = f * c_prev + i * g
     o = sigmoid(pre[..., 3 * H :] + V[2 * H :] * c)
-    tc = np.tanh(c)
-    return o * tc, c, i, f, g, o, tc
+    return o * np.tanh(c), c, i, f, g, o
 
 
 def _direction_pass(
@@ -134,7 +132,7 @@ def _direction_pass(
     # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
-        h_t, c_t, i, f, g, o, _ = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
+        h_t, c_t, i, f, g, o = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
         if keep_gates:  # XU[t] is consumed: its row holds the step's gates from here on
             row = XU[t]
             row[:, :H], row[:, H : 2 * H], row[:, 2 * H : 3 * H], row[:, 3 * H :] = i, f, g, o
@@ -271,12 +269,10 @@ class BatchTrace:
     ids: np.ndarray
     lengths: np.ndarray
     #: Per layer, the fwd cell's (h, c, gates) then the bwd cell's, in scan
-    #: order: h and c [T, B, H], and the gate activations [i|f|g|o] [T, B, 4H]
-    #: on a training trace (`forward_batch` given `seeds`), else None.
-    #: `backward_batch` empties the list.
-    tracks: list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]] = field(
-        repr=False
-    )
+    #: order: h and c [T, B, H], gates [i|f|g|o] [T, B, 4H], never None. Only
+    #: a training trace (`forward_batch` given `seeds`) has tracks; a scoring
+    #: trace's list is empty, and `backward_batch` empties a training trace's.
+    tracks: list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = field(repr=False)
     #: Inverted-dropout keep-masks [L, T, B, 2H]; kept values are scaled by
     #: `dropout_scale`. None when dropout is not applied.
     keep: np.ndarray | None = field(repr=False)
@@ -300,9 +296,9 @@ class ForwardTrace:
         return self.batch.probabilities[0]
 
 
-def _layer_output(tracks, keep, li: int, scale: float) -> np.ndarray:
-    """Layer li's [->h ; <-h] per position, times its keep-mask: the next layer's input."""
-    (h_fwd, *_), (h_bwd, *_) = tracks[li]
+def _layer_output(scans, keep, li: int, scale: float) -> np.ndarray:
+    """Layer li's [->h ; <-h] from its (fwd, bwd) scans, times its keep-mask: the next input."""
+    (h_fwd, *_), (h_bwd, *_) = scans
     out = np.concatenate((h_fwd, h_bwd[::-1]), axis=2)
     if keep is not None:
         out *= keep[li]
@@ -314,11 +310,11 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
     """Classify B token-id sequences in one right-padded [T, B] scan.
 
     `seeds`, one per sequence, marks a training trace: the trace then
-    keeps every step's gates for `backward_batch`, which refuses a trace
-    without them. Scoring passes no seeds and keeps only the h and c
-    tracks. With a positive `dropout_rate`, inverted dropout is applied to
-    every layer's output, and `seeds` is required: sequence b's L
-    keep-masks [len_b, 2H] are drawn in layer order as
+    keeps every layer's h and c tracks and every step's gates for
+    `backward_batch`, which refuses a trace without them. A scoring
+    trace keeps no tracks. With a positive `dropout_rate`, inverted
+    dropout is applied to every layer's output, and `seeds` is required:
+    sequence b's L keep-masks [len_b, 2H] are drawn in layer order as
     `rng.random((len_b, 2H)) >= dropout_rate` from
     `np.random.default_rng(seeds[b])`, so they do not depend on the rest
     of the batch.
@@ -352,9 +348,12 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
     x = embed_sequence(model.tensors["embedding.vectors"], ids)
     tracks = []
     for li, (fwd, bwd) in enumerate(model.layers):
-        tracks.append((_direction_pass(fwd, x, active, training),
-                       _direction_pass(bwd, x[::-1], active[::-1], training)))
-        x = _layer_output(tracks, keep, li, scale)
+        scans = (_direction_pass(fwd, x, active, training),
+                 _direction_pass(bwd, x[::-1], active[::-1], training))
+        if training:
+            tracks.append(scans)
+        x = _layer_output(scans, keep, li, scale)
+        del scans  # a scoring pass holds one layer's scans at a time
 
     H = model.hidden
     classifier_input = np.concatenate((x[lengths - 1, np.arange(B), :H], x[0, :, H:]), axis=1)
@@ -383,22 +382,22 @@ def bilstm_forward(model: ModelParams, ids) -> ForwardTrace:
 def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None:
     """Add the gradients of sum_b -log p_b(labels[b]) into `grads`, in place.
 
-    `trace` must be a training trace (`forward_batch` given `seeds`).
-    `grads` is keyed and shaped like `ModelParams.trainable_tensors()` (see
-    `ModelParams.zero_grads`), so the embedding entry is [5, D] whatever V.
-    PAD steps contribute nothing. The trace is spent: BPTT takes each
-    layer's tracks off it as it reaches them, so a step holds no layer's
-    gates past its BPTT, and a second call on the trace is a ValueError
-    raised before any gradient is added. Its ids, lengths, keep-masks,
-    classifier input and probabilities stay as they were.
+    `trace` must be a training trace (`forward_batch` given `seeds`) that
+    still has its tracks; a scored or spent trace is a ValueError raised
+    before any gradient is added. `grads` is keyed and shaped like
+    `ModelParams.trainable_tensors()` (see `ModelParams.zero_grads`), so
+    the embedding entry is [5, D] whatever V. PAD steps contribute
+    nothing. The trace is spent: BPTT takes each layer's tracks off it as
+    it reaches them, so a step holds no layer's gates past its BPTT, and
+    a trace serves one call. Its ids, lengths, keep-masks, classifier
+    input and probabilities stay as they were.
     """
     labels = np.asarray(labels)
     if labels.shape != trace.lengths.shape or not np.isin(labels, (0, 1)).all():
         raise ValueError(f"label must be 0 or 1, one per sequence, got {labels!r}")
     if not trace.tracks:
-        raise ValueError("trace is spent: each backward_batch needs a forward_batch of its own")
-    if trace.tracks[0][0][2] is None:
-        raise ValueError("trace keeps no gates: pass seeds to forward_batch to train")
+        raise ValueError("trace has no tracks: it is spent or scored; pass seeds to a "
+                         "forward_batch of its own for each backward_batch")
     layers = model.layers
     if len(trace.tracks) != len(layers):
         raise ValueError("trace does not match model depth")
@@ -426,7 +425,7 @@ def backward_batch(model: ModelParams, trace: BatchTrace, labels, grads) -> None
             dY *= scale
         X = (
             embed_sequence(model.tensors["embedding.vectors"], trace.ids) if li == 0
-            else _layer_output(trace.tracks, trace.keep, li - 1, scale)
+            else _layer_output(trace.tracks[li - 1], trace.keep, li - 1, scale)
         )
         (fwd, bwd), (fwd_scan, bwd_scan) = layers[li], trace.tracks.pop()
         dXf = _direction_backward(fwd, *fwd_scan, ran, X, dY[..., :H], _cell(grads, li, "fwd"))

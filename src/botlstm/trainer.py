@@ -33,14 +33,14 @@ from .nn_core import N_CLASSES, ModelParams, backward_batch, forward_batch
 from .text_pipeline import OOV_ID
 # Not used here: re-imported only so that bench/spans.install finds these
 # names on this module to wrap, until the tracer wraps the batched entry
-# points instead (ROADMAP item 1).
+# points instead (ROADMAP item 1a).
 from .nn_core import backward, bilstm_forward  # noqa: F401
 
 log = logging.getLogger(__name__)
 
 #: Sequences per batched forward/backward call. It bounds what a training
-#: step or a scoring pass holds live: one chunk's state tracks, and in
-#: training its gates.
+#: step or a scoring pass holds live: in scoring, one chunk's current
+#: layer; in training, one chunk's state tracks and gates.
 CHUNK = 16
 
 #: Largest finite float32; a parameter beyond it cannot be checkpointed.

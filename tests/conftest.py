@@ -20,7 +20,7 @@ def random_cell(rng, hidden, d_in, scale=0.5):
 
 
 def cell_step(p, x, h_prev, c_prev):
-    """One step of cell `p`: the (h, c, i, f, g, o, tc) of `nn_core._gates`."""
+    """One step of cell `p`: the (h, c, i, f, g, o) of `nn_core._gates`."""
     return _gates(p["U"] @ x + h_prev @ p["W"].T + p["b"], p["V"], c_prev, p["W"].shape[1])
 
 

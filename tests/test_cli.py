@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import struct
+import subprocess
+import sys
 import weakref
 import zlib
 
@@ -1095,6 +1097,16 @@ class TestConfigFileAndExitCodes:
         assert cli.main([]) == 1
         assert capsys.readouterr().err == (
             "usage error: the following arguments are required: COMMAND\n")
+
+    def test_module_run_exits_with_mains_code(self):
+        # `python -m botlstm.cli` hands main's return code to sys.exit
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run([sys.executable, "-m", "botlstm.cli"], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("usage error:"), result.stderr
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["transmogrify"]) == 1

@@ -141,6 +141,13 @@ class TestComposeTestSet:
                 self._accounts(3, HUMAN, "h"), self._accounts(5, BOT, "b"), 4, seed=0
             )
 
+    @pytest.mark.parametrize("per_class", [0, -1])
+    def test_non_positive_per_class_rejected(self, per_class):
+        with pytest.raises(ValueError, match="per_class must be >= 1"):
+            compose_test_set(
+                self._accounts(3, HUMAN, "h"), self._accounts(3, BOT, "b"), per_class, seed=0
+            )
+
     def test_seed_reproducible(self):
         humans = self._accounts(30, HUMAN, "h")
         bots = self._accounts(30, BOT, "b")
@@ -314,6 +321,12 @@ class TestSplitAccounts:
         test_ids = {a.account_id for a in test}
         assert not train_ids & test_ids
         assert train_ids | test_ids == {a.account_id for a in accounts}
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+    def test_fraction_outside_open_unit_interval_rejected(self, fraction):
+        accounts, _, _ = synthetic(seed=3, n_per_class=2)
+        with pytest.raises(ValueError, match="train_fraction"):
+            split_accounts(accounts, fraction, seed=0)
 
 
 class TestSaveDataset:

@@ -360,6 +360,11 @@ class TestBuildTable:
         with pytest.raises(DataError, match="dog"):
             build_table(vocab, ["cat"], np.ones((1, 2)), rng_seed=0)
 
+    @pytest.mark.parametrize("matrix", [np.ones(2), np.ones((2, 0))], ids=["1-D", "zero-width"])
+    def test_matrix_shape_rejected(self, vocab, matrix):
+        with pytest.raises(ValueError, match=r"\[n_words, dim\] with dim >= 1"):
+            build_table(vocab, ["cat", "dog"], matrix, rng_seed=0)
+
     def test_non_finite_vectors_rejected(self, vocab):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(DataError, match="non-finite"):

@@ -35,6 +35,10 @@ class TestTally:
         with pytest.raises(ValueError):
             tally([BOT], [BOT, HUMAN])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            tally([], [])
+
     def test_total_matches_input_size(self):
         c = tally([BOT, HUMAN, BOT, HUMAN], [HUMAN, HUMAN, BOT, BOT])
         assert sum(c.values()) == 4

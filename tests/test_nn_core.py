@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestCellParams:
 class TestCellForward:
     def test_zero_case(self):
         p = zero_cell(3, 2)
-        h, c, i, f, _, o, _ = cell_step(p, np.zeros(2), np.zeros(3), np.zeros(3))
+        h, c, i, f, _, o = cell_step(p, np.zeros(2), np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
         np.testing.assert_allclose(i, 0.5)
@@ -317,10 +319,11 @@ class TestBackwardBasics:
         with pytest.raises(ValueError, match="label"):
             backward(model, trace, label=2)
 
-    def test_trace_model_mismatch(self, model):
+    @pytest.mark.parametrize("hidden, layers, match", [(3, 1, "depth"), (5, 2, "hidden size")])
+    def test_trace_model_mismatch(self, model, hidden, layers, match):
         trace = bilstm_forward(model, [6])
-        other = random_model(np.random.default_rng(1), 9, 4, 3, 1)
-        with pytest.raises(ValueError, match="depth"):
+        other = random_model(np.random.default_rng(1), 9, 4, hidden, layers)
+        with pytest.raises(ValueError, match=match):
             backward(other, trace, label=0)
 
     def test_loss_finite_for_finite_params(self, model):
@@ -404,10 +407,10 @@ class TestBatchedPath:
                 zero = np.zeros((B, H))
                 for t in range(T):
                     h_prev, c_prev = (h[t - 1], c[t - 1]) if t else (zero, zero)
-                    _, _, *ifgo, _ = _gates(XU[t] + h_prev @ WT + p["b"], p["V"], c_prev, H)
+                    _, _, *ifgo = _gates(XU[t] + h_prev @ WT + p["b"], p["V"], c_prev, H)
                     expected = np.concatenate(ifgo, axis=1)
                     assert gates[t][r[t]].tobytes() == expected[r[t]].tobytes(), (li, t)
-            x = _layer_output(trace.tracks, trace.keep, li, trace.dropout_scale)
+            x = _layer_output(trace.tracks[li], trace.keep, li, trace.dropout_scale)
 
     def test_backward_spends_the_trace(self, case):
         # a second backward is refused before it adds any gradient, and the
@@ -429,6 +432,26 @@ class TestBatchedPath:
         assert all(gates is None for scans in trace.tracks for _, _, gates in scans)
         with pytest.raises(ValueError, match="pass seeds"):
             backward_batch(model, trace, [0] * len(seqs), model.zero_grads())
+
+    def test_scoring_peak_does_not_grow_with_depth(self):
+        # a scoring trace keeps no tracks and its pass holds one layer's
+        # scans at a time, so six layers peak where three do
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(1, 50, size=30) for _ in range(16)]
+
+        def peak(layers):
+            model = init_params(ModelConfig(50, 32, 64, layers), rng_seed=0)
+            tracemalloc.start()
+            try:
+                trace = forward_batch(model, seqs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert trace.tracks == []
+            return peak
+
+        three, six = peak(3), peak(6)
+        assert six <= 1.05 * three, f"L=6 peaks at {six / three:.2f}x L=3"
 
     def test_labels_checked(self, case):
         model, seqs, _, _ = case

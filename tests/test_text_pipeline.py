@@ -109,6 +109,12 @@ class TestVocabulary:
             assert vocab.id_of(tok) == i
             assert vocab.surface_of(i) == tok
 
+    def test_surface_of_out_of_range_rejected(self):
+        vocab = build_vocabulary([], set())
+        for token_id in (-1, len(vocab)):
+            with pytest.raises(ValueError, match="out of range"):
+                vocab.surface_of(token_id)
+
     def test_intersection(self):
         vocab = build_vocabulary([["cat", "zzqx"]], {"cat", "dog"})
         assert "cat" in vocab
