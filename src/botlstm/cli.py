@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import typing
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -217,30 +218,30 @@ _CONFIG_TYPES = {
 }
 
 
-def _corpus_vocabulary(cfg: RunConfig, corpus: list[list[str]]):
-    """(vocab, words, matrix): the corpus tokens the embedding file holds, and their rows."""
-    wanted = {t for tokens in corpus for t in tokens} - text_pipeline.SPECIAL_TOKENS
+def _corpus_vocabulary(cfg: RunConfig, counts: Counter):
+    """(vocab, words, matrix): the counted tokens the embedding file holds, in count order."""
+    wanted = counts.keys() - text_pipeline.SPECIAL_TOKENS
     words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim, wanted)
-    return text_pipeline.build_vocabulary(corpus, set(words)), words, matrix
+    return text_pipeline.build_vocabulary([counts], set(words)), words, matrix
 
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
     (out,) = cfg.out_paths()
+    # split() breaks wherever splitlines() does, so a line's tokens are its tweets'
     with open_text(cfg.corpus, "cli", "corpus file") as fh:
-        tweets = fh.read().splitlines()
-    tokenized = [text_pipeline.tokenize(t, map_rt=cfg.rt_token) for t in tweets]
-    vocab, _, _ = _corpus_vocabulary(cfg, tokenized)
+        counts = Counter(t for line in fh
+                         for t in text_pipeline.tokenize(line, map_rt=cfg.rt_token))
+    vocab, _, _ = _corpus_vocabulary(cfg, counts)
     if len(vocab) == len(text_pipeline.RESERVED_TOKENS):
         log.warning("corpus/embedding intersection is empty; "
                     "vocabulary holds only the reserved tokens")
     with _writing(out):
         vocab.save(out)
-    total = sum(map(len, tokenized))
-    oov = sum(text_pipeline.encode(t, vocab).count(text_pipeline.OOV_ID) for t in tokenized)
-    rate = oov / total if total else 0.0
+    total = sum(counts.values())
+    oov = sum(n for t, n in counts.items() if vocab.id_of(t) == text_pipeline.OOV_ID)
     print(f"corpus tokens: {total}")
     print(f"vocabulary size: {len(vocab)}")
-    print(f"oov rate: {rate:.6f}")
+    print(f"oov rate: {oov / max(total, 1):.6f}")
     print(f"wrote {out}")
     return 0
 
@@ -252,12 +253,9 @@ def _glove_vocab_and_table(cfg: RunConfig, accounts):
         wanted = set(vocab.surfaces) - text_pipeline.SPECIAL_TOKENS
         words, matrix = embeddings.load_glove(cfg.glove, cfg.embed_dim, wanted)
     else:
-        corpus = [
-            text_pipeline.tokenize(tw, map_rt=cfg.rt_token)
-            for acct in accounts
-            for tw in acct.tweets
-        ]
-        vocab, words, matrix = _corpus_vocabulary(cfg, corpus)
+        counts = Counter(t for acct in accounts for tw in acct.tweets
+                         for t in text_pipeline.tokenize(tw, map_rt=cfg.rt_token))
+        vocab, words, matrix = _corpus_vocabulary(cfg, counts)
     return vocab, embeddings.build_table(vocab, words, matrix, rng_seed=cfg.seed)
 
 

@@ -43,14 +43,20 @@ def open_text(path, module: str, what: str = "file", newline=None):
     """Open `path` as UTF-8 text for reading; a leading byte-order mark is dropped.
 
     An OS error on opening or reading, or bytes that are not UTF-8, become
-    a DataError from `module`, naming the `what` and the path.
+    a DataError from `module`, naming the `what` and the path; a bad byte
+    is named with its offset in the file.
     """
     try:
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
-            yield fh
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                # exc.start counts from the bytes just decoded, which end where the buffer is
+                at = (f" at offset {fh.buffer.tell() - len(exc.object) + exc.start}"
+                      if fh.seekable() else "")  # a pipe cannot tell its position
+                raise DataError(
+                    f"{what} {path} is not valid UTF-8: byte 0x{exc.object[exc.start]:02x}"
+                    f"{at} ({exc.reason})", module=module
+                ) from exc
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}", module=module) from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{what} {path} is not valid UTF-8: {exc}", module=module
-        ) from exc

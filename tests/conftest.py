@@ -1,6 +1,7 @@
 """Shared model builders and oracle helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -101,6 +102,17 @@ def scalar_cell(params):
         U=params[0:4].reshape(4, 1), W=params[4:8].reshape(4, 1),
         V=params[8:11], b=params[11:15],
     )
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_dataset_files(accounts, tmp_path, prefix=""):

@@ -1,9 +1,10 @@
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+
+from conftest import traced_peak
 
 from botlstm.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from botlstm.datasets import synthetic
@@ -21,17 +22,6 @@ def model_and_vocab():
         embedding=table,
     )
     return model, vocab
-
-
-def _traced_peak(call):
-    """Peak bytes tracemalloc sees allocated while `call()` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 class TestRoundTrip:
@@ -131,7 +121,7 @@ class TestRoundTrip:
         model = init_params(ModelConfig(len(vocab), 4096, hidden=16, layers=1), rng_seed=1)
         tensor_bytes = sum(t.nbytes for t in model.tensors.values())
         assert max(t.nbytes for t in model.tensors.values()) > 0.25 * tensor_bytes > 2**19
-        peak = _traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", model, vocab))
+        _, peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", model, vocab))
         assert peak < 0.25 * tensor_bytes, (peak, tensor_bytes)
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
         for name, tensor in model.tensors.items():
@@ -235,13 +225,12 @@ class TestCorruption:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 6 + 4 * 4, 2**16 + 1)  # version, V, D, H, then layers
         path.write_bytes(bytes(blob))
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(CheckpointError, match="truncated payload"):
                 load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refuse)
         assert peak < 2**20, peak
 
     def test_wrong_file_refused_from_its_header(self, tmp_path):
@@ -255,7 +244,7 @@ class TestCorruption:
             with pytest.raises(CheckpointError, match="bad magic"):
                 load_checkpoint(path)
 
-        peak = _traced_peak(refuse)
+        _, peak = traced_peak(refuse)
         assert peak < 2**20, peak
 
     def test_header_only(self, tmp_path):

@@ -12,13 +12,15 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import small_accounts, write_dataset_files
+from conftest import small_accounts, traced_peak, write_dataset_files
 
 from botlstm import cli
 from botlstm.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from botlstm.datasets import Account, synthetic
 from botlstm.embeddings import write_glove
-from botlstm.text_pipeline import OOV_ID, RESERVED_TOKENS, build_vocabulary, encode, tokenize
+from botlstm.text_pipeline import (
+    OOV_ID, RESERVED_TOKENS, SPECIAL_TOKENS, Vocabulary, build_vocabulary, encode, tokenize,
+)
 
 #: Flags whose name is not their RunConfig field's with "-" for "_".
 FLAG_NAMES = {"learning_rate": "lr"}
@@ -75,6 +77,55 @@ class TestBuildVocab:
         assert f"vocabulary size: {len(vocab)}" in printed
         assert out.exists()
 
+    def test_corpus_line_separators_match_splitlines(self, tmp_path, capsys):
+        # the corpus is read line by line, and a tweet may end at any
+        # character splitlines() breaks at, inside a line or at its end
+        tweets = ["love this", "#tag you.", "RT @bob love", "zzqx (strange)", "you,",
+                  "http://t.co/x love", "caf\u00e9 love", "you you", "strange one", "last"]
+        ends = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+                "\r\n"]
+        text = "".join(t + end for t, end in zip(tweets, ends))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(text.encode("utf-8"))
+        words = {"love", "this", "you", "caf\u00e9", "one", "strange"}
+        glove = self._toy_glove(tmp_path, sorted(words))
+        out = tmp_path / "vocab.tsv"
+        rc = cli.main(["build-vocab", "--corpus", str(corpus), "--glove", str(glove),
+                       "--embed-dim", "4", "--output", str(out)])
+        assert rc == 0
+
+        tokenized = [tokenize(t) for t in text.splitlines()]
+        assert len(tokenized) == len(tweets)
+        vocab = build_vocabulary(tokenized, words)
+        ids = [i for toks in tokenized for i in encode(toks, vocab)]
+        vocab.save(tmp_path / "expected.tsv")
+        assert out.read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+        assert capsys.readouterr().out == (
+            f"corpus tokens: {len(ids)}\nvocabulary size: {len(vocab)}\n"
+            f"oov rate: {ids.count(OOV_ID) / len(ids):.6f}\nwrote {out}\n")
+
+    def test_train_without_vocab_builds_build_vocabs_vocabulary(self, tmp_path):
+        # both build their vocabulary in the tokens' first-appearance order,
+        # not in the embedding file's
+        accounts, vocab, table = synthetic(seed=2, n_per_class=3, embed_dim=4)
+        acc, twt = write_dataset_files(accounts, tmp_path)
+        words = [w for w in vocab.surfaces if w not in SPECIAL_TOKENS][::-1]
+        glove = self._toy_glove(tmp_path, words)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(t + "\n" for a in accounts for t in a.tweets),
+                          encoding="utf-8")
+        assert cli.main(["build-vocab", "--corpus", str(corpus), "--glove", str(glove),
+                         "--embed-dim", "4", "--output", str(tmp_path / "vocab.tsv")]) == 0
+        assert cli.main(["train", "--accounts", str(acc), "--tweets", str(twt),
+                         "--glove", str(glove), "--embed-dim", "4", "--hidden", "2",
+                         "--layers", "1", "--epochs", "1",
+                         "--output-dir", str(tmp_path / "train")]) == 0
+        _, trained = load_checkpoint(tmp_path / "train" / "model.ckpt")
+        built = Vocabulary.load(tmp_path / "vocab.tsv")
+        assert trained == built
+        assert len(built) > 20
+        assert list(built.surfaces[6:]) != [w for w in words if w in built]
+
     def test_empty_corpus_reserved_only(self, tmp_path, caplog):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("")
@@ -117,6 +168,53 @@ class TestBuildVocab:
         err = capsys.readouterr().err
         assert "not_there.txt" in err
         assert err.startswith("embeddings:")  # module-prefixed message
+
+
+class TestVocabularyMemory:
+    """A vocabulary pass holds one count per distinct token, not the tokenized corpus."""
+
+    @staticmethod
+    def _accounts(repeats):
+        accounts, vocab, _ = synthetic(seed=1, n_per_class=40, embed_dim=4)
+        for account in accounts:
+            account.tweets *= repeats
+        return accounts, [w for w in vocab.surfaces if w not in SPECIAL_TOKENS]
+
+    def _peaks(self, tmp_path, stage):
+        peaks = []
+        for repeats in (1, 10):
+            accounts, words = self._accounts(repeats)
+            run = tmp_path / f"x{repeats}"
+            run.mkdir()
+            glove = run / "glove.txt"
+            write_glove(glove, words, np.random.default_rng(0).standard_normal((len(words), 4)))
+            peaks.append(stage(run, accounts, glove))
+        return peaks
+
+    def test_build_vocab_peak_does_not_grow_with_the_corpus(self, tmp_path, capsys):
+        def stage(run, accounts, glove):
+            corpus = run / "corpus.txt"
+            corpus.write_text("".join(t + "\n" for a in accounts for t in a.tweets),
+                              encoding="utf-8")
+            argv = ["build-vocab", "--corpus", str(corpus), "--glove", str(glove),
+                    "--embed-dim", "4", "--output", str(run / "vocab.tsv")]
+            rc, peak = traced_peak(lambda: cli.main(argv))
+            assert rc == 0
+            return peak
+
+        once, ten = self._peaks(tmp_path, stage)
+        assert ten <= 1.5 * once, f"10 copies of the corpus peak at {ten / once:.2f}x one"
+
+    def test_train_vocabulary_stage_does_not_grow_with_the_corpus(self, tmp_path):
+        # the stage's peak above the accounts, which are loaded before it
+        def stage(run, accounts, glove):
+            cfg = _run_config(["train", "--glove", str(glove), "--embed-dim", "4"])
+            (vocab, _), peak = traced_peak(lambda: cli._glove_vocab_and_table(cfg, accounts))
+            assert len(vocab) > 20
+            return peak
+
+        once, ten = self._peaks(tmp_path, stage)
+        assert ten <= 1.5 * once, f"10 copies of the tweets peak at {ten / once:.2f}x one"
 
 
 class TestTrain:
@@ -708,6 +806,55 @@ class TestDataErrorExitCodes:
         assert rc == 2, err
         assert err.startswith(prefix.format(**paths)), err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("name, argv, prefix", [
+        ("twt", ["predict", "--checkpoint", "{ckpt}", "--tweets", "{twt}"], "datasets:"),
+        ("glove", ["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}",
+                   "--embed-dim", "4"], "embeddings:"),
+        ("vocab", ["train", "--accounts", "{acc}", "--tweets", "{twt}", "--glove", "{glove}",
+                   "--embed-dim", "4", "--vocab", "{vocab}"], "text_pipeline:"),
+        ("corpus", ["build-vocab", "--corpus", "{corpus}", "--glove", "{glove}",
+                    "--embed-dim", "4"], "cli:"),
+    ], ids=["tweets", "glove", "vocab", "corpus"])
+    def test_bad_byte_is_named_at_its_file_offset(self, tmp_path, capsys, bom, name, argv,
+                                                  prefix):
+        # the file is decoded 8 KB at a time; the bad byte lies past the first
+        # chunk, after many two-byte characters, one of which may straddle a chunk
+        head = {
+            "twt": "account_id,tweet_text\r\n" + "h1,caf\u00e9 love\r\n" * 1500 + "h1,",
+            "glove": "love 0.1 0.2 0.3 0.4\n" + "caf\u00e9 0.1 0.2 0.3 0.4\n" * 1000,
+            "vocab": "".join(f"{s}\t{i}\n" for i, s in enumerate(
+                [*RESERVED_TOKENS, *(f"w{k}\u00e9" for k in range(2000))])),
+            "corpus": "love you caf\u00e9\n" * 1500 + "you ",
+        }[name].encode("utf-8")
+        paths = self._inputs(tmp_path)
+        paths[name].write_bytes(bom + head + b"\xff love\n")
+        offset = len(bom + head)
+        assert offset > 2 * 8192
+        rc = cli.main([*(a.format(**paths) for a in argv), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"{prefix} "), err
+        assert (f"{paths[name]} is not valid UTF-8: byte 0xff at offset {offset} "
+                "(invalid start byte)") in err, err
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_bad_byte_in_a_pipe_is_named_without_offset(self, tmp_path, capsys):
+        # a pipe cannot tell its position, so the message leaves it out
+        paths = self._inputs(tmp_path)
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"love you\n" * 2000 + b"\xff\n")
+        os.close(write_end)
+        try:
+            rc = cli.main(["build-vocab", "--corpus", f"/dev/fd/{read_end}", "--glove",
+                           str(paths["glove"]), "--embed-dim", "4",
+                           "--output-dir", str(tmp_path / "out")])
+        finally:
+            os.close(read_end)
+        assert rc == 2
+        assert capsys.readouterr().err == (f"cli: corpus file /dev/fd/{read_end} is not valid "
+                                           "UTF-8: byte 0xff (invalid start byte)\n")
 
     def test_vocabulary_blank_lines_are_skipped(self, tmp_path):
         paths = self._inputs(tmp_path)

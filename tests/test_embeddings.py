@@ -1,8 +1,9 @@
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import traced_peak
 
 from botlstm.embeddings import (
     TRAINABLE_ROWS,
@@ -291,12 +292,8 @@ class TestLoadGloveMemory:
 
     @staticmethod
     def _peak_bytes(path, dim, wanted):
-        tracemalloc.start()
-        try:
-            words, matrix = load_glove(path, expected_dim=dim, wanted=wanted)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (words, matrix), peak = traced_peak(
+            lambda: load_glove(path, expected_dim=dim, wanted=wanted))
         return words, matrix, peak
 
     def test_unwanted_lines_are_not_kept(self, tmp_path):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from conftest import (
     random_model,
     scalar_cell,
     scalar_cell_oracle,
+    traced_peak,
 )
 
 from botlstm.embeddings import (
@@ -441,12 +440,7 @@ class TestBatchedPath:
 
         def peak(layers):
             model = init_params(ModelConfig(50, 32, 64, layers), rng_seed=0)
-            tracemalloc.start()
-            try:
-                trace = forward_batch(model, seqs)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            trace, peak = traced_peak(lambda: forward_batch(model, seqs))
             assert trace.tracks == []
             return peak
 

@@ -1,11 +1,10 @@
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import cast_model, random_model
+from conftest import cast_model, random_model, traced_peak
 
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import LabeledSequence, make_examples, synthetic
@@ -470,12 +469,8 @@ class TestTrain:
         data = [LabeledSequence(f"a{i}", i % 2, rng.integers(1, 500, size=20).tolist())
                 for i in range(128)]
         trainable = sum(t.nbytes for _, t in model.trainable_tensors())
-        tracemalloc.start()
-        try:
-            train(model, data, TrainingConfig(epochs=1, batch_size=64, seed=0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: train(model, data, TrainingConfig(epochs=1, batch_size=64, seed=0)))
         assert peak < 6 * trainable, f"step peak {peak / trainable:.1f}x the trainable bytes"
 
 
