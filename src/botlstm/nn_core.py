@@ -46,12 +46,13 @@ checkpoint is upcast to float64 for scoring.
 `forward_batch` hands `backward_batch` plain arrays (`BatchTrace`): the
 keep-masks and, on a training trace (one given `seeds`), each scan's h
 and c tracks and every step's gates i, f, g and o, written over the
-input-projection buffer the scan has just consumed. BPTT reads those
-gates instead of recomputing them, and rebuilds each layer's input from
-the layer below; it takes each layer's tracks off the trace as it reaches
-them, so a trace serves one `backward_batch`. A scoring trace keeps no
-tracks. The equations above are written once, in `_gates`, and
-`forward_batch` is the only place dropout is drawn.
+input-projection buffer the scan has just consumed. The c track and the
+gates exist only on a training scan; a scoring scan writes only the h
+track the next layer reads, and its trace keeps no tracks. BPTT reads
+the gates instead of recomputing them and rebuilds each layer's input
+from the layer below, taking each layer's tracks off the trace as it
+reaches them, so a trace serves one `backward_batch`. `_gates` holds
+the equations above, and only `forward_batch` draws dropout.
 `bilstm_forward(model, ids)` and `backward(model, trace, label)` are
 their one-sequence, dropout-free case and take no options.
 """
@@ -115,34 +116,32 @@ def _direction_pass(
 ):
     """Scan cell `p` ({U, W, V, b}) left to right over X [T, B, D_in] from zero state.
 
-    Returns the state tracks h and c [T, B, H] and, if `keep_gates`, every
-    step's gate activations [i|f|g|o] [T, B, 4H], else None. Steps where
-    `ran` [T, B] is False carry the state through unchanged; their gates
-    are those computed from the carried state.
+    Returns the h track [T, B, H] and, on a training scan (`keep_gates`),
+    the c track [T, B, H] and every step's gates [i|f|g|o] [T, B, 4H];
+    a scoring scan returns None for both. Steps where `ran` [T, B] is
+    False carry the state through unchanged; their gates are those
+    computed from the carried state.
     """
     T, B, D = X.shape
     U, W, V, b = p["U"], p["W"], p["V"], p["b"]
     H = W.shape[1]
     XU = (X.reshape(T * B, D) @ U.T).reshape(T, B, 4 * H)
     h = np.empty((T, B, H), dtype=X.dtype)
-    c = np.empty((T, B, H), dtype=X.dtype)
-    h_prev = np.zeros((B, H), dtype=X.dtype)
-    c_prev = np.zeros((B, H), dtype=X.dtype)
+    c = np.empty_like(h) if keep_gates else None
+    h_t = c_t = np.zeros((B, H), dtype=X.dtype)
     WT = np.ascontiguousarray(W.T)  # OpenBLAS is slower on the transposed view at small B
     # np.where at every step measured ~2% slower scoring, so it runs only at padded steps
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
+        h_prev, c_prev = h_t, c_t
         h_t, c_t, i, f, g, o = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
-        if keep_gates:  # XU[t] is consumed: its row holds the step's gates from here on
-            row = XU[t]
-            row[:, :H], row[:, H : 2 * H], row[:, 2 * H : 3 * H], row[:, 3 * H :] = i, f, g, o
-        if all_ran[t]:
-            h[t], c[t] = h_t, c_t
-        else:
+        if not all_ran[t]:
             r = ran[t, :, None]
-            h[t] = np.where(r, h_t, h_prev)
-            c[t] = np.where(r, c_t, c_prev)
-        h_prev, c_prev = h[t], c[t]
+            h_t, c_t = np.where(r, h_t, h_prev), np.where(r, c_t, c_prev)
+        h[t] = h_t
+        if keep_gates:  # XU[t] is consumed: its row holds the step's gates from here on
+            c[t], row = c_t, XU[t]
+            row[:, :H], row[:, H : 2 * H], row[:, 2 * H : 3 * H], row[:, 3 * H :] = i, f, g, o
     return h, c, XU if keep_gates else None
 
 

@@ -703,12 +703,16 @@ class TestDataErrorExitCodes:
         header_only.write_text("account_id,tweet_text\n")
         zero_bytes = tmp_path / "zero_bytes.csv"
         zero_bytes.write_bytes(b"")
+        blank = tmp_path / "blank_tweets.csv"  # every account's tweets are whitespace only
+        blank.write_text("account_id,tweet_text\n" + "".join(
+            f'{a.account_id}," \t "\n{a.account_id},\n' for a in small_accounts()))
         paths = {"acc": acc, "twt": twt, "glove": glove, "huge_glove": huge_glove,
                  "corpus": corpus, "ckpt": ckpt,
                  "nan_ckpt": nan_ckpt, "short_ckpt": short_ckpt, "bad": bad,
                  "missing": tmp_path / "missing.tsv", "vocab": vocab_file,
                  "bad_header": bad_header, "header_only": header_only,
-                 "zero_bytes": zero_bytes, "superscript_id": superscript_id}
+                 "zero_bytes": zero_bytes, "superscript_id": superscript_id,
+                 "blank": blank}
         blob = ckpt.read_bytes()
         for name, offset, value in (("version", 6, 2), ("classes", 26, 3)):
             edited = bytearray(blob)
@@ -761,6 +765,10 @@ class TestDataErrorExitCodes:
           "--embed-dim", "4", "--hidden", "2", "--layers", "1"], "trainer:"),
         (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}",
           "--tweets", "{header_only}"], "trainer:"),
+        (["train", "--accounts", "{acc}", "--tweets", "{blank}", "--glove", "{glove}",
+          "--embed-dim", "4", "--hidden", "2", "--layers", "1"], "trainer:"),
+        (["evaluate", "--checkpoint", "{ckpt}", "--accounts", "{acc}", "--tweets", "{blank}"],
+         "trainer:"),
         (["stats", "--accounts", "{acc}", "--tweets", "{header_only}"], "cli:"),
         (["stats", "--accounts", "{zero_bytes}", "--tweets", "{twt}"], "datasets:"),
         (["predict", "--checkpoint", "{ckpt}", "--tweets", "{zero_bytes}"], "datasets:"),
@@ -792,7 +800,8 @@ class TestDataErrorExitCodes:
             "latin1-predict-tweets", "latin1-corpus", "latin1-glove", "nan-checkpoint",
             "truncated-checkpoint", "train-bad-header", "evaluate-bad-header",
             "predict-bad-header", "stats-bad-header", "train-header-only", "evaluate-header-only",
-            "stats-header-only", "stats-zero-bytes", "predict-zero-bytes",
+            "train-whitespace-tweets", "evaluate-whitespace-tweets", "stats-header-only",
+            "stats-zero-bytes", "predict-zero-bytes",
             "build-vocab-glove-dim", "train-glove-dim", "train-glove-beyond-float32",
             "checkpoint-version", "checkpoint-classes", "checkpoint-header-then-2-bytes",
             "checkpoint-vocabulary-overrun", "stats-one-class", "tweets-field-over-limit",

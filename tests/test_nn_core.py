@@ -152,6 +152,17 @@ class TestRunDirection:
         compact = _direction_pass(p, x[[0, 2, 3]], np.ones((3, 1), dtype=bool))[0][:, 0]
         np.testing.assert_allclose(out[[0, 2, 3]], compact, atol=1e-15)
 
+    def test_only_a_training_scan_keeps_c_and_gates(self):
+        rng = np.random.default_rng(13)
+        p = random_cell(rng, 3, 2)
+        x = rng.standard_normal((4, 2, 2))
+        ran = np.array([[True, True], [True, False], [True, False], [False, False]])
+        h, c, gates = _direction_pass(p, x, ran)
+        assert c is None and gates is None
+        h_kept, c_kept, gates_kept = _direction_pass(p, x, ran, keep_gates=True)
+        assert h_kept.tobytes() == h.tobytes()
+        assert c_kept.shape == h.shape and gates_kept.shape == (4, 2, 12)
+
 
 class TestBilstmForward:
     @pytest.fixture
