@@ -39,9 +39,14 @@ no-ops in both directions: states pass through unchanged, so padding
 injects no signal and receives no gradient.
 
 The math runs in the tensors' dtype: every array the scan, BPTT and the
-classifier make takes the dtype of its input. `init_params` and
-`build_table` give float32, so training runs in float32, and a loaded
-checkpoint is upcast to float64 for scoring.
+classifier make takes the dtype of its input. `init_params`,
+`build_table` and `load_checkpoint` give float32, so training and
+scoring run in float32. A sequence's forward pass does not depend on
+the rest of its batch: the scan multiplies a one-row batch as two rows
+(`_matmul`), and the classifier is a product and a sum rather than a
+GEMM, so at paper shape a sequence scored alone gets the same bits as
+in a chunk (BLAS's small-matrix kernels still round a few-row product
+differently at small shapes).
 
 `forward_batch` hands `backward_batch` plain arrays (`BatchTrace`): the
 keep-masks and, on a training trace (one given `seeds`), each scan's h
@@ -86,6 +91,18 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, with a one-row `a` multiplied as two stacked copies (row 0 kept).
+
+    BLAS takes its gemv path for one row, which rounds differently; from
+    two rows up, at the scan's shapes, each row's product has the same
+    bits at any row count, so a sequence scans alike alone and in a batch.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
+
+
 def _cell(d: dict[str, np.ndarray], li: int, direction: str) -> dict[str, np.ndarray]:
     """Layer li's `direction` cell, {U, W, V, b}, from a name-keyed dict (not copied).
 
@@ -125,7 +142,7 @@ def _direction_pass(
     T, B, D = X.shape
     U, W, V, b = p["U"], p["W"], p["V"], p["b"]
     H = W.shape[1]
-    XU = (X.reshape(T * B, D) @ U.T).reshape(T, B, 4 * H)
+    XU = _matmul(X.reshape(T * B, D), U.T).reshape(T, B, 4 * H)
     h = np.empty((T, B, H), dtype=X.dtype)
     c = np.empty_like(h) if keep_gates else None
     h_t = c_t = np.zeros((B, H), dtype=X.dtype)
@@ -134,7 +151,7 @@ def _direction_pass(
     all_ran = ran.all(axis=1).tolist()
     for t in range(T):
         h_prev, c_prev = h_t, c_t
-        h_t, c_t, i, f, g, o = _gates(XU[t] + h_prev @ WT + b, V, c_prev, H)
+        h_t, c_t, i, f, g, o = _gates(XU[t] + _matmul(h_prev, WT) + b, V, c_prev, H)
         if not all_ran[t]:
             r = ran[t, :, None]
             h_t, c_t = np.where(r, h_t, h_prev), np.where(r, c_t, c_prev)
@@ -356,6 +373,8 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
 
     H = model.hidden
     classifier_input = np.concatenate((x[lengths - 1, np.arange(B), :H], x[0, :, H:]), axis=1)
+    # a product and a sum, not a GEMM: BLAS rounds [B, 2H] @ [2H, 2] differently at small B
+    logits = (classifier_input[:, None, :] * model.tensors["softmax.W"]).sum(axis=2)
     return BatchTrace(
         ids=ids,
         lengths=lengths,
@@ -363,9 +382,7 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
         keep=keep,
         dropout_scale=scale,
         classifier_input=classifier_input,
-        probabilities=stable_softmax(
-            classifier_input @ model.tensors["softmax.W"].T + model.tensors["softmax.b"]
-        ),
+        probabilities=stable_softmax(logits + model.tensors["softmax.b"]),
     )
 
 

@@ -198,10 +198,13 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
     chunk's scan runs to a length its sequences share and little of it is
     padding. A short last chunk is filled up to CHUNK columns with
     one-token [OOV_ID] sequences, whose rows are dropped: every call then
-    has the same width, so BLAS rounds each sequence's products the same
-    way and its probability does not depend on the other sequences
-    scored. Each account's sum then adds its probabilities in dataset
-    order. Training sorts the same way, but within each mini-batch (see
+    has the same width. At paper shape a sequence's probability has the
+    same bits at any width (see `nn_core._matmul`), but BLAS's
+    small-matrix kernels round a product of a few rows differently, so
+    at small shapes it is the fill-up that keeps a sequence's
+    probability from depending on the other sequences scored. Scoring
+    runs with overflow and invalid-value warnings off. Each account's sum
+    then adds its probabilities in dataset order. Training sorts the same way, but within each mini-batch (see
     `train`); its chunks are not filled up, since a short last chunk is
     as wide in any order. A non-finite probability, which a model with
     finite but huge float32 weights can give, is a DataError naming the
@@ -211,9 +214,10 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
         raise DataError("evaluation dataset is empty", module="trainer")
     p_bot = np.empty(len(dataset))
     by_length = np.argsort([len(ex.ids) for ex in dataset], kind="stable")
-    for idx in batch_indices(by_length, CHUNK):
-        seqs = [dataset[i].ids for i in idx] + [[OOV_ID]] * (CHUNK - len(idx))
-        p_bot[idx] = forward_batch(model, seqs).probabilities[: len(idx), BOT]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+        for idx in batch_indices(by_length, CHUNK):
+            seqs = [dataset[i].ids for i in idx] + [[OOV_ID]] * (CHUNK - len(idx))
+            p_bot[idx] = forward_batch(model, seqs).probabilities[: len(idx), BOT]
     if not np.isfinite(p_bot).all():
         bad = dataset[np.flatnonzero(~np.isfinite(p_bot))[0]].account_id
         raise DataError(f"account {bad} scored a non-finite bot probability", module="trainer")

@@ -502,6 +502,31 @@ class TestPredict:
         assert rows[0] == "account_id,p_bot,predicted_label,flag"
         assert rows[1] == "u1,0.500000,bot,"
 
+    def test_predict_writes_the_library_scores_of_a_trained_model(self, tmp_path):
+        # the checkpoint holds the model's float32 values, and both score in float32
+        from botlstm.datasets import make_examples
+        from botlstm.nn_core import ModelConfig, init_params
+        from botlstm.trainer import TrainingConfig, account_probabilities, train
+
+        # a float64 scoring of this checkpoint moves one account's 6th decimal
+        accounts, vocab, table = synthetic(seed=2, n_per_class=10)
+        model = init_params(ModelConfig(len(vocab), table.dim, hidden=8, layers=1),
+                            rng_seed=2, embedding=table)
+        examples, _ = make_examples(accounts, vocab)
+        train(model, examples, TrainingConfig(epochs=3, seed=2))
+        scored = account_probabilities(model, examples)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, model, vocab)
+        assert account_probabilities(load_checkpoint(ckpt)[0], examples) == scored  # bitwise
+        library = {acct: f"{p:.6f}" for acct, p in scored.items()}
+        _, tweets = write_dataset_files(accounts, tmp_path)
+        out = tmp_path / "pred.csv"
+        rc = cli.main(["predict", "--checkpoint", str(ckpt), "--tweets", str(tweets),
+                       "--output", str(out)])
+        assert rc == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert {row["account_id"]: row["p_bot"] for row in csv.DictReader(fh)} == library
+
     def test_identical_accounts_identical_rows(self, trained, tmp_path):
         ckpt, _ = trained
         tweets = tmp_path / "tweets.csv"
@@ -960,6 +985,38 @@ class TestDataErrorExitCodes:
         assert (tmp_path / "out" / "predictions.csv").read_text() == (
             "account_id,p_bot,predicted_label,flag\n"
         )
+
+
+class TestNonFiniteScores:
+    """A checkpointable float32 model whose scores overflow to NaN is refused."""
+
+    @pytest.fixture
+    def nan_scoring(self, tmp_path):
+        from botlstm.nn_core import ModelConfig, init_params
+
+        vocab = Vocabulary([*RESERVED_TOKENS, "click", "deal", "offer", "love"])
+        model = init_params(ModelConfig(len(vocab), embed_dim=8, hidden=6, layers=1),
+                            rng_seed=0)
+        model.tensors["embedding.vectors"][:] = 1.0
+        model.tensors["layers.0.fwd.U"][:] = 3e38
+        model.tensors["layers.0.fwd.W"][:] = -3e38
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, model, vocab)
+        accounts = [Account("h1", 0, ["love you"]), Account("b1", 1, ["click deal offer"])]
+        return ckpt, write_dataset_files(accounts, tmp_path)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_refused_with_the_account_named(self, nan_scoring, tmp_path, capsys, command):
+        ckpt, (accounts, tweets) = nan_scoring
+        out = tmp_path / "out"
+        inputs = ["--tweets", str(tweets)]
+        if command == "evaluate":
+            inputs += ["--accounts", str(accounts)]
+        rc = cli.main([command, "--checkpoint", str(ckpt), *inputs, "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "trainer: account h1 scored a non-finite bot probability"
+        assert not out.exists()
 
 
 class TestNoOverwrite:

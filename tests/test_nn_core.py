@@ -375,6 +375,27 @@ class TestBatchedPath:
                 batch.classifier_input[b], one.classifier_input, rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_paper_shape_sequence_scores_alike_alone_and_in_a_chunk(self, dtype):
+        # bitwise: a sequence scored alone gets the bits of its row in a full chunk
+        rng = np.random.default_rng(29)
+        model = random_model(rng, vocab_size=60, dim=200, hidden=200, layers=3)
+        for name, tensor in model.tensors.items():
+            if name == "embedding.vectors":
+                tensor[...] = rng.uniform(-1.0, 1.0, tensor.shape)
+            else:
+                tensor *= 3.0
+        model = cast_model(model, dtype)
+        lengths = rng.integers(1, 31, size=CHUNK)
+        lengths[:2] = (1, 30)
+        seqs = [rng.integers(1, 60, size=k) for k in lengths]
+        chunk = forward_batch(model, seqs)
+        assert chunk.probabilities.dtype == dtype
+        for b, s in enumerate(seqs):
+            alone = forward_batch(model, [s])
+            np.testing.assert_array_equal(alone.probabilities[0], chunk.probabilities[b])
+            np.testing.assert_array_equal(alone.classifier_input[0], chunk.classifier_input[b])
+
     def test_chunked_gradient_sum_matches_per_sequence_sum(self, case):
         model, seqs, labels, seeds = case
         grads = model.zero_grads()

@@ -582,9 +582,10 @@ class TestEvaluate:
         assert in_threes == together
         assert shuffled == together
 
-    def test_extreme_checkpoint_scores_to_finite_probabilities(self, tmp_path):
-        # a loaded checkpoint is finite float32, so every float64 value on the
-        # way to the softmax stays bounded even with all weights at +-max
+    def test_extreme_checkpoint_scores_finite_or_is_refused(self, tmp_path):
+        # a loaded checkpoint scores in its stored float32, where weights at
+        # +-max can overflow: every account then scores a finite probability,
+        # or scoring is a DataError naming an account, and nothing else
         accounts, vocab, table = synthetic(seed=4, n_per_class=5)
         model = init_params(
             ModelConfig(vocab_size=len(vocab), embed_dim=table.dim, hidden=8, layers=3),
@@ -598,8 +599,15 @@ class TestEvaluate:
         loaded, _ = load_checkpoint(path)
         examples, _ = make_examples(accounts, vocab)
         assert len(examples) == 200
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            scored = account_probabilities(loaded, examples)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                scored = account_probabilities(loaded, examples)
+        except DataError as err:
+            assert err.module == "trainer"
+            named = {ex.account_id for ex in examples
+                     if f"account {ex.account_id} scored a non-finite" in str(err)}
+            assert len(named) == 1, str(err)
+            return
         p_bot = np.array(list(scored.values()))
         assert len(p_bot) == 10
         assert np.isfinite(p_bot).all() and ((p_bot >= 0.0) & (p_bot <= 1.0)).all()
