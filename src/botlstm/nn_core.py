@@ -80,9 +80,13 @@ N_CLASSES = 2
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (no overflow warnings)."""
+    """Numerically stable logistic function (no overflow warnings).
+
+    max(e, x >= 0) is 1 or e (e <= 1), without `np.where`'s per-element
+    branch, which mixed-sign gate inputs mispredict.
+    """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:

@@ -5,17 +5,17 @@ keeps its meaning regardless of batch size. The dropout rate decays
 linearly per epoch between its configured endpoints. Every example draws
 its dropout masks from its own seeded generator.
 
-Training and scoring run the batched recurrence in chunks of CHUNK
-sequences. Each chunk's gradients are added into the batch sum in place,
-so a step holds one chunk's trace and one gradient dict, whatever the
-batch size. Both fill their chunks in stable length order, so a chunk's
-scan runs to a length its sequences share. Training sorts within each
-mini-batch: the batch's members, their dropout seeds and its mean
-gradient stay those of the shuffled order, and each example's loss is
-tallied in that order. Only the order in which chunk gradients are added
-differs from filling the chunks in shuffled order, which moves trained
-parameters in their last bits. Scoring sorts the whole dataset (see
-`account_probabilities`).
+Training runs the batched recurrence in chunks of CHUNK sequences, and
+scoring in wider chunks of SCORE_CHUNK. Each training chunk's gradients
+are added into the batch sum in place, so a step holds one chunk's trace
+and one gradient dict, whatever the batch size. Both fill their chunks
+in stable length order, so a chunk's scan runs to a length its sequences
+share. Training sorts within each mini-batch: the batch's members,
+their dropout seeds and its mean gradient stay those of the shuffled
+order, and each example's loss is tallied in that order. Only the order
+in which chunk gradients are added differs from filling the chunks in
+shuffled order, which moves trained parameters in their last bits.
+Scoring sorts the whole dataset (see `account_probabilities`).
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ from .nn_core import backward, bilstm_forward  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-#: Sequences per batched forward/backward call. It bounds what a training
-#: step or a scoring pass holds live: in scoring, one chunk's current
-#: layer; in training, one chunk's state tracks and gates.
+#: Sequences per batched forward/backward call in training. It bounds what
+#: a training step holds live: one chunk's state tracks and gates.
 CHUNK = 16
+
+#: Sequences per batched forward call in scoring, which keeps no c track
+#: or gates: a scoring pass holds one chunk's current layer live.
+SCORE_CHUNK = 32
 
 #: Largest finite float32; a parameter beyond it cannot be checkpointed.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -194,17 +197,18 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
 
     Accounts keep their first-appearance order.
 
-    Sequences are scored CHUNK at a time in stable length order, so a
-    chunk's scan runs to a length its sequences share and little of it is
-    padding. A short last chunk is filled up to CHUNK columns with
-    one-token [OOV_ID] sequences, whose rows are dropped: every call then
-    has the same width. At paper shape a sequence's probability has the
-    same bits at any width (see `nn_core._matmul`), but BLAS's
+    Sequences are scored SCORE_CHUNK at a time in stable length order, so
+    a chunk's scan runs to a length its sequences share and little of it
+    is padding. A short last chunk is filled up to SCORE_CHUNK columns
+    with one-token [OOV_ID] sequences, whose rows are dropped: every call
+    then has the same width. At paper shape a sequence's probability has
+    the same bits at any width (see `nn_core._matmul`), but BLAS's
     small-matrix kernels round a product of a few rows differently, so
     at small shapes it is the fill-up that keeps a sequence's
     probability from depending on the other sequences scored. Scoring
-    runs with overflow and invalid-value warnings off. Each account's sum
-    then adds its probabilities in dataset order. Training sorts the same way, but within each mini-batch (see
+    runs with overflow and invalid-value warnings off. Each account's
+    sum then adds its probabilities in dataset order. Training sorts the
+    same way, but within each mini-batch and CHUNK at a time (see
     `train`); its chunks are not filled up, since a short last chunk is
     as wide in any order. A non-finite probability, which a model with
     finite but huge float32 weights can give, is a DataError naming the
@@ -215,8 +219,8 @@ def account_probabilities(model: ModelParams, dataset) -> dict[str, float]:
     p_bot = np.empty(len(dataset))
     by_length = np.argsort([len(ex.ids) for ex in dataset], kind="stable")
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
-        for idx in batch_indices(by_length, CHUNK):
-            seqs = [dataset[i].ids for i in idx] + [[OOV_ID]] * (CHUNK - len(idx))
+        for idx in batch_indices(by_length, SCORE_CHUNK):
+            seqs = [dataset[i].ids for i in idx] + [[OOV_ID]] * (SCORE_CHUNK - len(idx))
             p_bot[idx] = forward_batch(model, seqs).probabilities[: len(idx), BOT]
     if not np.isfinite(p_bot).all():
         bad = dataset[np.flatnonzero(~np.isfinite(p_bot))[0]].account_id

@@ -34,7 +34,7 @@ from botlstm.nn_core import (
     stable_softmax,
 )
 from botlstm.text_pipeline import PAD_ID
-from botlstm.trainer import CHUNK
+from botlstm.trainer import CHUNK, SCORE_CHUNK
 
 
 def zero_cell(hidden, d_in):
@@ -377,7 +377,8 @@ class TestBatchedPath:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_paper_shape_sequence_scores_alike_alone_and_in_a_chunk(self, dtype):
-        # bitwise: a sequence scored alone gets the bits of its row in a full chunk
+        # bitwise: a sequence scored alone gets the bits of its row in a full
+        # scoring chunk
         rng = np.random.default_rng(29)
         model = random_model(rng, vocab_size=60, dim=200, hidden=200, layers=3)
         for name, tensor in model.tensors.items():
@@ -386,7 +387,7 @@ class TestBatchedPath:
             else:
                 tensor *= 3.0
         model = cast_model(model, dtype)
-        lengths = rng.integers(1, 31, size=CHUNK)
+        lengths = rng.integers(1, 31, size=SCORE_CHUNK)
         lengths[:2] = (1, 30)
         seqs = [rng.integers(1, 60, size=k) for k in lengths]
         chunk = forward_batch(model, seqs)
@@ -637,13 +638,18 @@ class TestNumericHelpers:
         assert s[2] == 0.5
         assert np.all((s >= 0.0) & (s <= 1.0))
 
-    def test_sigmoid_equals_two_division_form_bitwise(self):
-        # sigmoid divides once; the form with one division per branch
-        # gives the same IEEE result
-        edges = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 710.0, -710.0, np.inf, -np.inf]
-        x = np.concatenate((edges, np.random.default_rng(3).normal(0.0, 8.0, 1000)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_two_division_form_bitwise(self, dtype):
+        # sigmoid divides once and picks its numerator without a branch;
+        # the form with one division per branch gives the same IEEE result.
+        # Edges: subnormals, and where float32 and float64 exp under- and
+        # overflow (+-88.7, +-103.98; +-710)
+        edges = [0.0, -0.0, 1e-40, -1e-40, 1e-300, -1e-300, 20.0, -20.0, 88.7, -88.7,
+                 103.98, -103.98, 710.0, -710.0, np.inf, -np.inf, np.nan]
+        x = np.concatenate((edges, np.random.default_rng(3).normal(0.0, 8.0, 1000))).astype(dtype)
         e = np.exp(-np.abs(x))
         old = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert old.dtype == dtype
         assert sigmoid(x).tobytes() == old.tobytes()
 
     def test_softmax_large_logits(self):

@@ -19,6 +19,7 @@ from botlstm.trainer import (
     CHUNK,
     FLOAT32_MAX,
     LOSS_CLAMP,
+    SCORE_CHUNK,
     TrainingConfig,
     account_probabilities,
     batch_indices,
@@ -224,11 +225,10 @@ class TestBatchIndices:
         assert sorted(np.concatenate(batches).tolist()) == list(range(23))
 
 
-def _shuffled_lengths_set():
-    """2*CHUNK + 5 sequences of 1-20 tokens from five interleaved accounts, unsorted."""
+def _shuffled_lengths_set(n=2 * CHUNK + 5):
+    """n sequences of 1-20 tokens from five interleaved accounts, unsorted."""
     rng = np.random.default_rng(7)
     model = random_model(rng, vocab_size=30, dim=4, hidden=3, layers=2)
-    n = 2 * CHUNK + 5
     lengths = rng.permutation(np.arange(n) % 20 + 1)
     data = [
         LabeledSequence(f"acct{(3 * k) % 5}", (3 * k) % 5 % 2,
@@ -546,7 +546,7 @@ class TestEvaluate:
             assert abs(scored[acct] - total / count) < 1e-12
 
     def test_chunks_run_in_length_order(self, monkeypatch):
-        model, data = _shuffled_lengths_set()
+        model, data = _shuffled_lengths_set(2 * SCORE_CHUNK + 5)  # not a multiple of the chunk
         chunks = []
 
         def recording_forward(model, seqs, *args):
@@ -555,9 +555,9 @@ class TestEvaluate:
 
         monkeypatch.setattr("botlstm.trainer.forward_batch", recording_forward)
         account_probabilities(model, data)
-        assert [len(c) for c in chunks] == [CHUNK, CHUNK, CHUNK]
+        assert [len(c) for c in chunks] == [SCORE_CHUNK, SCORE_CHUNK, SCORE_CHUNK]
         # the short last chunk holds its 5 sequences first, then one-token fillers
-        assert chunks[2][5:] == [[OOV_ID]] * (CHUNK - 5)
+        assert chunks[2][5:] == [[OOV_ID]] * (SCORE_CHUNK - 5)
         # each chunk non-decreasing, and each chunk starting where the last ended
         flat = [len(s) for c in chunks[:2] + [chunks[2][:5]] for s in c]
         assert flat == sorted(len(ex.ids) for ex in data)
