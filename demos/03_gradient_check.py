@@ -10,7 +10,7 @@ the acceptance suite runs at larger scale.
 
 import numpy as np
 
-from botlstm import ModelConfig, backward, bilstm_forward, init_params, nll_loss
+from botlstm import ModelConfig, backward_batch, forward_batch, init_params, nll_loss
 
 rng = np.random.default_rng(42)
 config = ModelConfig(vocab_size=9, embed_dim=4, hidden=3, layers=2)
@@ -28,12 +28,14 @@ label = 1
 
 
 def loss():
-    trace = bilstm_forward(model, ids)
-    return nll_loss(trace.probabilities, label)
+    return nll_loss(forward_batch(model, [ids]).probabilities[0], label)
 
 
-trace = bilstm_forward(model, ids)
-grads = backward(model, trace, label)
+# one sequence is a batch of one; a seed list makes the trace keep the
+# gates that backward_batch reads (rate 0 draws no dropout from it)
+trace = forward_batch(model, [ids], 0.0, [0])
+grads = model.zero_grads()
+backward_batch(model, trace, [label], grads)
 
 eps = 1e-4
 print(f"{'tensor':28} {'max rel err':>12}")

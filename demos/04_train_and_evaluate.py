@@ -11,8 +11,8 @@ from botlstm import (
     BOT,
     ModelConfig,
     TrainingConfig,
-    bilstm_forward,
     evaluate,
+    forward_batch,
     init_params,
     make_examples,
     report_json,
@@ -46,7 +46,7 @@ print("\nheld-out metrics:")
 print(report_json(report))
 
 print("sample posteriors:")
-for ex in test_examples[:3]:
-    p = bilstm_forward(model, ex.ids).probabilities[BOT]
+sample = test_examples[:3]
+for ex, p in zip(sample, forward_batch(model, [ex.ids for ex in sample]).probabilities[:, BOT]):
     print(f"  {ex.account_id:10} true={'bot' if ex.label == BOT else 'human':5} "
           f"p_bot={float(p):.3f}")

@@ -39,10 +39,8 @@ from .metrics import (
 )
 from .nn_core import (
     BatchTrace,
-    ForwardTrace,
     ModelConfig,
     ModelParams,
-    backward,
     backward_batch,
     bilstm_forward,
     forward_batch,
@@ -77,7 +75,6 @@ __all__ = [
     "CheckpointError",
     "DataError",
     "EmbeddingTable",
-    "ForwardTrace",
     "HUMAN",
     "InternalError",
     "LabeledSequence",
@@ -90,7 +87,6 @@ __all__ = [
     "TrainingConfig",
     "UsageError",
     "Vocabulary",
-    "backward",
     "backward_batch",
     "bilstm_forward",
     "build_table",

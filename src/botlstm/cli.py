@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_file(path: str) -> dict:
-    values = {}
+    values, lines_of = {}, {}
     try:
         # universal newlines, then "\n" alone: splitlines() also breaks at
         # U+2028, \f and other characters a file name may hold
@@ -55,6 +55,9 @@ def _load_config_file(path: str) -> dict:
         raw = raw.strip()
         if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}: unknown config key {key!r} on line {n}")
+        if key in lines_of:
+            raise UsageError(f"{path}: duplicate key {key!r} on lines {lines_of[key]} and {n}")
+        lines_of[key] = n
         typ = _CONFIG_TYPES[key]
         try:
             if "\x00" in raw:  # no file name holds one

@@ -8,6 +8,12 @@ Training sequences come in two granularities: one sequence per tweet
 (label inherited from the account) or one per account (tweets joined
 newest-first - i.e. reverse file order - with a <PAD> separator and
 truncated from the tail).
+
+The network carries its state through a <PAD> step unchanged, so an
+inner <PAD> - the per_account separator, or a tweet's literal "<PAD>"
+text - is invisible to the model: [a, <PAD>, b] scores as [a, b]. The
+separator's only effect is to spend max_seq_len positions (14.4% of the
+per_account positions of `synthetic(seed=7, n_per_class=20)`).
 """
 
 from __future__ import annotations

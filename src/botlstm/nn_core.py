@@ -58,8 +58,11 @@ the gates instead of recomputing them and rebuilds each layer's input
 from the layer below, taking each layer's tracks off the trace as it
 reaches them, so a trace serves one `backward_batch`. `_gates` holds
 the equations above, and only `forward_batch` draws dropout.
-`bilstm_forward(model, ids)` and `backward(model, trace, label)` are
-their one-sequence, dropout-free case and take no options.
+A one-sequence call is the pair at B=1: `forward_batch(model, [ids])`
+to score, and `forward_batch(model, [ids], 0.0, [0])` then
+`backward_batch` to differentiate. `bilstm_forward`, `backward` and
+`ForwardTrace` wrap that case only for the benchmark harness (`bench/`),
+which calls them until it moves to the batched pair (ROADMAP item 1a).
 """
 
 from __future__ import annotations
@@ -308,10 +311,6 @@ class ForwardTrace:
     batch: BatchTrace = field(repr=False)
 
     @property
-    def classifier_input(self) -> np.ndarray:
-        return self.batch.classifier_input[0]
-
-    @property
     def probabilities(self) -> np.ndarray:
         return self.batch.probabilities[0]
 
@@ -341,9 +340,12 @@ def forward_batch(model: ModelParams, seqs, dropout_rate: float = 0.0, seeds=Non
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError("dropout_rate must be in [0, 1)")
-    seqs = [np.asarray(s, dtype=np.intp) for s in seqs]
+    seqs = [np.asarray(s) for s in seqs]
     if not seqs or any(s.ndim != 1 or s.size == 0 for s in seqs):
         raise ValueError("need one or more non-empty 1-D id sequences")
+    for s in seqs:
+        if s.dtype.kind not in "iu":  # casting would score 1.7 as id 1, True as id 1
+            raise ValueError(f"token ids must be integers, got dtype {s.dtype}")
     lengths = np.array([s.size for s in seqs])
     T, B = int(lengths.max()), len(seqs)
     ids = np.full((T, B), PAD_ID, dtype=np.intp)

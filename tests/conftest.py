@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from botlstm.datasets import Account, save_dataset
-from botlstm.nn_core import ModelConfig, ModelParams, _gates, forward_batch
+from botlstm.nn_core import ModelConfig, ModelParams, _gates, backward_batch, forward_batch
 from botlstm.trainer import nll_loss
 
 
@@ -43,6 +43,13 @@ def model_loss(model, ids, label, rate=0.0, seed=None):
     """-log p(label) for one sequence, under the dropout `seed` draws at `rate`."""
     trace = forward_batch(model, [ids], rate, [seed])
     return nll_loss(trace.probabilities[0], label)
+
+
+def sequence_grads(model, ids, label):
+    """Gradients of -log p(label) for one sequence without dropout: the batched pair at B=1."""
+    grads = model.zero_grads()
+    backward_batch(model, forward_batch(model, [ids], 0.0, [0]), [label], grads)
+    return grads
 
 
 def fd_tensor_gradient(model, tensor, ids, label, eps=1e-4, rate=0.0, seed=None):

@@ -21,6 +21,7 @@ from conftest import (
     random_model,
     scalar_cell,
     scalar_cell_oracle,
+    sequence_grads,
 )
 
 from botlstm import cli
@@ -33,12 +34,7 @@ from botlstm.datasets import (
 )
 from botlstm.embeddings import TRAINABLE_ROWS
 from botlstm.metrics import BOT, HUMAN, compute_metrics
-from botlstm.nn_core import (
-    ModelConfig,
-    backward,
-    bilstm_forward,
-    init_params,
-)
+from botlstm.nn_core import ModelConfig, forward_batch, init_params
 from botlstm.text_pipeline import URL, build_vocabulary, tokenize
 from botlstm.trainer import TrainingConfig, dropout_schedule, evaluate, train
 
@@ -66,8 +62,7 @@ def test_criterion_1_gradient_oracle():
         ids = [6, 1, 2] + rng.integers(0, 9, size=max(0, T - 3)).tolist()
         ids = ids[:T]
         label = int(rng.integers(0, 2))
-        trace = bilstm_forward(model, ids)
-        grads = backward(model, trace, label)
+        grads = sequence_grads(model, ids, label)
         # the embedding entry is the trainable-row view, perturbed in place
         for name, tensor in model.trainable_tensors():
             fd = fd_tensor_gradient(model, tensor, ids, label, eps=1e-4)
@@ -274,7 +269,7 @@ def test_criterion_8_pipeline_invariants():
     worst_drift = 0.0
     for _ in range(200):
         ids = np.random.default_rng(4).integers(0, 9, size=7)
-        p = bilstm_forward(probe, ids).probabilities
+        p = forward_batch(probe, [ids]).probabilities[0]
         worst_drift = max(worst_drift, abs(float(p.sum()) - 1.0))
     assert worst_drift <= 1e-12
 

@@ -1163,6 +1163,19 @@ class TestConfigFileAndExitCodes:
         assert cli.main(["stats", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"usage error: {config}: line 2 is not key=value\n"
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        # neither value wins, and nothing is made
+        config = tmp_path / "run.cfg"
+        config.write_text("hidden=4\n# model\nhidden=5\n")
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--config", str(config), "--synthetic", "2",
+                       "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {config}: duplicate key 'hidden' on lines 1 and 3\n"
+        )
+        assert not out.exists()
+
     def test_config_value_may_hold_line_separator_characters(self, tmp_path):
         # only a line ending ends a line: U+2028 and \f are file-name characters
         config = tmp_path / "run.cfg"

@@ -12,6 +12,7 @@ from conftest import (
     random_model,
     scalar_cell,
     scalar_cell_oracle,
+    sequence_grads,
     traced_peak,
 )
 
@@ -25,9 +26,7 @@ from botlstm.nn_core import (
     _direction_pass,
     _gates,
     _layer_output,
-    backward,
     backward_batch,
-    bilstm_forward,
     forward_batch,
     init_params,
     sigmoid,
@@ -173,26 +172,26 @@ class TestBilstmForward:
         rng = np.random.default_rng(2)
         for _ in range(30):
             ids = rng.integers(0, 9, size=rng.integers(1, 12))
-            trace = bilstm_forward(model, ids)
-            assert abs(trace.probabilities.sum() - 1.0) <= 1e-12
-            assert np.all(trace.probabilities > 0.0)
-            assert np.all(trace.probabilities < 1.0)
+            p = forward_batch(model, [ids]).probabilities[0]
+            assert abs(p.sum() - 1.0) <= 1e-12
+            assert np.all(p > 0.0)
+            assert np.all(p < 1.0)
 
     def test_zero_softmax_uniform(self, model):
         model.tensors["softmax.W"][:] = 0.0
         model.tensors["softmax.b"][:] = 0.0
-        trace = bilstm_forward(model, [6, 7, 8])
-        np.testing.assert_array_equal(trace.probabilities, [0.5, 0.5])
+        trace = forward_batch(model, [[6, 7, 8]])
+        np.testing.assert_array_equal(trace.probabilities[0], [0.5, 0.5])
 
     def test_eval_mode_deterministic(self, model):
-        a = bilstm_forward(model, [6, 1, 7])
-        b = bilstm_forward(model, [6, 1, 7])
+        a = forward_batch(model, [[6, 1, 7]])
+        b = forward_batch(model, [[6, 1, 7]])
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         np.testing.assert_array_equal(a.classifier_input, b.classifier_input)
 
     def test_empty_ids_rejected(self, model):
         with pytest.raises(ValueError, match="non-empty"):
-            bilstm_forward(model, [])
+            forward_batch(model, [[]])
 
     def test_bad_dropout_rate_rejected(self, model):
         with pytest.raises(ValueError, match="dropout_rate"):
@@ -202,11 +201,14 @@ class TestBilstmForward:
 
     def test_boundary_padding_ignored(self, model):
         # state-carrying PAD steps: padding cannot change the classifier input
-        plain = bilstm_forward(model, [6, 7, 8])
-        padded = bilstm_forward(model, [0, 6, 7, 8, 0, 0])
-        np.testing.assert_allclose(
-            plain.classifier_input, padded.classifier_input, atol=1e-15
-        )
+        # boundary or inner: a sequence's only inner PAD is the account
+        # separator, or a tweet's literal "<PAD>" text
+        plain = forward_batch(model, [[6, 7, 8]])
+        for ids in ([0, 6, 7, 8, 0, 0], [6, 0, 7, 8]):
+            padded = forward_batch(model, [ids])
+            np.testing.assert_allclose(
+                plain.classifier_input, padded.classifier_input, atol=1e-15
+            )
 
     def test_direction_symmetry_block_swap(self):
         # swapping fwd/bwd parameter sets (and the concat column blocks they
@@ -232,12 +234,10 @@ class TestBilstmForward:
             swapped[name] = arr
         swapped = ModelParams(swapped)
 
-        orig = bilstm_forward(model, ids)
-        mirror = bilstm_forward(swapped, list(reversed(ids)))
+        orig = forward_batch(model, [ids])
+        mirror = forward_batch(swapped, [list(reversed(ids))])
         np.testing.assert_allclose(
-            mirror.classifier_input,
-            np.concatenate((orig.classifier_input[H:], orig.classifier_input[:H])),
-            atol=1e-12,
+            mirror.classifier_input, swap_cols(orig.classifier_input), atol=1e-12
         )
         np.testing.assert_allclose(
             mirror.probabilities, orig.probabilities, atol=1e-12
@@ -259,14 +259,13 @@ class TestBackwardBasics:
         return random_model(np.random.default_rng(55), 9, 4, 3, 2)
 
     def test_softmax_gradient_identity(self, model):
-        trace = bilstm_forward(model, [6, 1, 7])
-        grads = backward(model, trace, label=0)
-        expected = trace.probabilities.copy()
+        grads = sequence_grads(model, [6, 1, 7], 0)
+        expected = forward_batch(model, [[6, 1, 7]]).probabilities[0].copy()
         expected[0] -= 1.0
         np.testing.assert_array_equal(grads["softmax.b"], expected)
 
     def test_accumulation_linearity(self, model):
-        # a trace serves one backward: two runs under the same seed add up
+        # a trace serves one backward_batch: two runs under the same seed add up
         # to twice one run's gradients
         def run(grads):
             backward_batch(model, forward_batch(model, [[6, 1, 7]], 0.3, [5]), [1], grads)
@@ -281,21 +280,18 @@ class TestBackwardBasics:
     def test_fixed_embedding_rows_get_zero_gradient(self, model):
         # frozen rows have no gradient entry at all: the dict is keyed and
         # shaped like trainable_tensors(), the embedding cut to rows 1..5
-        trace = bilstm_forward(model, [6, 1, 7, 8])
-        grads = backward(model, trace, label=1)
+        grads = sequence_grads(model, [6, 1, 7, 8], 1)
         shapes = {name: t.shape for name, t in model.trainable_tensors()}
         assert {name: g.shape for name, g in grads.items()} == shapes
         assert shapes["embedding.vectors"] == (5, model.config().embed_dim)
 
     def test_pad_positions_send_no_embedding_gradient(self, model):
-        trace = bilstm_forward(model, [0, 6, 0, 7, 0])
-        grads = backward(model, trace, label=1)
+        grads = sequence_grads(model, [0, 6, 0, 7, 0], 1)
         np.testing.assert_array_equal(grads["embedding.vectors"], 0.0)
 
     def test_oov_gradient_matches_finite_differences(self, model):
         ids = [1, 6, 1, 7]
-        trace = bilstm_forward(model, ids)
-        grads = backward(model, trace, label=0)
+        grads = sequence_grads(model, ids, 0)
         rows = dict(model.trainable_tensors())["embedding.vectors"]
         fd = fd_tensor_gradient(model, rows, ids, 0)
         assert max_rel_err(fd, grads["embedding.vectors"]) < 1e-4
@@ -304,8 +300,7 @@ class TestBackwardBasics:
         rng = np.random.default_rng(77)
         small = random_model(rng, 9, 3, 2, 2)
         ids = [6, 1, 0, 7]  # word, OOV, PAD, word
-        trace = bilstm_forward(small, ids)
-        grads = backward(small, trace, 1)
+        grads = sequence_grads(small, ids, 1)
         for name, tensor in small.trainable_tensors():
             fd = fd_tensor_gradient(small, tensor, ids, 1)
             assert max_rel_err(fd, grads[name]) < 1e-4, name
@@ -325,16 +320,15 @@ class TestBackwardBasics:
             assert max_rel_err(fd, grads[name]) < 1e-4, name
 
     def test_label_validation(self, model):
-        trace = bilstm_forward(model, [6])
         with pytest.raises(ValueError, match="label"):
-            backward(model, trace, label=2)
+            sequence_grads(model, [6], 2)
 
     @pytest.mark.parametrize("hidden, layers, match", [(3, 1, "depth"), (5, 2, "hidden size")])
     def test_trace_model_mismatch(self, model, hidden, layers, match):
-        trace = bilstm_forward(model, [6])
+        trace = forward_batch(model, [[6]], 0.0, [0])
         other = random_model(np.random.default_rng(1), 9, 4, hidden, layers)
         with pytest.raises(ValueError, match=match):
-            backward(other, trace, label=0)
+            backward_batch(other, trace, [0], other.zero_grads())
 
     def test_loss_finite_for_finite_params(self, model):
         rng = np.random.default_rng(8)
@@ -367,12 +361,12 @@ class TestBatchedPath:
         model, seqs, _, _ = case
         batch = forward_batch(model, seqs)
         for b, s in enumerate(seqs):
-            one = bilstm_forward(model, s)
+            one = forward_batch(model, [s])
             np.testing.assert_allclose(
-                batch.probabilities[b], one.probabilities, rtol=0, atol=1e-12
+                batch.probabilities[b], one.probabilities[0], rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(
-                batch.classifier_input[b], one.classifier_input, rtol=0, atol=1e-12
+                batch.classifier_input[b], one.classifier_input[0], rtol=0, atol=1e-12
             )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -445,7 +439,7 @@ class TestBatchedPath:
             x = _layer_output(trace.tracks[li], trace.keep, li, trace.dropout_scale)
 
     def test_backward_spends_the_trace(self, case):
-        # a second backward is refused before it adds any gradient, and the
+        # a second backward_batch is refused before it adds any gradient, and the
         # trace keeps its probabilities through both calls
         model, seqs, labels, seeds = case
         trace = forward_batch(model, seqs[:CHUNK], self.RATE, seeds[:CHUNK])
@@ -461,7 +455,7 @@ class TestBatchedPath:
     def test_scoring_trace_keeps_no_gates_and_is_refused(self, case):
         model, seqs, _, _ = case
         trace = forward_batch(model, seqs)
-        assert all(gates is None for scans in trace.tracks for _, _, gates in scans)
+        assert trace.tracks == []
         with pytest.raises(ValueError, match="pass seeds"):
             backward_batch(model, trace, [0] * len(seqs), model.zero_grads())
 
@@ -494,6 +488,12 @@ class TestBatchedPath:
             forward_batch(model, [])
         with pytest.raises(ValueError, match="non-empty"):
             forward_batch(model, [[6], []])
+
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], [True, False]], ids=["float", "bool"])
+    def test_non_integer_ids_rejected(self, case, ids):
+        # a cast would score [1.7, 2.2] as [1, 2] and [True, False] as [1, 0]
+        with pytest.raises(ValueError, match="integers, got dtype (float64|bool)"):
+            forward_batch(case[0], [[6, 7], ids])
 
     def test_dropout_needs_a_seed_per_sequence(self, case):
         model, seqs, _, seeds = case

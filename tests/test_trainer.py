@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cast_model, random_model, traced_peak
+from conftest import cast_model, random_model, sequence_grads, traced_peak
 
 from botlstm.checkpoint import load_checkpoint, save_checkpoint
 from botlstm.datasets import LabeledSequence, make_examples, synthetic
 from botlstm.embeddings import TRAINABLE_ROWS
 from botlstm.errors import DataError, InternalError
 from botlstm.metrics import BOT, HUMAN, predicted_label
-from botlstm.nn_core import (
-    ModelConfig, backward, backward_batch, bilstm_forward, forward_batch, init_params,
-)
+from botlstm.nn_core import ModelConfig, backward_batch, forward_batch, init_params
 from botlstm.text_pipeline import OOV_ID, PAD_ID
 from botlstm.trainer import (
     CHUNK,
@@ -185,8 +183,7 @@ class TestTrainableRowsOnly:
     @pytest.mark.parametrize("vocab_size", [9, 400])
     def test_embedding_gradient_and_velocity_cover_five_rows(self, vocab_size):
         model = random_model(np.random.default_rng(2), vocab_size, 3, 2, 1)
-        trace = bilstm_forward(model, [6, 1, 2, 0, 8])
-        grads = backward(model, trace, 1)
+        grads = sequence_grads(model, [6, 1, 2, 0, 8], 1)
         velocity = {}
         sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
         assert grads["embedding.vectors"].shape == (5, 3)
@@ -196,8 +193,7 @@ class TestTrainableRowsOnly:
 class TestParameterNames:
     def test_one_entry_per_cell_block(self):
         model = random_model(np.random.default_rng(3), 9, 3, 2, 3)
-        trace = bilstm_forward(model, [6, 1, 7])
-        grads = backward(model, trace, 0)
+        grads = sequence_grads(model, [6, 1, 7], 0)
         velocity = {}
         sgd_momentum_step(model, grads, velocity, lr=0.1, momentum=0.9)
         blocks = [
@@ -262,7 +258,7 @@ class TestTrain:
         for lr in (0.01, 0.005, 0.0025):
             trial = _toy_setup()[0]
             before = nll_loss(
-                bilstm_forward(trial, example.ids).probabilities, example.label
+                forward_batch(trial, [example.ids]).probabilities[0], example.label
             )
             cfg = TrainingConfig(
                 learning_rate=lr, epochs=1, batch_size=1,
@@ -270,7 +266,7 @@ class TestTrain:
             )
             train(trial, [example], cfg)
             after = nll_loss(
-                bilstm_forward(trial, example.ids).probabilities, example.label
+                forward_batch(trial, [example.ids]).probabilities[0], example.label
             )
             if after <= before + 1e-9:
                 return
